@@ -35,6 +35,7 @@ from .wordlength import (
     FixedPointFormat,
     FractionalBitsResult,
     IntegerSizing,
+    MonteCarloRun,
     SensitivityResult,
     ToleranceSpec,
     WordLengthReport,
@@ -44,6 +45,7 @@ from .wordlength import (
     integer_bits,
     monte_carlo_coverage,
     monte_carlo_error_std,
+    monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
     quantized_response,

@@ -43,8 +43,7 @@ from .wordlength import (
     ToleranceSpec,
     cascade_derivative_magnitudes,
     design_wordlengths,
-    monte_carlo_coverage,
-    monte_carlo_error_std,
+    monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
     quantized_response,
@@ -83,6 +82,10 @@ class DesignConfig:
     overlap: float = 0.5
     comb_order: int = 3
     output_dir: str = "out"
+
+    def __post_init__(self):
+        if self.points_per_band < 2:
+            raise ParameterError(f"points_per_band must be >= 2, got {self.points_per_band}")
 
     def spec(self) -> GcfSpec:
         if self.signal_bandwidth is not None:
@@ -284,9 +287,9 @@ def _check_mc(spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: in
     # sigma_dh is an upper bound on the true per-frequency std (10% slack for
     # sampling noise), and coverage at the design y cannot fall far below the
     # Gaussian prediction.
-    fi, emp, model = monte_carlo_error_std(spec, f_n, trials, seed)
-    ok_std = bool(np.all(emp <= 1.1 * model + 1e-18))
-    cov = monte_carlo_coverage(spec, f_n, tol.y, trials, seed)
+    run = monte_carlo_run(spec, f_n, trials, seed)
+    ok_std = bool(np.all(run.error_std() <= 1.1 * run.sigma_dh + 1e-18))
+    cov = run.coverage(tol.y)
     floor = math.erf(tol.y / math.sqrt(2.0)) - 0.03
     ok_cov = cov >= floor
     msg = (f"mc_model: std bound {'ok' if ok_std else 'VIOLATED'}, "
@@ -353,7 +356,7 @@ def cmd_compare(cfg: DesignConfig) -> int:
     with open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
     worst_g = worst_case_attenuation(gcf)
     worst_c = worst_case_attenuation(comb)
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "

@@ -18,8 +18,14 @@ convention the stored polyphase branch taps are the unit-DC-scaled values
 tap count L = 3*D1-2), while cascade multipliers r_k keep their raw values
 with the normalization applied downstream in floating point.  Derivatives of
 the cascade are evaluated in product form, which stays finite at the in-band
-zeros where the quotient form degenerates to 0/0.  An unnormalized mode
-(bare section responses) is kept for diagnosis.
+zeros where the quotient form degenerates to 0/0.  By split invariance the
+polyphase magnitude |H_P| is the same stage product over k = 0..p_p,
+
+    |H_P(w)| = |prod_{k=0..p_p} 2 (cos(3*2^{k-1}w) + r_k cos(2^{k-1}w))|,
+
+referenced to its DC gain prod(2 + 2 r_k), so S_T costs O(p * nf) time and
+memory at every split.  An unnormalized mode (bare section responses) is
+kept for diagnosis.
 
 Integer sizing is worst-case: each stage grows the dynamic range by
 g_k = log2(2 + 2 r_k) <= 3 bits, accumulated through the cascade.
@@ -77,12 +83,12 @@ class ToleranceSpec:
     y: float
 
     def __post_init__(self):
-        if self.chi <= 0.0:
-            raise ParameterError(f"chi must be positive, got {self.chi}")
+        if not (math.isfinite(self.chi) and self.chi > 0.0):
+            raise ParameterError(f"chi must be positive and finite, got {self.chi}")
         if not 0.0 < self.prob < 1.0:
             raise ParameterError(f"prob must be in (0, 1), got {self.prob}")
-        if self.y <= 0.0:
-            raise ParameterError(f"y must be positive, got {self.y}")
+        if not (math.isfinite(self.y) and self.y > 0.0):
+            raise ParameterError(f"y must be positive and finite, got {self.y}")
 
     @classmethod
     def from_prob(cls, chi: float, prob: float) -> "ToleranceSpec":
@@ -90,8 +96,8 @@ class ToleranceSpec:
 
     @classmethod
     def from_y(cls, chi: float, y: float) -> "ToleranceSpec":
-        if y <= 0.0:
-            raise ParameterError(f"y must be positive, got {y}")
+        if not (math.isfinite(y) and y > 0.0):
+            raise ParameterError(f"y must be positive and finite, got {y}")
         return cls(chi=chi, prob=math.erf(y / math.sqrt(2.0)), y=y)
 
     def as_dict(self) -> dict:
@@ -235,12 +241,16 @@ def cascade_derivative_magnitudes(spec: GcfSpec, freqs, normalized: bool = True)
 
 
 def _polyphase_magnitude(spec: GcfSpec, freqs: np.ndarray, normalized: bool) -> np.ndarray:
-    bank = polyphase_impulse(spec)
-    n = np.arange(len(bank.h_p))
-    w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    resp = (bank.h_p[None, :] * np.exp(-1j * np.outer(w, n))).sum(axis=1)
-    mag = np.abs(resp)
-    return mag / bank.h_p.sum() if normalized else mag
+    """|H_P| as the product of the full-rate stages k = 0..p_p.
+
+    Split invariance makes the polyphase section equal to the cascade stages
+    it replaces, so |H_P| = |prod_k 2(cos 3*2^{k-1}w + r_k cos 2^{k-1}w)| with
+    r_k = 1 + 2 cos(2^k alpha), and its DC gain is prod(2 + 2 r_k).
+    """
+    ks = range(spec.p_p + 1)
+    r = np.array([1.0 + 2.0 * math.cos((2.0 ** k) * spec.alpha) for k in ks])
+    mag = np.abs(np.prod(_stage_brackets(freqs, ks, r), axis=0))
+    return mag / np.prod(2.0 + 2.0 * r) if normalized else mag
 
 
 def sensitivity(spec: GcfSpec, freqs, normalized: bool = True) -> SensitivityResult:
@@ -251,7 +261,9 @@ def sensitivity(spec: GcfSpec, freqs, normalized: bool = True) -> SensitivityRes
     * pure cascade (p_p = -1): S_T = sum_u |dH_N/dr_u|**2;
     * pure polyphase (p_p = p-1): S_T is the constant tap count L = 3*D1-2,
       independent of frequency (each tap derivative is a unit phasor);
-    * partial split: S_T = L |H_N|**2 + |H_P|**2 sum_u |dH_N/dr_u|**2.
+    * partial split: S_T = L |H_N|**2 + |H_P|**2 sum_u |dH_N/dr_u|**2,
+      with |H_P| the product of the stages k = 0..p_p (split invariance),
+      so no frequencies x taps DTFT is formed.
     """
     freqs = np.asarray(freqs, dtype=float)
     L = 3 * spec.D1 - 2
@@ -410,12 +422,19 @@ def quantization_error_response(
     )
 
 
+# Trials per block of the Monte Carlo responses: the complex temporaries of
+# a block are (block x in-band points), whatever the number of trials.
+_MC_TRIAL_BLOCK = 64
+
+
 def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarray) -> np.ndarray:
     """Matrix of d|H| samples, shape (trials, nf), uniform multiplier noise.
 
     Every multiplier of the architecture gets an independent uniform draw on
     [-2**-f_n/2, +2**-f_n/2]; trial t uses the substream seeded by (seed, t),
-    so results do not depend on evaluation order.
+    so results do not depend on evaluation order.  The perturbed responses
+    are formed in blocks of _MC_TRIAL_BLOCK trials, so only the returned real
+    matrix grows with trials x nf; each row is the same for any block size.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -438,21 +457,74 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarr
     dc = taps.sum() * np.prod(2.0 + 2.0 * r)
     base = np.abs(hp0) * np.abs(np.prod(brackets, axis=0)) if ks else np.abs(hp0)
     base = base / dc
-    # perturbed responses
-    if n_taps:
-        hp_q = hp0[None, :] + draws[:, :n_taps] @ E.T
-    else:
-        hp_q = np.broadcast_to(hp0, (trials, len(freqs)))
-    if n_r:
-        r_q = r[None, :] + draws[:, n_taps:]
-        amp = np.ones((trials, len(freqs)))
-        for j, k in enumerate(ks):
-            half = 2.0 ** (k - 1)
-            amp *= 2.0 * (np.cos(3 * half * w)[None, :] + r_q[:, j:j + 1] * np.cos(half * w)[None, :])
-        quant = np.abs(hp_q) * np.abs(amp)
-    else:
+    cosines = []
+    for k in ks:
+        half = 2.0 ** (k - 1)
+        cosines.append((np.cos(3 * half * w), np.cos(half * w)))
+    # perturbed responses, block by block; a last block of one trial joins
+    # the one before it, because numpy forms a one-row product with gemv,
+    # whose rounding differs from the gemm used for the other blocks
+    out = np.empty((trials, len(freqs)))
+    starts = list(range(0, trials, _MC_TRIAL_BLOCK))
+    if len(starts) > 1 and trials - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [trials]):
+        block = draws[lo:hi]
+        hp_q = hp0[None, :] + block[:, :n_taps] @ E.T if n_taps else hp0[None, :]
         quant = np.abs(hp_q)
-    return quant / dc - base[None, :]
+        if n_r:
+            r_q = r[None, :] + block[:, n_taps:]
+            amp = np.ones((len(block), len(freqs)))
+            for j, (cos3, cos1) in enumerate(cosines):
+                amp *= 2.0 * (cos3[None, :] + r_q[:, j:j + 1] * cos1[None, :])
+            quant = quant * np.abs(amp)
+        out[lo:hi] = quant / dc - base[None, :]
+    return out
+
+
+@dataclass(frozen=True)
+class MonteCarloRun:
+    """Monte Carlo d|H| samples on the in-band grid next to the model sigma_dh."""
+
+    freqs: np.ndarray
+    delta_h: np.ndarray  # shape (trials, len(freqs))
+    sigma_dh: np.ndarray
+
+    def error_std(self) -> np.ndarray:
+        """Per-frequency empirical std of d|H|."""
+        return self.delta_h.std(axis=0)
+
+    def coverage(self, y: float) -> float:
+        """Fraction of (trial, in-band point) pairs with |d|H|| <= y * sigma_dh.
+
+        Fewer than 1000 trials is rejected (the estimate is too unstable to
+        act on).
+        """
+        trials = len(self.delta_h)
+        if trials < 1000:
+            raise ParameterError(f"trials must be >= 1000, got {trials}")
+        return float(np.mean(np.abs(self.delta_h) <= y * self.sigma_dh[None, :]))
+
+
+def monte_carlo_run(
+    spec: GcfSpec,
+    f_n: int,
+    trials: int,
+    seed: int,
+    bands: FoldingBandSet | None = None,
+    points_per_band: int = DEFAULT_POINTS_PER_BAND,
+    global_points: int = DEFAULT_GLOBAL_POINTS,
+) -> MonteCarloRun:
+    """d|H| of f_n-bit multiplier noise over the in-band grid, deterministic given seed.
+
+    Both the per-frequency std and the coverage are read from one run.
+    """
+    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
+    freqs = grid_frequencies(bands, points_per_band, global_points)
+    fi = freqs[bands.contains(freqs)]
+    delta = _mc_delta_h(spec, f_n, trials, seed, fi)
+    sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sensitivity(spec, fi, normalized=True).s_t)
+    return MonteCarloRun(freqs=fi, delta_h=delta, sigma_dh=sigma_dh)
 
 
 def monte_carlo_coverage(
@@ -470,14 +542,8 @@ def monte_carlo_coverage(
     Deterministic given seed; fewer than 1000 trials is rejected (the
     estimate is too unstable to act on).
     """
-    if trials < 1000:
-        raise ParameterError(f"trials must be >= 1000, got {trials}")
-    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
-    freqs = grid_frequencies(bands, points_per_band, global_points)
-    fi = freqs[bands.contains(freqs)]
-    delta = _mc_delta_h(spec, f_n, trials, seed, fi)
-    sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sensitivity(spec, fi, normalized=True).s_t)
-    return float(np.mean(np.abs(delta) <= y * sigma_dh[None, :]))
+    run = monte_carlo_run(spec, f_n, trials, seed, bands, points_per_band, global_points)
+    return run.coverage(y)
 
 
 def monte_carlo_error_std(
@@ -493,12 +559,8 @@ def monte_carlo_error_std(
 
     Returns (in-band freqs, empirical std, sigma_dh).
     """
-    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
-    freqs = grid_frequencies(bands, points_per_band, global_points)
-    fi = freqs[bands.contains(freqs)]
-    delta = _mc_delta_h(spec, f_n, trials, seed, fi)
-    sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sensitivity(spec, fi, normalized=True).s_t)
-    return fi, delta.std(axis=0), sigma_dh
+    run = monte_carlo_run(spec, f_n, trials, seed, bands, points_per_band, global_points)
+    return run.freqs, run.error_std(), run.sigma_dh
 
 
 def design_wordlengths(

@@ -160,6 +160,7 @@ class TestCompare:
         lines = (tmp_path / "out" / "comparison.csv").read_text().strip().splitlines()
         assert lines[0].startswith("band,low,high,comb_attenuation_dB")
         assert len(lines) == 9
+        assert "np." not in "".join(lines)
         improvement = float(capsys.readouterr().out.split("improvement")[1].split("dB")[0])
         assert improvement == pytest.approx(8.4, abs=0.5)
 
@@ -183,3 +184,11 @@ class TestConfigErrors:
     def test_both_prob_and_y(self, tmp_path):
         cfg = write_config(tmp_path, prob=0.95)
         assert main(["design", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--chi", "nan"), ("--chi", "inf"), ("--y", "nan"), ("--points-per-band", "1"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), flag, value]) == 2
+        assert "config error" in capsys.readouterr().err

@@ -16,7 +16,8 @@ from gcfkit import (
     response_grid,
     worst_case_attenuation,
 )
-from gcfkit.spectral import ATTENUATION_CAP_DB, grid_to_csv
+from gcfkit.filters import polyphase_impulse
+from gcfkit.spectral import ATTENUATION_CAP_DB, _REASSEMBLY_BLOCK, _polyphase_response, grid_to_csv
 
 
 def spec_for(D, p_p=-1, q=0.79):
@@ -102,6 +103,30 @@ class TestGcfResponse:
         s = spec_for(8)
         f = np.linspace(0.02, 0.48, 11)
         np.testing.assert_allclose(gcf_response(s, -f), np.conj(gcf_response(s, f)), rtol=1e-12)
+
+
+def _reassembly_loop(f, branches, D1):
+    # The plain per-branch reassembly sum_k z^-k E_k(z^D1): the reference the
+    # blocked, threaded version must reproduce bit for bit.
+    w = 2.0 * np.pi * np.asarray(f, dtype=float)
+    out = np.zeros_like(w, dtype=complex)
+    for k, e_k in enumerate(branches):
+        n = np.arange(len(e_k))
+        ek_of_zD1 = (e_k[None, :] * np.exp(-1j * np.outer(w, D1 * n))).sum(axis=1)
+        out += np.exp(-1j * w * k) * ek_of_zD1
+    return out
+
+
+class TestPolyphaseReassembly:
+    @pytest.mark.parametrize("nf", [1, _REASSEMBLY_BLOCK - 3, 3 * _REASSEMBLY_BLOCK + 7])
+    @pytest.mark.parametrize("D", [16, 64, 256])
+    def test_bit_identical_to_branch_loop(self, D, nf):
+        f = np.random.default_rng(D + nf).uniform(0.0, 0.5, nf)
+        for p_p in range(D.bit_length() - 1):
+            s = spec_for(D, p_p=p_p)
+            branches = polyphase_impulse(s).branches
+            want = _reassembly_loop(f, branches, s.D1)
+            assert np.array_equal(_polyphase_response(f, branches, s.D1), want), p_p
 
 
 class TestResponseGrid:

@@ -15,13 +15,21 @@ from gcfkit import (
     integer_bits,
     monte_carlo_coverage,
     monte_carlo_error_std,
+    monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
     sensitivity,
     stage_coefficients,
     y_from_p,
 )
-from gcfkit.wordlength import _quantized_multiplier_sets, _response_from_multipliers
+from gcfkit import wordlength
+from gcfkit.filters import polyphase_impulse
+from gcfkit.wordlength import (
+    _mc_delta_h,
+    _polyphase_magnitude,
+    _quantized_multiplier_sets,
+    _response_from_multipliers,
+)
 
 
 def spec_for(D, p_p=-1, q=0.79, rho_factor=4):
@@ -69,6 +77,17 @@ class TestToleranceSpec:
         with pytest.raises(ParameterError):
             ToleranceSpec.from_prob(1e-4, 1.2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            ToleranceSpec.from_y(bad, 2.0)
+        with pytest.raises(ParameterError):
+            ToleranceSpec.from_y(1e-4, bad)
+        with pytest.raises(ParameterError):
+            ToleranceSpec.from_prob(1e-4, bad)
+        with pytest.raises(ParameterError):
+            ToleranceSpec(chi=1e-4, prob=0.95, y=bad)
+
 
 class TestSensitivity:
     @pytest.mark.parametrize("D1", [2, 8, 16])
@@ -90,6 +109,17 @@ class TestSensitivity:
         assert sensitivity(spec_for(16, 1), np.array([0.1])).case_tag == "partial"
         res = sensitivity(spec_for(16, 1), np.array([0.1]))
         assert res.n_multipliers == (3 * 4 - 2) + 2
+
+    @pytest.mark.parametrize("D", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_polyphase_magnitude_matches_dtft(self, D):
+        freqs = np.linspace(0.0, 0.5, 257)
+        for p_p in range(D.bit_length() - 1):
+            s = spec_for(D, p_p=p_p)
+            h_p = polyphase_impulse(s).h_p
+            dtft = np.abs(np.exp(-2j * np.pi * np.outer(freqs, np.arange(len(h_p)))) @ h_p)
+            for normalized, want in ((False, dtft), (True, dtft / h_p.sum())):
+                got = _polyphase_magnitude(s, freqs, normalized)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
 
     @pytest.mark.parametrize("D,p_p", [(8, -1), (16, -1), (16, 1), (32, 2)])
     def test_product_form_matches_finite_differences(self, D, p_p):
@@ -287,12 +317,28 @@ class TestMonteCarlo:
     def test_trial_substreams_independent_of_total(self):
         # trial t draws from the (seed, t) substream, so a shorter run is a
         # prefix of a longer one regardless of how trials are scheduled
-        from gcfkit.wordlength import _mc_delta_h
-
         freqs = np.linspace(0.05, 0.08, 40)
         short = _mc_delta_h(PAPER_SPEC, 7, trials=20, seed=31, freqs=freqs)
         long = _mc_delta_h(PAPER_SPEC, 7, trials=60, seed=31, freqs=freqs)
         np.testing.assert_array_equal(short, long[:20])
+
+    @pytest.mark.parametrize("block", [7, 8])  # 50 trials leave a last block of 1 and of 2
+    @pytest.mark.parametrize("p_p", [-1, 1, 3])
+    def test_trial_blocks_match_one_block(self, p_p, block, monkeypatch):
+        s = spec_for(16, p_p=p_p)
+        freqs = np.linspace(0.05, 0.45, 301)
+        monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", 10 ** 6)
+        whole = _mc_delta_h(s, 9, trials=50, seed=5, freqs=freqs)
+        monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
+        assert np.array_equal(_mc_delta_h(s, 9, trials=50, seed=5, freqs=freqs), whole)
+
+    def test_one_run_gives_std_and_coverage(self):
+        run = monte_carlo_run(PAPER_SPEC, 7, 1000, seed=11)
+        fi, emp, model = monte_carlo_error_std(PAPER_SPEC, 7, 1000, seed=11)
+        np.testing.assert_array_equal(run.freqs, fi)
+        np.testing.assert_array_equal(run.error_std(), emp)
+        np.testing.assert_array_equal(run.sigma_dh, model)
+        assert run.coverage(2.0) == monte_carlo_coverage(PAPER_SPEC, 7, 2.0, 1000, seed=11)
 
 
 class TestReport:
