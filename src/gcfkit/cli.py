@@ -33,6 +33,7 @@ from .filters import (
 )
 from .spectral import (
     ResponseGrid,
+    cascade_response,
     folding_bands,
     response_grid,
     grid_to_csv,
@@ -43,6 +44,7 @@ from .wordlength import (
     ToleranceSpec,
     cascade_derivative_magnitudes,
     design_wordlengths,
+    in_band_sensitivity,
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
@@ -136,25 +138,34 @@ SWEEP_CHIS = (5e-3, 1e-3, 1e-4)
 SWEEP_YS = (2.0, 1.63)
 
 
+def _design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec):
+    """Word-length design of spec on the config's grid."""
+    return design_wordlengths(
+        spec, tol, cfg.input_width,
+        points_per_band=cfg.points_per_band, global_points=cfg.global_points,
+        normalized=cfg.normalized,
+    )
+
+
 def _write_fn_sweep(cfg: DesignConfig, outdir: str) -> None:
-    """F_n over every split of D, the standard chi triple and both working y."""
+    """F_n over every split of D, the standard chi triple and both working y.
+
+    S_T does not depend on chi or y, so each split evaluates it once.
+    """
     base = cfg.spec()
     path = os.path.join(outdir, "fn_sweep.csv")
     with open(path, "w") as fh:
         fh.write("D,D1,pp_split,chi,y,f_n\n")
         for pp in range(-1, base.p):
             spec = GcfSpec(D=base.D, f_c=base.f_c, p_p=pp, q=base.q, rho=base.rho)
-            bands = folding_bands(spec.D, spec.f_c)
+            sens = in_band_sensitivity(
+                spec, points_per_band=cfg.points_per_band, global_points=cfg.global_points,
+                normalized=cfg.normalized,
+            )
             for chi in SWEEP_CHIS:
                 for y in SWEEP_YS:
-                    tol = ToleranceSpec.from_y(chi, y)
-                    res = design_wordlengths(
-                        spec, tol, cfg.input_width,
-                        points_per_band=cfg.points_per_band,
-                        global_points=cfg.global_points,
-                        normalized=cfg.normalized,
-                    )
-                    fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{res.f_n}\n")
+                    f_n = sens.fraction_bits(ToleranceSpec.from_y(chi, y)).f_n
+                    fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 
 
 def cmd_design(cfg: DesignConfig, sweep_splits: bool = False) -> int:
@@ -164,11 +175,7 @@ def cmd_design(cfg: DesignConfig, sweep_splits: bool = False) -> int:
     _write_config_echo(cfg, outdir)
     if sweep_splits:
         _write_fn_sweep(cfg, outdir)
-    report = design_wordlengths(
-        spec, tol, cfg.input_width,
-        points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-        normalized=cfg.normalized,
-    )
+    report = _design(cfg, spec, tol)
     report.to_json(os.path.join(outdir, "report.json"))
     r = np.asarray(stage_coefficients(spec).r)
     bank = polyphase_impulse(spec)
@@ -196,15 +203,8 @@ def cmd_response(cfg: DesignConfig) -> int:
     bands = folding_bands(spec.D, spec.f_c)
     exact = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), exact)
-    report = design_wordlengths(
-        spec, tol, cfg.input_width,
-        points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-        normalized=cfg.normalized,
-    )
-    err = quantization_error_response(
-        spec, report.f_n, bands=bands,
-        points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-    )
+    report = _design(cfg, spec, tol)
+    err = quantization_error_response(spec, report.f_n, bands=bands, freqs=exact.freqs)
     quant_vals = quantized_response(spec, report.f_n, exact.freqs)
     grid_to_csv(
         os.path.join(outdir, "response_quantized.csv"),
@@ -230,11 +230,7 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
     bands = folding_bands(spec.D, spec.f_c)
     grid = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
     result = sensitivity(spec, grid.freqs, normalized=cfg.normalized)
-    report = design_wordlengths(
-        spec, tol, cfg.input_width,
-        points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-        normalized=cfg.normalized,
-    )
+    report = _design(cfg, spec, tol)
     err = quantization_error_response(spec, report.f_n, bands=bands, freqs=grid.freqs)
     grid_to_csv(
         os.path.join(outdir, "sensitivity.csv"), grid,
@@ -264,19 +260,13 @@ def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
     freqs = rng.uniform(0.01, 0.49, size=50)
     analytic = cascade_derivative_magnitudes(caspec, freqs, normalized=False)
     r = np.asarray(stage_coefficients(caspec).r)
+    ks = caspec.cascade_stages
     step = 1e-6
     worst = 0.0
-    w = 2.0 * np.pi * freqs
     for u in range(len(r)):
         hi = r.copy(); hi[u] += step
         lo = r.copy(); lo[u] -= step
-        def _resp(rv):
-            out = np.ones_like(w, dtype=complex)
-            for k, r_k in zip(caspec.cascade_stages, rv):
-                half = 2.0 ** (k - 1)
-                out = out * 2.0 * np.exp(-3j * half * w) * (np.cos(3 * half * w) + r_k * np.cos(half * w))
-            return out
-        fd = np.abs((_resp(hi) - _resp(lo)) / (2 * step))
+        fd = np.abs((cascade_response(freqs, ks, hi) - cascade_response(freqs, ks, lo)) / (2 * step))
         rel = np.max(np.abs(fd - analytic[u]) / np.maximum(np.abs(analytic[u]), 1e-30))
         worst = max(worst, float(rel))
     return worst <= 1e-5, f"sensitivity_fd: max rel err {worst:.3e} (tol 1e-5)"
@@ -302,7 +292,7 @@ def cmd_validate(cfg: DesignConfig, corrupt: bool = False) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
-    report = design_wordlengths(spec, tol, cfg.input_width, normalized=cfg.normalized)
+    report = _design(cfg, spec, tol)
     checks = {}
     ok1, msg1 = _check_split_invariance(spec, corrupt)
     checks["split_invariance"] = {"pass": ok1, "detail": msg1}
@@ -324,7 +314,7 @@ def cmd_simulate(cfg: DesignConfig) -> int:
     spec = cfg.spec()
     tol = cfg.tolerance()
     outdir = cfg.output_dir
-    report = design_wordlengths(spec, tol, cfg.input_width, normalized=cfg.normalized)
+    report = _design(cfg, spec, tol)
     fmt = FixedPointFormat(i_n=report.i_n_k, f_n=report.f_n)
     sd_cfg = SdConfig(
         fx_ratio=spec.f_c, amplitude=cfg.amplitude,
@@ -346,16 +336,12 @@ def cmd_compare(cfg: DesignConfig) -> int:
     bands = folding_bands(spec.D, spec.f_c)
     gcf = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
     comb = response_grid(CombSpec(D=spec.D, n_c=cfg.comb_order), bands, cfg.points_per_band, cfg.global_points)
-    rows = []
-    for i, (lo, hi) in enumerate(bands.bands, start=1):
-        m = (gcf.freqs >= lo - 1e-12) & (gcf.freqs <= hi + 1e-12)
-        att_g = -20 * np.log10(max(np.max(gcf.magnitude[m]), 1e-15))
-        att_c = -20 * np.log10(max(np.max(comb.magnitude[m]), 1e-15))
-        rows.append((i, lo, hi, att_c, att_g, att_g - att_c))
-    path = os.path.join(outdir, "comparison.csv")
-    with open(path, "w") as fh:
+    with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
-        for row in rows:
+        for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(gcf.freqs)), start=1):
+            att_g = -20 * np.log10(max(np.max(gcf.magnitude[m]), 1e-15))
+            att_c = -20 * np.log10(max(np.max(comb.magnitude[m]), 1e-15))
+            row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
     worst_g = worst_case_attenuation(gcf)
     worst_c = worst_case_attenuation(comb)
@@ -364,34 +350,38 @@ def cmd_compare(cfg: DesignConfig) -> int:
     return EXIT_OK
 
 
+# Switches of single subcommands, passed to their handlers by name.
+_SWITCHES = {
+    "validate": ("corrupt", "deliberately corrupt a coefficient (harness self-test)"),
+    "design": ("sweep_splits", "also write fn_sweep.csv over all splits, chi and y values"),
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """--config plus --field-name per DesignConfig field; normalized is --unnormalized."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--decimation-factor", type=int, dest="decimation_factor")
-    parser.add_argument("--pp-split", type=int, dest="pp_split")
-    parser.add_argument("--q", type=float, dest="q")
-    parser.add_argument("--signal-bandwidth", type=float, dest="signal_bandwidth")
-    parser.add_argument("--oversampling-ratio", type=float, dest="oversampling_ratio")
-    parser.add_argument("--chi", type=float, dest="chi")
-    parser.add_argument("--prob", type=float, dest="prob")
-    parser.add_argument("--y", type=float, dest="y")
-    parser.add_argument("--input-width", type=int, dest="input_width")
-    parser.add_argument("--points-per-band", type=int, dest="points_per_band")
-    parser.add_argument("--global-points", type=int, dest="global_points")
-    parser.add_argument("--unnormalized", action="store_const", const=False, dest="normalized")
-    parser.add_argument("--seed", type=int, dest="seed")
-    parser.add_argument("--trials", type=int, dest="trials")
-    parser.add_argument("--n-samples", type=int, dest="n_samples")
-    parser.add_argument("--amplitude", type=float, dest="amplitude")
-    parser.add_argument("--sample-rate-hz", type=float, dest="sample_rate_hz")
-    parser.add_argument("--segment", type=int, dest="segment")
-    parser.add_argument("--overlap", type=float, dest="overlap")
-    parser.add_argument("--comb-order", type=int, dest="comb_order")
-    parser.add_argument("--output-dir", dest="output_dir")
+    for f in fields(DesignConfig):
+        if f.name == "normalized":
+            parser.add_argument("--unnormalized", action="store_const", const=False, dest="normalized")
+        else:
+            kind = {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
+            parser.add_argument("--" + f.name.replace("_", "-"), type=kind, dest=f.name)
+
+
+def build_parser(commands) -> argparse.ArgumentParser:
+    """The gcfkit parser with one subcommand per name in commands."""
+    parser = argparse.ArgumentParser(prog="gcfkit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        p = sub.add_parser(name)
+        _add_common(p)
+        if name in _SWITCHES:
+            switch, text = _SWITCHES[name]
+            p.add_argument("--" + switch.replace("_", "-"), action="store_true", help=text)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="gcfkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
     handlers = {
         "design": cmd_design,
         "response": cmd_response,
@@ -400,25 +390,12 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
         "compare": cmd_compare,
     }
-    for name in handlers:
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "validate":
-            p.add_argument("--corrupt", action="store_true",
-                           help="deliberately corrupt a coefficient (harness self-test)")
-        if name == "design":
-            p.add_argument("--sweep-splits", action="store_true",
-                           help="also write fn_sweep.csv over all splits, chi and y values")
-    args = parser.parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "corrupt", "sweep_splits")}
+    overrides = vars(build_parser(handlers).parse_args(argv))
+    command, path = overrides.pop("command"), overrides.pop("config")
+    switches = {name: overrides.pop(name) for name, _ in _SWITCHES.values() if name in overrides}
     try:
-        cfg = load_config(args.config, overrides)
-        if args.command == "validate":
-            return cmd_validate(cfg, corrupt=args.corrupt)
-        if args.command == "design":
-            return cmd_design(cfg, sweep_splits=args.sweep_splits)
-        return handlers[args.command](cfg)
+        cfg = load_config(path, overrides)
+        return handlers[command](cfg, **switches)
     except StageOverflowError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

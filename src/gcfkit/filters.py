@@ -118,11 +118,10 @@ class CascadeCoefficients:
     """Per-stage multipliers r_k of the cascade, ascending k.
 
     After commutation every stage runs at its own input rate with unit
-    delays; stage_delays records the equivalent full-rate delay unit 2**k.
+    delays; stage k's full-rate delay unit is 2**k.
     """
 
     r: tuple[float, ...]
-    stage_delays: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.r)
@@ -138,8 +137,6 @@ class PolyphaseBank:
 
     h_p: np.ndarray
     branches: tuple[np.ndarray, ...]
-    r_block: float
-    x_t: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,23 +146,31 @@ class NormalizationGain:
     h_o: float
 
 
+def stage_multiplier(alpha: float, k: int) -> float:
+    """Multiplier r_k = 1 + 2 cos(2**k alpha) of the full-rate stage k."""
+    return 1.0 + 2.0 * math.cos((2.0 ** k) * alpha)
+
+
+def stage_dc_gain(r) -> float:
+    """DC gain prod(2 + 2 r_k) of the stages with multipliers r."""
+    return np.prod(2.0 + 2.0 * np.asarray(r))
+
+
 def stage_coefficients(spec: GcfSpec) -> CascadeCoefficients:
     """Cascade multipliers r_k = 1 + 2 cos(2**k alpha) for k = p_p+1 .. p-1.
 
     p_p = p-1 yields a valid empty cascade (pure polyphase realization).
     """
-    ks = list(spec.cascade_stages)
-    r = tuple(1.0 + 2.0 * math.cos((2.0 ** k) * spec.alpha) for k in ks)
-    return CascadeCoefficients(r=r, stage_delays=tuple(2 ** k for k in ks))
+    return CascadeCoefficients(r=tuple(stage_multiplier(spec.alpha, k) for k in spec.cascade_stages))
 
 
 def _xt_sequence(D1: int, alpha: float, length: int) -> np.ndarray:
     # x_t = delta(n) - r delta(n-D1) + r delta(n-2D1) - delta(n-3D1),
-    # r = 1 + 2 cos(alpha*D1).  The factorization
-    # (1 - z^-D1)(1 - e^{j a D1} z^-D1)(1 - e^{-j a D1} z^-D1) forces the
-    # factor 2; a 1 + cos form would not reduce to the binomial [1,3,3,1]
-    # bank at D1=2, alpha=0.
-    r = 1.0 + 2.0 * math.cos(alpha * D1)
+    # r = 1 + 2 cos(alpha*D1), the multiplier of stage log2(D1).  The
+    # factorization (1 - z^-D1)(1 - e^{j a D1} z^-D1)(1 - e^{-j a D1} z^-D1)
+    # forces the factor 2; a 1 + cos form would not reduce to the binomial
+    # [1,3,3,1] bank at D1=2, alpha=0.
+    r = stage_multiplier(alpha, D1.bit_length() - 1)
     x = np.zeros(length)
     for idx, val in ((0, 1.0), (D1, -r), (2 * D1, r), (3 * D1, -1.0)):
         if idx < length:
@@ -195,9 +200,7 @@ def polyphase_impulse(spec: GcfSpec) -> PolyphaseBank:
     if residue > _REALNESS_TOL * scale:
         raise InternalError(f"polyphase impulse response not real: residue {residue:g}")
     h_p = np.ascontiguousarray(h.real)
-    branches = tuple(polyphase_decompose(h_p, D1))
-    r_block = 1.0 + 2.0 * math.cos(alpha * D1)
-    return PolyphaseBank(h_p=h_p, branches=branches, r_block=r_block, x_t=x_t)
+    return PolyphaseBank(h_p=h_p, branches=tuple(polyphase_decompose(h_p, D1)))
 
 
 def polyphase_decompose(h_p: np.ndarray, D1: int) -> list[np.ndarray]:
@@ -225,7 +228,7 @@ def expand_full_polynomial(spec: GcfSpec) -> np.ndarray:
     """
     poly = polyphase_impulse(spec).h_p.astype(float)
     for k in spec.cascade_stages:
-        r_k = 1.0 + 2.0 * math.cos((2.0 ** k) * spec.alpha)
+        r_k = stage_multiplier(spec.alpha, k)
         stage = np.zeros(3 * 2 ** k + 1)
         stage[0] = 1.0
         stage[2 ** k] = r_k

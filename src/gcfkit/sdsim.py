@@ -25,10 +25,6 @@ from .wordlength import FixedPointFormat, quantize_coefficients
 # no-overload range (quantization error magnitude > 1).
 OVERLOAD_LIMIT = 2.0
 
-# fixed modulator order; the 3rd-order GCF satisfies order >= B + 1
-MODULATOR_ORDER = 2
-FILTER_ORDER = 3
-
 GENERATOR_TAPS = 1025
 
 
@@ -136,7 +132,9 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
     r_k rounded to fmt.f_n fraction bits, accumulates exactly in integers
     (fraction bits grow by f_n per stage, no truncation), checks the result
     against the sized integer width, and keeps the even samples.  The final
-    output is scaled by h_o in floating point.
+    output is scaled by h_o in floating point.  An input sample with
+    |x| >= 2**fmt.i_n[0] does not fit stage 0's register and raises
+    StageOverflowError for stage 0.
     """
     if spec.p_p != -1:
         raise ParameterError("fixed-point decimation expects the cascaded form (p_p = -1)")
@@ -150,6 +148,10 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
     # int64 headroom: worst register needs i_n[-1] + p*f_n bits
     if fmt.i_n[-1] + spec.p * f_n > 62:
         raise ParameterError("register widths exceed 64-bit integer arithmetic")
+    # an input that does not fit stage 0's register would wrap in the shifts below
+    peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
+    if peak_in >= 1 << fmt.i_n[0]:
+        raise StageOverflowError(0, float(peak_in), float(1 << fmt.i_n[0]))
     r_q = quantize_coefficients(np.asarray(stage_coefficients(spec).r), f_n)
     r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
     v = x.astype(np.int64)
@@ -196,9 +198,6 @@ def run_experiment(
         raise ParameterError(
             f"config fx_ratio {cfg.fx_ratio} must equal the filter f_c {spec.f_c}"
         )
-    # noise-shaping order rule: filter order must be >= modulator order + 1
-    if FILTER_ORDER < MODULATOR_ORDER + 1:
-        raise ParameterError("filter order too low for the modulator order")
     x = generate_bandlimited_signal(cfg)
     mod = sd_modulate(x)
     decimated = decimate_fixed_point(mod.bits, spec, fmt)

@@ -2,7 +2,9 @@
 
 Frequencies are cycles/sample in [0, 1/2] externally; omega = 2*pi*f
 internally.  Responses of the linear-phase cascade are evaluated in product
-form, stage by stage, which stays finite at the in-band zeros.  The
+form, stage by stage, which stays finite at the in-band zeros; by split
+invariance that one stage kernel (stage_bracket, cascade_response) gives
+every cascade response and sensitivity in the toolkit.  The
 polyphase section is evaluated by reassembling its D1 branches, the
 architecture the paper evaluates; the reassembly runs over fixed blocks of
 frequencies spread across threads, so its memory does not grow with
@@ -42,17 +44,23 @@ class FoldingBandSet:
     f_c: float
     bands: tuple[tuple[float, float], ...]
 
+    EDGE_EPS = 1e-12  # so that grid points at k/D +/- f_c count as in-band
+
     @property
     def k_m(self) -> int:
         return len(self.bands)
 
+    def band_masks(self, freqs: np.ndarray):
+        """One boolean mask per band, each band widened by EDGE_EPS."""
+        freqs = np.asarray(freqs, dtype=float)
+        for lo, hi in self.bands:
+            yield (freqs >= lo - self.EDGE_EPS) & (freqs <= hi + self.EDGE_EPS)
+
     def contains(self, freqs: np.ndarray) -> np.ndarray:
         """Boolean mask of frequencies lying inside any folding band."""
-        freqs = np.asarray(freqs, dtype=float)
-        mask = np.zeros(freqs.shape, dtype=bool)
-        eps = 1e-12
-        for lo, hi in self.bands:
-            mask |= (freqs >= lo - eps) & (freqs <= hi + eps)
+        mask = np.zeros(np.shape(freqs), dtype=bool)
+        for band in self.band_masks(freqs):
+            mask |= band
         return mask
 
 
@@ -106,13 +114,36 @@ def comb_response(comb: CombSpec, f) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
-def _cascade_response(f: np.ndarray, stage_ks, r: np.ndarray) -> np.ndarray:
-    """Product of the per-stage responses 2 e^{-j3*2^{k-1}w} (cos3x + r cosx)."""
+def stage_bracket(w: np.ndarray, k: int, r_k) -> np.ndarray:
+    """Real factor 2(cos(3*2^{k-1}w) + r_k cos(2^{k-1}w)) of full-rate stage k.
+
+    w is in radians/sample.  r_k is a scalar, or a column of shape (m, 1)
+    giving one row of factors per value.
+    """
+    half = 2.0 ** (k - 1)
+    return 2.0 * (np.cos(3.0 * half * w) + r_k * np.cos(half * w))
+
+
+def stage_brackets(f, stage_ks, r) -> np.ndarray:
+    """stage_bracket of every stage at frequencies f, one row per stage."""
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    out = np.ones_like(w, dtype=complex)
+    out = np.empty((len(r), len(w)))
+    for row, (k, r_k) in enumerate(zip(stage_ks, r)):
+        out[row] = stage_bracket(w, k, r_k)
+    return out
+
+
+def cascade_response(f, stage_ks, r, start=None) -> np.ndarray:
+    """start (default ones) times the stage factors 2 e^{-j3*2^{k-1}w} (cos3x + r_k cosx).
+
+    Each factor is applied as ((out * 2) * exp) * (b / 2) with b from
+    stage_bracket; b / 2 is exact, and this order is the one the quantized
+    d|H| was recorded with, which cancels two nearly equal magnitudes.
+    """
+    w = 2.0 * np.pi * np.asarray(f, dtype=float)
+    out = np.ones_like(w, dtype=complex) if start is None else start
     for k, r_k in zip(stage_ks, r):
-        half = 2.0 ** (k - 1)
-        out *= 2.0 * np.exp(-3j * half * w) * (np.cos(3 * half * w) + r_k * np.cos(half * w))
+        out = out * 2.0 * np.exp(-3j * 2.0 ** (k - 1) * w) * (0.5 * stage_bracket(w, k, r_k))
     return out
 
 
@@ -175,7 +206,7 @@ def gcf_response(spec: GcfSpec, f, normalized: bool = False) -> complex | np.nda
     """
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     cascade = stage_coefficients(spec)
-    out = _cascade_response(f_arr, spec.cascade_stages, np.asarray(cascade.r))
+    out = cascade_response(f_arr, spec.cascade_stages, cascade.r)
     if spec.D1 > 1:
         bank = polyphase_impulse(spec)
         out = out * _polyphase_response(f_arr, bank.branches, spec.D1)

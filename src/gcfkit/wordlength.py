@@ -40,13 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, ParameterError
-from .filters import GcfSpec, polyphase_impulse, stage_coefficients
+from .filters import GcfSpec, polyphase_impulse, stage_coefficients, stage_dc_gain, stage_multiplier
 from .spectral import (
     DEFAULT_GLOBAL_POINTS,
     DEFAULT_POINTS_PER_BAND,
     FoldingBandSet,
+    cascade_response,
     folding_bands,
     grid_frequencies,
+    stage_bracket,
+    stage_brackets,
 )
 
 
@@ -105,6 +108,13 @@ class ToleranceSpec:
 
 
 @dataclass(frozen=True)
+class FractionalBitsResult:
+    f_n: int
+    binding_freq: float
+    s_t_max: float
+
+
+@dataclass(frozen=True)
 class SensitivityResult:
     """S_T samples over a frequency grid."""
 
@@ -112,6 +122,17 @@ class SensitivityResult:
     s_t: np.ndarray
     case_tag: str
     n_multipliers: int
+
+    def fraction_bits(self, tol: ToleranceSpec) -> FractionalBitsResult:
+        """F_n of tol over these frequencies, as in fractional_bits."""
+        st = self.s_t
+        if np.all(st <= 0.0):
+            raise InternalError("S_T vanished identically over the folding bands")
+        with np.errstate(divide="ignore"):
+            ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
+        idx = int(np.argmin(ratio))
+        f_n = int(math.ceil(-math.log2(math.sqrt(12.0) * ratio[idx])))
+        return FractionalBitsResult(f_n=f_n, binding_freq=float(self.freqs[idx]), s_t_max=float(st[idx]))
 
 
 @dataclass(frozen=True)
@@ -197,16 +218,6 @@ class WordLengthReport:
         return "\n".join(lines)
 
 
-def _stage_brackets(freqs: np.ndarray, stage_ks, r) -> np.ndarray:
-    """Real per-stage amplitude factors 2(cos(3*2^{k-1}w) + r_k cos(2^{k-1}w))."""
-    w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    out = np.empty((len(r), len(w)))
-    for row, (k, r_k) in enumerate(zip(stage_ks, r)):
-        half = 2.0 ** (k - 1)
-        out[row] = 2.0 * (np.cos(3.0 * half * w) + r_k * np.cos(half * w))
-    return out
-
-
 def _bracket_derivs(freqs: np.ndarray, stage_ks) -> np.ndarray:
     """d/dr of the per-stage factors: 2 cos(2^{k-1} w)."""
     w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
@@ -227,30 +238,27 @@ def cascade_derivative_magnitudes(spec: GcfSpec, freqs, normalized: bool = True)
     freqs = np.asarray(freqs, dtype=float)
     ks = list(spec.cascade_stages)
     r = np.asarray(stage_coefficients(spec).r)
-    if not ks:
-        return np.empty((0, len(freqs)))
-    brackets = _stage_brackets(freqs, ks, r)
+    brackets = stage_brackets(freqs, ks, r)
     derivs = _bracket_derivs(freqs, ks)
     out = np.empty_like(brackets)
     for u in range(len(ks)):
         others = np.prod(np.delete(brackets, u, axis=0), axis=0) if len(ks) > 1 else 1.0
         out[u] = np.abs(derivs[u] * others)
     if normalized:
-        out /= np.prod(2.0 + 2.0 * r)
+        out /= stage_dc_gain(r)
     return out
 
 
-def _polyphase_magnitude(spec: GcfSpec, freqs: np.ndarray, normalized: bool) -> np.ndarray:
-    """|H_P| as the product of the full-rate stages k = 0..p_p.
+def _stage_magnitude(spec: GcfSpec, freqs: np.ndarray, ks, normalized: bool) -> np.ndarray:
+    """|prod_k 2(cos 3*2^{k-1}w + r_k cos 2^{k-1}w)| over the full-rate stages ks.
 
-    Split invariance makes the polyphase section equal to the cascade stages
-    it replaces, so |H_P| = |prod_k 2(cos 3*2^{k-1}w + r_k cos 2^{k-1}w)| with
-    r_k = 1 + 2 cos(2^k alpha), and its DC gain is prod(2 + 2 r_k).
+    With ks = k_p+1..p-1 this is |H_N|.  Split invariance makes the polyphase
+    section equal to the cascade stages it replaces, so ks = 0..p_p gives
+    |H_P|.  The DC gain of the product is prod(2 + 2 r_k).
     """
-    ks = range(spec.p_p + 1)
-    r = np.array([1.0 + 2.0 * math.cos((2.0 ** k) * spec.alpha) for k in ks])
-    mag = np.abs(np.prod(_stage_brackets(freqs, ks, r), axis=0))
-    return mag / np.prod(2.0 + 2.0 * r) if normalized else mag
+    r = np.array([stage_multiplier(spec.alpha, k) for k in ks])
+    mag = np.abs(np.prod(stage_brackets(freqs, ks, r), axis=0))
+    return mag / stage_dc_gain(r) if normalized else mag
 
 
 def sensitivity(spec: GcfSpec, freqs, normalized: bool = True) -> SensitivityResult:
@@ -280,21 +288,29 @@ def sensitivity(spec: GcfSpec, freqs, normalized: bool = True) -> SensitivityRes
         return SensitivityResult(
             freqs=freqs, s_t=cascade_term, case_tag="full-cascade", n_multipliers=n_mult,
         )
-    r = np.asarray(stage_coefficients(spec).r)
-    brackets = _stage_brackets(freqs, list(spec.cascade_stages), r)
-    hn_mag = np.abs(np.prod(brackets, axis=0))
-    if normalized:
-        hn_mag = hn_mag / np.prod(2.0 + 2.0 * r)
-    hp_mag = _polyphase_magnitude(spec, freqs, normalized)
+    hn_mag = _stage_magnitude(spec, freqs, spec.cascade_stages, normalized)
+    hp_mag = _stage_magnitude(spec, freqs, range(spec.p_p + 1), normalized)
     s_t = L * hn_mag ** 2 + (hp_mag ** 2) * cascade_term
     return SensitivityResult(freqs=freqs, s_t=s_t, case_tag="partial", n_multipliers=n_mult)
 
 
-@dataclass(frozen=True)
-class FractionalBitsResult:
-    f_n: int
-    binding_freq: float
-    s_t_max: float
+def in_band_sensitivity(
+    spec: GcfSpec,
+    bands: FoldingBandSet | None = None,
+    freqs: np.ndarray | None = None,
+    points_per_band: int = DEFAULT_POINTS_PER_BAND,
+    global_points: int = DEFAULT_GLOBAL_POINTS,
+    normalized: bool = True,
+) -> SensitivityResult:
+    """S_T on the points of freqs (default: the response grid) inside the folding bands."""
+    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
+    if freqs is None:
+        freqs = grid_frequencies(bands, points_per_band, global_points)
+    freqs = np.asarray(freqs, dtype=float)
+    mask = bands.contains(freqs)
+    if not np.any(mask):
+        raise ParameterError("frequency grid has no in-band points")
+    return sensitivity(spec, freqs[mask], normalized=normalized)
 
 
 def fractional_bits(
@@ -313,23 +329,8 @@ def fractional_bits(
     smooth, so grid search at the default density is reliable).  The
     frequency achieving the minimum is reported as binding_freq.
     """
-    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
-    if freqs is None:
-        freqs = grid_frequencies(bands, points_per_band, global_points)
-    freqs = np.asarray(freqs, dtype=float)
-    mask = bands.contains(freqs)
-    if not np.any(mask):
-        raise ParameterError("frequency grid has no in-band points")
-    st = sensitivity(spec, freqs[mask], normalized=normalized).s_t
-    if np.all(st <= 0.0):
-        raise InternalError("S_T vanished identically over the folding bands")
-    with np.errstate(divide="ignore"):
-        ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
-    idx = int(np.argmin(ratio))
-    f_n = int(math.ceil(-math.log2(math.sqrt(12.0) * ratio[idx])))
-    return FractionalBitsResult(
-        f_n=f_n, binding_freq=float(freqs[mask][idx]), s_t_max=float(st[idx])
-    )
+    sens = in_band_sensitivity(spec, bands, freqs, points_per_band, global_points, normalized)
+    return sens.fraction_bits(tol)
 
 
 def integer_bits(spec: GcfSpec, input_width: int) -> IntegerSizing:
@@ -372,11 +373,8 @@ def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarra
     """Complex response of the architecture for given multiplier values."""
     w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
     n = np.arange(len(taps))
-    out = (taps[None, :] * np.exp(-1j * np.outer(w, n))).sum(axis=1)
-    for k, r_k in zip(spec.cascade_stages, r):
-        half = 2.0 ** (k - 1)
-        out = out * 2.0 * np.exp(-3j * half * w) * (np.cos(3 * half * w) + r_k * np.cos(half * w))
-    return out
+    bank = (taps[None, :] * np.exp(-1j * np.outer(w, n))).sum(axis=1)
+    return cascade_response(freqs, spec.cascade_stages, r, start=bank)
 
 
 def quantized_response(spec: GcfSpec, f_n: int, freqs) -> np.ndarray:
@@ -384,7 +382,7 @@ def quantized_response(spec: GcfSpec, f_n: int, freqs) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float)
     _, _, taps_q, r_q = _quantized_multiplier_sets(spec, f_n)
     resp = _response_from_multipliers(spec, freqs, taps_q, r_q)
-    return resp / (taps_q.sum() * np.prod(2.0 + 2.0 * r_q))
+    return resp / (taps_q.sum() * stage_dc_gain(r_q))
 
 
 def quantization_error_response(
@@ -408,8 +406,8 @@ def quantization_error_response(
     taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, f_n)
     exact = _response_from_multipliers(spec, freqs, taps, r)
     quant = _response_from_multipliers(spec, freqs, taps_q, r_q)
-    dc_exact = taps.sum() * np.prod(2.0 + 2.0 * r)
-    dc_quant = taps_q.sum() * np.prod(2.0 + 2.0 * r_q)
+    dc_exact = taps.sum() * stage_dc_gain(r)
+    dc_quant = taps_q.sum() * stage_dc_gain(r_q)
     delta = np.abs(quant) / dc_quant - np.abs(exact) / dc_exact
     sigma_dm = 2.0 ** -f_n / math.sqrt(12.0)
     st = sensitivity(spec, freqs, normalized=True).s_t
@@ -453,14 +451,8 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarr
     n = np.arange(len(taps))
     E = np.exp(-1j * np.outer(w, n))
     hp0 = E @ taps
-    brackets = _stage_brackets(freqs, ks, r) if ks else np.empty((0, len(freqs)))
-    dc = taps.sum() * np.prod(2.0 + 2.0 * r)
-    base = np.abs(hp0) * np.abs(np.prod(brackets, axis=0)) if ks else np.abs(hp0)
-    base = base / dc
-    cosines = []
-    for k in ks:
-        half = 2.0 ** (k - 1)
-        cosines.append((np.cos(3 * half * w), np.cos(half * w)))
+    dc = taps.sum() * stage_dc_gain(r)
+    base = np.abs(hp0) * np.abs(np.prod(stage_brackets(freqs, ks, r), axis=0)) / dc
     # perturbed responses, block by block; a last block of one trial joins
     # the one before it, because numpy forms a one-row product with gemv,
     # whose rounding differs from the gemm used for the other blocks
@@ -475,8 +467,8 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarr
         if n_r:
             r_q = r[None, :] + block[:, n_taps:]
             amp = np.ones((len(block), len(freqs)))
-            for j, (cos3, cos1) in enumerate(cosines):
-                amp *= 2.0 * (cos3[None, :] + r_q[:, j:j + 1] * cos1[None, :])
+            for j, k in enumerate(ks):
+                amp *= stage_bracket(w, k, r_q[:, j:j + 1])
             quant = quant * np.abs(amp)
         out[lo:hi] = quant / dc - base[None, :]
     return out
@@ -519,12 +511,10 @@ def monte_carlo_run(
 
     Both the per-frequency std and the coverage are read from one run.
     """
-    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
-    freqs = grid_frequencies(bands, points_per_band, global_points)
-    fi = freqs[bands.contains(freqs)]
-    delta = _mc_delta_h(spec, f_n, trials, seed, fi)
-    sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sensitivity(spec, fi, normalized=True).s_t)
-    return MonteCarloRun(freqs=fi, delta_h=delta, sigma_dh=sigma_dh)
+    sens = in_band_sensitivity(spec, bands, points_per_band=points_per_band, global_points=global_points)
+    delta = _mc_delta_h(spec, f_n, trials, seed, sens.freqs)
+    sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sens.s_t)
+    return MonteCarloRun(freqs=sens.freqs, delta_h=delta, sigma_dh=sigma_dh)
 
 
 def monte_carlo_coverage(
@@ -573,13 +563,12 @@ def design_wordlengths(
     normalized: bool = True,
 ) -> WordLengthReport:
     """Full word-length design: F_n from the statistics, I_n from worst case."""
-    fres = fractional_bits(
-        spec, tol, bands=bands,
-        points_per_band=points_per_band, global_points=global_points,
+    sens = in_band_sensitivity(
+        spec, bands, points_per_band=points_per_band, global_points=global_points,
         normalized=normalized,
     )
+    fres = sens.fraction_bits(tol)
     sizing = integer_bits(spec, input_width)
-    st = sensitivity(spec, np.array([0.0]), normalized=normalized)
     return WordLengthReport(
         spec=spec.as_dict(),
         tolerance=tol.as_dict(),
@@ -588,8 +577,8 @@ def design_wordlengths(
         g_k=sizing.g,
         i_n_k=sizing.i_n,
         binding_freq=fres.binding_freq,
-        case_tag=st.case_tag,
-        n_multipliers=st.n_multipliers,
+        case_tag=sens.case_tag,
+        n_multipliers=sens.n_multipliers,
     )
 
 

@@ -192,3 +192,71 @@ class TestConfigErrors:
         cfg = write_config(tmp_path)
         assert main(["design", "--config", str(cfg), flag, value]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+COMMON_OPTIONS = [
+    "--config", "--decimation-factor", "--pp-split", "--q", "--signal-bandwidth",
+    "--oversampling-ratio", "--chi", "--prob", "--y", "--input-width", "--points-per-band",
+    "--global-points", "--unnormalized", "--seed", "--trials", "--n-samples", "--amplitude",
+    "--sample-rate-hz", "--segment", "--overlap", "--comb-order", "--output-dir",
+]
+COMMAND_OPTIONS = {
+    "design": COMMON_OPTIONS + ["--sweep-splits"],
+    "response": COMMON_OPTIONS,
+    "sensitivity": COMMON_OPTIONS,
+    "validate": COMMON_OPTIONS + ["--corrupt"],
+    "simulate": COMMON_OPTIONS,
+    "compare": COMMON_OPTIONS,
+}
+
+
+def subparsers():
+    from gcfkit import cli
+
+    parser = cli.build_parser(COMMAND_OPTIONS)
+    return parser, parser._subparsers._group_actions[0].choices
+
+
+class TestParser:
+    def test_options_per_command(self):
+        _, subs = subparsers()
+        assert set(subs) == set(COMMAND_OPTIONS)
+        for name, expected in COMMAND_OPTIONS.items():
+            got = [s for a in subs[name]._actions for s in a.option_strings if s not in ("-h", "--help")]
+            assert got == expected, name
+
+    def test_every_config_field_has_a_flag(self):
+        from dataclasses import fields
+
+        from gcfkit.cli import DesignConfig
+
+        _, subs = subparsers()
+        for sub in subs.values():
+            dests = {a.dest for a in sub._actions}
+            assert {f.name for f in fields(DesignConfig)} <= dests
+
+    def test_flag_types_and_unnormalized(self):
+        parser, _ = subparsers()
+        args = parser.parse_args([
+            "design", "--unnormalized", "--decimation-factor", "32", "--q", "0.5",
+            "--output-dir", "x", "--oversampling-ratio", "128",
+        ])
+        assert args.normalized is False
+        assert args.decimation_factor == 32 and isinstance(args.decimation_factor, int)
+        assert args.q == 0.5 and args.oversampling_ratio == 128.0
+        assert isinstance(args.oversampling_ratio, float)
+        assert args.output_dir == "x"
+        assert parser.parse_args(["design"]).normalized is None
+
+    def test_unnormalized_reaches_config(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), "--unnormalized"]) == 0
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        assert resolved["normalized"] is False
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--output-dir" in capsys.readouterr().out

@@ -114,6 +114,14 @@ class TestFixedPointDecimator:
         assert err.value.stage == 0
         assert "stage 0" in str(err.value)
 
+    def test_input_beyond_stage_register_rejected(self):
+        # +/-2**58 wraps int64 in the stage shifts; it must not come out as zeros
+        x = np.where(np.arange(256) % 2 == 0, 2 ** 58, -2 ** 58).astype(np.int64)
+        with pytest.raises(StageOverflowError) as err:
+            decimate_fixed_point(x, PAPER_SPEC, paper_format())
+        assert err.value.stage == 0
+        assert err.value.value == 2.0 ** 58
+
     def test_widths_beyond_int64_rejected(self):
         fmt = FixedPointFormat(i_n=integer_bits(PAPER_SPEC, 1).i_n, f_n=20)
         with pytest.raises(ParameterError):

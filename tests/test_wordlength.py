@@ -26,7 +26,7 @@ from gcfkit import wordlength
 from gcfkit.filters import polyphase_impulse
 from gcfkit.wordlength import (
     _mc_delta_h,
-    _polyphase_magnitude,
+    _stage_magnitude,
     _quantized_multiplier_sets,
     _response_from_multipliers,
 )
@@ -118,7 +118,7 @@ class TestSensitivity:
             h_p = polyphase_impulse(s).h_p
             dtft = np.abs(np.exp(-2j * np.pi * np.outer(freqs, np.arange(len(h_p)))) @ h_p)
             for normalized, want in ((False, dtft), (True, dtft / h_p.sum())):
-                got = _polyphase_magnitude(s, freqs, normalized)
+                got = _stage_magnitude(s, freqs, range(s.p_p + 1), normalized)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
 
     @pytest.mark.parametrize("D,p_p", [(8, -1), (16, -1), (16, 1), (32, 2)])
