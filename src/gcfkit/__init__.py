@@ -48,7 +48,6 @@ from .wordlength import (
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
-    quantized_response,
     sensitivity,
     y_from_p,
 )

@@ -48,7 +48,6 @@ from .wordlength import (
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
-    quantized_response,
     sensitivity,
 )
 from .sdsim import SdConfig, run_experiment, export_run
@@ -205,10 +204,9 @@ def cmd_response(cfg: DesignConfig) -> int:
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), exact)
     report = _design(cfg, spec, tol)
     err = quantization_error_response(spec, report.f_n, bands=bands, freqs=exact.freqs)
-    quant_vals = quantized_response(spec, report.f_n, exact.freqs)
     grid_to_csv(
         os.path.join(outdir, "response_quantized.csv"),
-        ResponseGrid(freqs=exact.freqs, values=quant_vals, in_band_mask=exact.in_band_mask),
+        ResponseGrid(freqs=exact.freqs, values=err.quantized, in_band_mask=exact.in_band_mask),
     )
     comb = CombSpec(D=spec.D, n_c=cfg.comb_order)
     comb_grid = response_grid(comb, bands, cfg.points_per_band, cfg.global_points)

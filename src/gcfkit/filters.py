@@ -255,14 +255,23 @@ def comb_coefficients(comb: CombSpec) -> np.ndarray:
     return poly
 
 
+def write_columns(path, columns: dict) -> None:
+    """CSV with a header of column names and one row per index.
+
+    Each column is converted with .tolist(): floats are written as their
+    repr (full decimal precision), ints as they are.
+    """
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*values))
+
+
 def coefficients_to_csv(path, values) -> None:
     """One coefficient per line: index,value at full decimal precision."""
     values = np.asarray(values, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([i, repr(float(v))])
+    write_columns(path, {"index": np.arange(len(values)), "value": values})
 
 
 def coefficients_to_json(path, spec: GcfSpec, **arrays) -> None:

@@ -9,16 +9,14 @@ carried as metadata only.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import ParameterError, StageOverflowError
-from .filters import GcfSpec, normalization_gain, stage_coefficients
+from .filters import GcfSpec, normalization_gain, stage_coefficients, write_columns
 from .wordlength import FixedPointFormat, quantize_coefficients
 
 # 2-level quantizer with +/-1 output: inputs beyond +/-2 exceed the
@@ -172,18 +170,29 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
     return out[: n_in // spec.D]
 
 
-def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5, window: str = "hann"):
-    """One-sided Welch PSD normalized so sum(psd) * df equals the variance."""
+def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
+    """One-sided Welch PSD normalized so sum(psd) * df equals the variance.
+
+    Welch (1967): segments of `segment` samples at a step of
+    segment - int(segment * overlap_fraction), each mean-removed and
+    multiplied by the periodic Hann window; the periodograms
+    |rfft|**2 / sum(window**2), doubled at every bin but DC and Nyquist,
+    are averaged.  Returns (frequencies in cycles/sample, psd).
+    """
     x = np.asarray(x, dtype=float)
+    if segment < 2:
+        raise ParameterError(f"segment must be >= 2 samples, got {segment}")
     if segment > len(x):
         raise ParameterError(f"segment {segment} longer than signal ({len(x)} samples)")
     if not 0.0 <= overlap_fraction <= 0.9:
         raise ParameterError(f"overlap_fraction must be in [0, 0.9], got {overlap_fraction}")
-    freqs, psd = _signal.welch(
-        x, fs=1.0, window=window, nperseg=segment,
-        noverlap=int(segment * overlap_fraction), detrend="constant",
-    )
-    return freqs, psd
+    step = segment - int(segment * overlap_fraction)
+    segs = np.lib.stride_tricks.sliding_window_view(x, segment)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
+    power = np.abs(np.fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * window, axis=1)) ** 2
+    power /= np.sum(window ** 2)
+    power[:, 1:(None if segment % 2 else -1)] *= 2.0
+    return np.fft.rfftfreq(segment), power.mean(axis=0)
 
 
 def run_experiment(
@@ -198,6 +207,8 @@ def run_experiment(
         raise ParameterError(
             f"config fx_ratio {cfg.fx_ratio} must equal the filter f_c {spec.f_c}"
         )
+    if cfg.n_samples // spec.D < 2:
+        raise ParameterError(f"n_samples {cfg.n_samples} gives fewer than 2 output samples at D={spec.D}")
     x = generate_bandlimited_signal(cfg)
     mod = sd_modulate(x)
     decimated = decimate_fixed_point(mod.bits, spec, fmt)
@@ -213,11 +224,8 @@ def run_experiment(
 
 def _psd_to_csv(path, freqs, power):
     floor = 1e-30
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq", "power", "power_dB"])
-        for f, p in zip(freqs, power):
-            writer.writerow([repr(float(f)), repr(float(p)), repr(float(10.0 * np.log10(max(p, floor))))])
+    write_columns(path, {"freq": freqs, "power": power,
+                         "power_dB": 10.0 * np.log10(np.maximum(power, floor))})
 
 
 def export_run(run: SimulationRun, outdir) -> None:
@@ -239,10 +247,7 @@ def export_run(run: SimulationRun, outdir) -> None:
         fh.write("\n")
     raw = ((run.bitstream.astype(np.int16) + 1) // 2).astype(np.uint8)
     raw.tofile(os.path.join(outdir, "bitstream.bin"))
-    with open(os.path.join(outdir, "decimated.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for i, val in enumerate(run.decimated):
-            writer.writerow([i, repr(float(val))])
+    write_columns(os.path.join(outdir, "decimated.csv"),
+                  {"index": np.arange(len(run.decimated)), "value": run.decimated})
     _psd_to_csv(os.path.join(outdir, "psd_in.csv"), *run.psd_in)
     _psd_to_csv(os.path.join(outdir, "psd_out.csv"), *run.psd_out)

@@ -14,7 +14,6 @@ loop.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverlappingBandsError, ParameterError
-from .filters import CombSpec, GcfSpec, normalization_gain, polyphase_impulse, stage_coefficients
+from .filters import (
+    CombSpec, GcfSpec, normalization_gain, polyphase_impulse, stage_coefficients, write_columns,
+)
 
 # dB value reported for exact zeros so plots stay finite
 ATTENUATION_CAP_DB = 300.0
@@ -275,21 +276,12 @@ def grid_to_csv(path, grid: ResponseGrid, extra: dict | None = None) -> None:
     This is the plot-data format for the response figures; extra maps column
     names to arrays aligned with the grid.
     """
-    extra = extra or {}
     mag = grid.magnitude
     floor = 10.0 ** (-ATTENUATION_CAP_DB / 20.0)
-    mag_db = 20.0 * np.log10(np.maximum(mag, floor))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq", "re", "im", "magnitude", "magnitude_dB", "in_band"] + list(extra))
-        for i in range(len(grid.freqs)):
-            row = [
-                repr(float(grid.freqs[i])),
-                repr(float(grid.values[i].real)),
-                repr(float(grid.values[i].imag)),
-                repr(float(mag[i])),
-                repr(float(mag_db[i])),
-                int(grid.in_band_mask[i]),
-            ]
-            row += [repr(float(np.asarray(col)[i])) for col in extra.values()]
-            writer.writerow(row)
+    columns = {
+        "freq": grid.freqs, "re": grid.values.real, "im": grid.values.imag,
+        "magnitude": mag, "magnitude_dB": 20.0 * np.log10(np.maximum(mag, floor)),
+        "in_band": grid.in_band_mask.astype(int),
+    }
+    columns.update({name: np.asarray(col, dtype=float) for name, col in (extra or {}).items()})
+    write_columns(path, columns)

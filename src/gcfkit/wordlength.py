@@ -167,6 +167,7 @@ class ErrorStats:
 
     freqs: np.ndarray
     in_band_mask: np.ndarray
+    quantized: np.ndarray  # complex response with rounded multipliers, unit DC gain
     delta_h: np.ndarray
     sigma_dm: float
     sigma_dh: np.ndarray
@@ -377,14 +378,6 @@ def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarra
     return cascade_response(freqs, spec.cascade_stages, r, start=bank)
 
 
-def quantized_response(spec: GcfSpec, f_n: int, freqs) -> np.ndarray:
-    """Complex response with f_n-bit rounded multipliers, self-normalized."""
-    freqs = np.asarray(freqs, dtype=float)
-    _, _, taps_q, r_q = _quantized_multiplier_sets(spec, f_n)
-    resp = _response_from_multipliers(spec, freqs, taps_q, r_q)
-    return resp / (taps_q.sum() * stage_dc_gain(r_q))
-
-
 def quantization_error_response(
     spec: GcfSpec,
     f_n: int,
@@ -414,6 +407,7 @@ def quantization_error_response(
     return ErrorStats(
         freqs=freqs,
         in_band_mask=bands.contains(freqs),
+        quantized=quant / dc_quant,
         delta_h=delta,
         sigma_dm=sigma_dm,
         sigma_dh=sigma_dm * np.sqrt(st),

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gcfkit
 from gcfkit import StageOverflowError
 from gcfkit.cli import main
 
@@ -152,6 +156,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert "stage 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("segment", ["0", "-5", "1"])
+    def test_short_segment_is_config_error(self, tmp_path, capsys, segment):
+        cfg = write_config(tmp_path, oversampling_ratio=128, n_samples=2 ** 12)
+        assert main(["simulate", "--config", str(cfg), "--segment", segment]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "segment" in err
+
 
 class TestCompare:
     def test_table(self, tmp_path, capsys):
@@ -260,3 +271,10 @@ class TestParser:
             main([command, "--help"])
         assert exc.value.code == 0
         assert "--output-dir" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, gcfkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gcfkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

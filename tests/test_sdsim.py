@@ -171,15 +171,26 @@ class TestWelch:
             welch_psd(np.ones(100), segment=200)
         with pytest.raises(ParameterError):
             welch_psd(np.ones(100), segment=50, overlap_fraction=0.95)
+        for segment in (1, 0, -5):
+            with pytest.raises(ParameterError):
+                welch_psd(np.ones(100), segment=segment)
 
-    def test_window_tag_passthrough(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(2 ** 14)
-        f_h, p_h = welch_psd(x, segment=1024, window="hann")
-        f_b, p_b = welch_psd(x, segment=1024, window="boxcar")
-        np.testing.assert_array_equal(f_h, f_b)
-        assert not np.array_equal(p_h, p_b)
-        assert np.sum(p_b) * (f_b[1] - f_b[0]) == pytest.approx(np.var(x), rel=0.02)
+    @pytest.mark.parametrize("kind,n,segment,overlap", [
+        ("bits", 2 ** 20, 4096, 0.5), ("noise", 65536, 4096, 0.5), ("noise", 4097, 4096, 0.5),
+        ("noise", 50000, 1000, 0.3), ("noise", 30000, 1001, 0.9), ("noise", 30000, 2048, 0.0),
+    ])
+    def test_matches_scipy_welch(self, kind, n, segment, overlap):
+        signal = pytest.importorskip("scipy.signal")
+        x = np.random.default_rng(n).standard_normal(n)
+        if kind == "bits":
+            x = np.where(x >= 0.0, 1.0, -1.0)
+        f, psd = welch_psd(x, segment=segment, overlap_fraction=overlap)
+        f_ref, psd_ref = signal.welch(
+            x, fs=1.0, window="hann", nperseg=segment,
+            noverlap=int(segment * overlap), detrend="constant",
+        )
+        np.testing.assert_array_equal(f, f_ref)
+        assert np.max(np.abs(psd - psd_ref)) <= 1e-12 * np.max(np.abs(psd_ref))
 
 
 class TestExperiment:
@@ -203,6 +214,11 @@ class TestExperiment:
         cfg = SdConfig(fx_ratio=1 / 128, n_samples=4096)
         with pytest.raises(ParameterError):
             run_experiment(cfg, PAPER_SPEC, paper_format())
+
+    def test_too_few_output_samples_rejected(self):
+        cfg = SdConfig(fx_ratio=1 / 256, n_samples=31)
+        with pytest.raises(ParameterError, match="fewer than 2 output samples"):
+            run_experiment(cfg, PAPER_SPEC, paper_format(), segment=2)
 
     def test_silent_input(self):
         run = self.make_run(amplitude=0.0)
