@@ -43,8 +43,6 @@ from .wordlength import (
     design_wordlengths,
     fractional_bits,
     integer_bits,
-    monte_carlo_coverage,
-    monte_carlo_error_std,
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,

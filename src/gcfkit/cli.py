@@ -227,9 +227,10 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
     _write_config_echo(cfg, outdir)
     bands = folding_bands(spec.D, spec.f_c)
     grid = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    result = sensitivity(spec, grid.freqs, normalized=cfg.normalized)
     report = _design(cfg, spec, tol)
     err = quantization_error_response(spec, report.f_n, bands=bands, freqs=grid.freqs)
+    # sigma_dh rests on the normalized S_T; the s_t column follows cfg.normalized
+    result = err.sensitivity if cfg.normalized else sensitivity(spec, grid.freqs, normalized=False)
     grid_to_csv(
         os.path.join(outdir, "sensitivity.csv"), grid,
         extra={"s_t": result.s_t, "sigma_dh": err.sigma_dh, "delta_h": err.delta_h},
@@ -275,9 +276,9 @@ def _check_mc(spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: in
     # sigma_dh is an upper bound on the true per-frequency std (10% slack for
     # sampling noise), and coverage at the design y cannot fall far below the
     # Gaussian prediction.
-    run = monte_carlo_run(spec, f_n, trials, seed)
-    ok_std = bool(np.all(run.error_std() <= 1.1 * run.sigma_dh + 1e-18))
-    cov = run.coverage(tol.y)
+    run = monte_carlo_run(spec, f_n, trials, seed, tol.y)
+    ok_std = bool(np.all(run.error_std <= 1.1 * run.sigma_dh + 1e-18))
+    cov = run.coverage()
     floor = math.erf(tol.y / math.sqrt(2.0)) - 0.03
     ok_cov = cov >= floor
     msg = (f"mc_model: std bound {'ok' if ok_std else 'VIOLATED'}, "

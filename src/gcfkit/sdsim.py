@@ -106,21 +106,20 @@ def sd_modulate(x) -> ModulatorResult:
     States are bounded for |x| <= 0.8; quantizer inputs beyond the
     no-overload range are counted, never raised.
     """
-    x = np.asarray(x, dtype=float)
-    bits = np.empty(len(x), dtype=np.int8)
     v1 = 0.0
     v2 = 0.0
     y_prev = 0.0
     overload = 0
     limit = OVERLOAD_LIMIT
-    for n in range(len(x)):
-        v1 += x[n] - y_prev
+    out = []
+    for x_n in np.asarray(x, dtype=float).tolist():
+        v1 += x_n - y_prev
         v2 += v1 - y_prev
         if v2 > limit or v2 < -limit:
             overload += 1
         y_prev = 1.0 if v2 >= 0.0 else -1.0
-        bits[n] = 1 if v2 >= 0.0 else -1
-    return ModulatorResult(bits=bits, overload_count=overload)
+        out.append(y_prev)
+    return ModulatorResult(bits=np.array(out, dtype=np.int8), overload_count=overload)
 
 
 def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.ndarray:

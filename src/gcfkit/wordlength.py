@@ -171,6 +171,7 @@ class ErrorStats:
     delta_h: np.ndarray
     sigma_dm: float
     sigma_dh: np.ndarray
+    sensitivity: SensitivityResult  # normalized S_T behind sigma_dh
 
 
 @dataclass(frozen=True)
@@ -370,11 +371,20 @@ def _quantized_multiplier_sets(spec: GcfSpec, f_n: int):
     return taps, r, quantize_coefficients(taps, f_n), quantize_coefficients(r, f_n)
 
 
+# Frequencies per block of the tap DTFT: its complex temporaries are
+# (block x taps), whatever the grid size.  Each frequency's sum is formed
+# on its own, so the result is the same for any block size.
+_DTFT_FREQ_BLOCK = 256
+
+
 def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Complex response of the architecture for given multiplier values."""
     w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
     n = np.arange(len(taps))
-    bank = (taps[None, :] * np.exp(-1j * np.outer(w, n))).sum(axis=1)
+    bank = np.empty(len(w), dtype=complex)
+    for lo in range(0, len(w), _DTFT_FREQ_BLOCK):
+        wb = w[lo:lo + _DTFT_FREQ_BLOCK]
+        bank[lo:lo + len(wb)] = (taps[None, :] * np.exp(-1j * np.outer(wb, n))).sum(axis=1)
     return cascade_response(freqs, spec.cascade_stages, r, start=bank)
 
 
@@ -403,14 +413,15 @@ def quantization_error_response(
     dc_quant = taps_q.sum() * stage_dc_gain(r_q)
     delta = np.abs(quant) / dc_quant - np.abs(exact) / dc_exact
     sigma_dm = 2.0 ** -f_n / math.sqrt(12.0)
-    st = sensitivity(spec, freqs, normalized=True).s_t
+    sens = sensitivity(spec, freqs, normalized=True)
     return ErrorStats(
         freqs=freqs,
         in_band_mask=bands.contains(freqs),
         quantized=quant / dc_quant,
         delta_h=delta,
         sigma_dm=sigma_dm,
-        sigma_dh=sigma_dm * np.sqrt(st),
+        sigma_dh=sigma_dm * np.sqrt(sens.s_t),
+        sensitivity=sens,
     )
 
 
@@ -419,14 +430,13 @@ def quantization_error_response(
 _MC_TRIAL_BLOCK = 64
 
 
-def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarray) -> np.ndarray:
-    """Matrix of d|H| samples, shape (trials, nf), uniform multiplier noise.
+def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarray):
+    """Yield the d|H| samples of uniform multiplier noise in row blocks, shape (block, nf).
 
     Every multiplier of the architecture gets an independent uniform draw on
     [-2**-f_n/2, +2**-f_n/2]; trial t uses the substream seeded by (seed, t),
-    so results do not depend on evaluation order.  The perturbed responses
-    are formed in blocks of _MC_TRIAL_BLOCK trials, so only the returned real
-    matrix grows with trials x nf; each row is the same for any block size.
+    so results do not depend on evaluation order.  A block holds
+    _MC_TRIAL_BLOCK trials; each row is the same for any block size.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -447,49 +457,48 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarr
     hp0 = E @ taps
     dc = taps.sum() * stage_dc_gain(r)
     base = np.abs(hp0) * np.abs(np.prod(stage_brackets(freqs, ks, r), axis=0)) / dc
-    # perturbed responses, block by block; a last block of one trial joins
-    # the one before it, because numpy forms a one-row product with gemv,
-    # whose rounding differs from the gemm used for the other blocks
-    out = np.empty((trials, len(freqs)))
-    starts = list(range(0, trials, _MC_TRIAL_BLOCK))
-    if len(starts) > 1 and trials - starts[-1] == 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [trials]):
-        block = draws[lo:hi]
-        hp_q = hp0[None, :] + block[:, :n_taps] @ E.T if n_taps else hp0[None, :]
-        quant = np.abs(hp_q)
+
+    def delta_h(block):
+        # the temporaries of a block are freed before it is yielded
+        quant = np.abs((hp0[None, :] + block[:, :n_taps] @ E.T) if n_taps else hp0[None, :])
         if n_r:
             r_q = r[None, :] + block[:, n_taps:]
             amp = np.ones((len(block), len(freqs)))
             for j, k in enumerate(ks):
                 amp *= stage_bracket(w, k, r_q[:, j:j + 1])
             quant = quant * np.abs(amp)
-        out[lo:hi] = quant / dc - base[None, :]
-    return out
+        return quant / dc - base[None, :]
+
+    # a last block of one trial joins the one before it, because numpy forms
+    # a one-row product with gemv, whose rounding differs from the gemm used
+    # for the other blocks
+    starts = list(range(0, trials, _MC_TRIAL_BLOCK))
+    if len(starts) > 1 and trials - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [trials]):
+        yield delta_h(draws[lo:hi])
 
 
 @dataclass(frozen=True)
 class MonteCarloRun:
-    """Monte Carlo d|H| samples on the in-band grid next to the model sigma_dh."""
+    """Monte Carlo d|H| statistics on the in-band grid next to the model sigma_dh."""
 
     freqs: np.ndarray
-    delta_h: np.ndarray  # shape (trials, len(freqs))
+    error_std: np.ndarray  # per-frequency empirical std of d|H|
     sigma_dh: np.ndarray
+    y: float
+    trials: int
+    covered: int  # (trial, in-band point) pairs with |d|H|| <= y * sigma_dh
 
-    def error_std(self) -> np.ndarray:
-        """Per-frequency empirical std of d|H|."""
-        return self.delta_h.std(axis=0)
-
-    def coverage(self, y: float) -> float:
+    def coverage(self) -> float:
         """Fraction of (trial, in-band point) pairs with |d|H|| <= y * sigma_dh.
 
         Fewer than 1000 trials is rejected (the estimate is too unstable to
         act on).
         """
-        trials = len(self.delta_h)
-        if trials < 1000:
-            raise ParameterError(f"trials must be >= 1000, got {trials}")
-        return float(np.mean(np.abs(self.delta_h) <= y * self.sigma_dh[None, :]))
+        if self.trials < 1000:
+            raise ParameterError(f"trials must be >= 1000, got {self.trials}")
+        return self.covered / (self.trials * len(self.freqs))
 
 
 def monte_carlo_run(
@@ -497,54 +506,35 @@ def monte_carlo_run(
     f_n: int,
     trials: int,
     seed: int,
+    y: float,
     bands: FoldingBandSet | None = None,
     points_per_band: int = DEFAULT_POINTS_PER_BAND,
     global_points: int = DEFAULT_GLOBAL_POINTS,
 ) -> MonteCarloRun:
     """d|H| of f_n-bit multiplier noise over the in-band grid, deterministic given seed.
 
-    Both the per-frequency std and the coverage are read from one run.
+    The trial blocks are reduced one at a time, so memory does not grow with
+    trials: each block's per-frequency count, mean and M2 are merged into the
+    running ones (the pairwise update of Chan, Golub and LeVeque, 1979), and
+    the pairs within y * sigma_dh are counted.
     """
     sens = in_band_sensitivity(spec, bands, points_per_band=points_per_band, global_points=global_points)
-    delta = _mc_delta_h(spec, f_n, trials, seed, sens.freqs)
     sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sens.s_t)
-    return MonteCarloRun(freqs=sens.freqs, delta_h=delta, sigma_dh=sigma_dh)
-
-
-def monte_carlo_coverage(
-    spec: GcfSpec,
-    f_n: int,
-    y: float,
-    trials: int,
-    seed: int,
-    bands: FoldingBandSet | None = None,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> float:
-    """Fraction of (trial, in-band point) pairs with |d|H|| <= y * sigma_dh.
-
-    Deterministic given seed; fewer than 1000 trials is rejected (the
-    estimate is too unstable to act on).
-    """
-    run = monte_carlo_run(spec, f_n, trials, seed, bands, points_per_band, global_points)
-    return run.coverage(y)
-
-
-def monte_carlo_error_std(
-    spec: GcfSpec,
-    f_n: int,
-    trials: int,
-    seed: int,
-    bands: FoldingBandSet | None = None,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-):
-    """Per-frequency empirical std of d|H| next to the model sigma_dh.
-
-    Returns (in-band freqs, empirical std, sigma_dh).
-    """
-    run = monte_carlo_run(spec, f_n, trials, seed, bands, points_per_band, global_points)
-    return run.freqs, run.error_std(), run.sigma_dh
+    bound = y * sigma_dh
+    count, mean, m2, covered = 0, 0.0, 0.0, 0
+    for block in _mc_delta_h(spec, f_n, trials, seed, sens.freqs):
+        b = len(block)
+        b_mean = block.mean(axis=0)
+        b_m2 = ((block - b_mean) ** 2).sum(axis=0)
+        delta = b_mean - mean
+        mean = mean + delta * (b / (count + b))
+        m2 = m2 + b_m2 + delta ** 2 * (count * b / (count + b))
+        count += b
+        covered += int(np.count_nonzero(np.abs(block) <= bound))
+    return MonteCarloRun(
+        freqs=sens.freqs, error_std=np.sqrt(m2 / count), sigma_dh=sigma_dh,
+        y=y, trials=count, covered=covered,
+    )
 
 
 def design_wordlengths(

@@ -39,8 +39,7 @@ from gcfkit import (
     fractional_bits,
     grid_frequencies,
     integer_bits,
-    monte_carlo_coverage,
-    monte_carlo_error_std,
+    monte_carlo_run,
     quantization_error_response,
     response_grid,
     run_experiment,
@@ -227,7 +226,7 @@ def test_criterion_5_sensitivity_correctness():
 # 6. statistical model validation (Gaussian-model windows)
 # --------------------------------------------------------------------------
 def test_criterion_6a_coverage_y2():
-    cov = monte_carlo_coverage(PAPER_SPEC, 7, 2.0, trials=2000, seed=SEED)
+    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0).coverage()
     ok = 0.93 <= cov <= 0.97
     detail = (f"coverage at y=2: {cov:.4f} (target window [0.93, 0.97]; the single "
               f"dominant multiplier per band makes the error uniform, whose +/-2 sigma "
@@ -237,7 +236,7 @@ def test_criterion_6a_coverage_y2():
 
 
 def test_criterion_6b_coverage_y1():
-    cov = monte_carlo_coverage(PAPER_SPEC, 7, 1.0, trials=2000, seed=SEED)
+    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=1.0).coverage()
     ok = 0.66 <= cov <= 0.71
     detail = (f"coverage at y=1: {cov:.4f} (target window [0.66, 0.71]; a uniform "
               f"variable lies within 1 sigma with probability 1/sqrt(3) ~= 0.577)")
@@ -247,7 +246,8 @@ def test_criterion_6b_coverage_y1():
 
 @pytest.mark.parametrize("f_n", [6, 7])
 def test_criterion_6c_per_frequency_std(f_n):
-    fi, emp, model = monte_carlo_error_std(PAPER_SPEC, f_n, trials=2000, seed=SEED)
+    run = monte_carlo_run(PAPER_SPEC, f_n, trials=2000, seed=SEED, y=2.0)
+    emp, model = run.error_std, run.sigma_dh
     live = model > 1e-18
     ratio = emp[live] / model[live]
     n_bad = int(np.sum(np.abs(ratio - 1.0) > 0.10))
@@ -262,7 +262,8 @@ def test_criterion_6c_per_frequency_std(f_n):
 
 def test_criterion_6_model_upper_bound_holds():
     # the defensible half of the model: sigma_dm*sqrt(S_T) bounds the true std
-    fi, emp, model = monte_carlo_error_std(PAPER_SPEC, 7, trials=2000, seed=SEED)
+    run = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0)
+    emp, model = run.error_std, run.sigma_dh
     ok = bool(np.all(emp <= 1.1 * model + 1e-18))
     detail = f"empirical std <= 1.1 * model everywhere: {ok} (max ratio {np.max(np.where(model>0, emp/np.maximum(model,1e-300), 0)):.3f})"
     report("6 (upper bound)", ok, detail)

@@ -61,7 +61,37 @@ class TestGenerator:
         assert 10 * np.log10(in_band / out_band) >= 60.0
 
 
+def old_sd_modulate(x):
+    """The modulator loop as written before it iterated over x.tolist(), kept as an oracle."""
+    x = np.asarray(x, dtype=float)
+    bits = np.empty(len(x), dtype=np.int8)
+    v1 = 0.0
+    v2 = 0.0
+    y_prev = 0.0
+    overload = 0
+    for n in range(len(x)):
+        v1 += x[n] - y_prev
+        v2 += v1 - y_prev
+        if v2 > 2.0 or v2 < -2.0:
+            overload += 1
+        y_prev = 1.0 if v2 >= 0.0 else -1.0
+        bits[n] = 1 if v2 >= 0.0 else -1
+    return bits, overload
+
+
 class TestModulator:
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5, 0.8, 1.5, 4.0])  # the last two overload
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    def test_matches_old_loop(self, n, amplitude):
+        x = amplitude * np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        res = sd_modulate(x)
+        bits, overload = old_sd_modulate(x)
+        assert res.bits.dtype == np.int8
+        assert np.array_equal(res.bits, bits)
+        assert res.overload_count == overload
+        if amplitude > 1.0 and n > 1:
+            assert overload > 0
+
     def test_zero_input_balance(self):
         res = sd_modulate(np.zeros(2 ** 16))
         assert set(np.unique(res.bits)) <= {-1, 1}

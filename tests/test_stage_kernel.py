@@ -156,6 +156,19 @@ def test_response_from_multipliers_matches_old(D, pp, rho):
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
+def test_blocked_tap_dtft_matches_old(D, pp, rho, monkeypatch):
+    spec = spec_of(D, pp, rho)
+    freqs, _ = in_band_freqs(spec)
+    for block in (len(freqs) - 1, 7):  # a last block of one frequency, and a ragged one
+        monkeypatch.setattr(wordlength, "_DTFT_FREQ_BLOCK", block)
+        assert len(freqs) % block != 0
+        taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, 9)
+        for t, rv in ((taps, r), (taps_q, r_q)):
+            assert np.array_equal(_response_from_multipliers(spec, freqs, t, rv),
+                                  old_response_from_multipliers(spec, freqs, t, rv))
+
+
+@pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
 def test_quantized_response_and_delta_h_match_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
@@ -175,7 +188,21 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
 def test_mc_delta_h_matches_old(D, pp, rho, trials):
     spec = spec_of(D, pp, rho)
     _, fi = in_band_freqs(spec)
-    assert np.array_equal(_mc_delta_h(spec, 9, trials, 4, fi), old_mc_delta_h(spec, 9, trials, 4, fi))
+    rows = np.vstack(list(_mc_delta_h(spec, 9, trials, 4, fi)))
+    assert np.array_equal(rows, old_mc_delta_h(spec, 9, trials, 4, fi))
+
+
+@pytest.mark.parametrize("trials,block", [(1000, 37), (1002, 40)])  # a last block of 1, and of 2
+@pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256), (256, 3, 512)], ids=["D16-pp-1", "D64-pp1", "D256-pp3"])
+def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, monkeypatch):
+    monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
+    spec = spec_of(D, pp, rho)
+    run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, points_per_band=17, global_points=512)
+    rows = np.vstack(list(_mc_delta_h(spec, 9, trials, 4, run.freqs)))
+    assert np.array_equal(rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
+    std = rows.std(axis=0)
+    assert np.all(np.abs(run.error_std - std) <= 1e-12 * std)
+    assert run.coverage() == np.mean(np.abs(rows) <= 2.0 * run.sigma_dh[None, :])
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
@@ -239,3 +266,26 @@ def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid, normalized)
     cli._write_fn_sweep(cfg, str(tmp_path))
     old_fn_sweep(cfg, tmp_path / "old.csv")
     assert (tmp_path / "fn_sweep.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def old_cmd_sensitivity_csv(cfg, path):
+    """sensitivity.csv as written with its own S_T evaluation in both modes."""
+    spec = cfg.spec()
+    bands = folding_bands(spec.D, spec.f_c)
+    grid = spectral.response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
+    result = sensitivity(spec, grid.freqs, normalized=cfg.normalized)
+    f_n = cli._design(cfg, spec, cfg.tolerance()).f_n
+    err = quantization_error_response(spec, f_n, bands=bands, freqs=grid.freqs)
+    spectral.grid_to_csv(path, grid, extra={"s_t": result.s_t, "sigma_dh": err.sigma_dh, "delta_h": err.delta_h})
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256)], ids=["D16-pp-1", "D64-pp1"])
+def test_sensitivity_csv_matches_separate_evaluation(tmp_path, D, pp, rho, normalized):
+    cfg = cli.DesignConfig(
+        decimation_factor=D, pp_split=pp, oversampling_ratio=rho, normalized=normalized,
+        points_per_band=17, global_points=512, output_dir=str(tmp_path),
+    )
+    assert cli.cmd_sensitivity(cfg) == 0
+    old_cmd_sensitivity_csv(cfg, tmp_path / "old.csv")
+    assert (tmp_path / "sensitivity.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

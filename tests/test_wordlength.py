@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from gcfkit import (
     folding_bands,
     fractional_bits,
     integer_bits,
-    monte_carlo_coverage,
-    monte_carlo_error_std,
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
@@ -289,37 +288,41 @@ class TestQuantizationErrorResponse:
         assert e6.sigma_dm == 2.0 * e7.sigma_dm
 
 
+def mc_rows(spec, f_n, trials, seed, freqs):
+    return np.vstack(list(_mc_delta_h(spec, f_n, trials, seed, freqs)))
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
-        a = monte_carlo_coverage(PAPER_SPEC, 7, 2.0, 1000, seed=11)
-        b = monte_carlo_coverage(PAPER_SPEC, 7, 2.0, 1000, seed=11)
-        c = monte_carlo_coverage(PAPER_SPEC, 7, 2.0, 1000, seed=12)
+        a = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0).coverage()
+        b = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0).coverage()
+        c = monte_carlo_run(PAPER_SPEC, 7, 1000, 12, y=2.0).coverage()
         assert a == b
         assert a != c
 
     def test_trials_floor(self):
         with pytest.raises(ParameterError):
-            monte_carlo_coverage(PAPER_SPEC, 7, 2.0, 10, seed=1)
+            monte_carlo_run(PAPER_SPEC, 7, 10, 1, y=2.0).coverage()
 
     def test_vanishing_interval(self):
-        cov = monte_carlo_coverage(PAPER_SPEC, 7, 1e-6, 1000, seed=3)
+        cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 3, y=1e-6).coverage()
         assert cov <= 0.05
 
     def test_model_std_is_upper_bound(self):
-        fi, emp, model = monte_carlo_error_std(PAPER_SPEC, 7, 1500, seed=21)
-        assert np.all(emp <= 1.1 * model + 1e-18)
+        run = monte_carlo_run(PAPER_SPEC, 7, 1500, 21, y=2.0)
+        assert np.all(run.error_std <= 1.1 * run.sigma_dh + 1e-18)
 
     def test_full_polyphase_coverage_near_gaussian(self):
         s = GcfSpec(D=16, f_c=1 / 128, p_p=3)
-        cov = monte_carlo_coverage(s, 12, 2.0, 1000, seed=8)
+        cov = monte_carlo_run(s, 12, 1000, 8, y=2.0).coverage()
         assert 0.93 <= cov <= 1.0
 
     def test_trial_substreams_independent_of_total(self):
         # trial t draws from the (seed, t) substream, so a shorter run is a
         # prefix of a longer one regardless of how trials are scheduled
         freqs = np.linspace(0.05, 0.08, 40)
-        short = _mc_delta_h(PAPER_SPEC, 7, trials=20, seed=31, freqs=freqs)
-        long = _mc_delta_h(PAPER_SPEC, 7, trials=60, seed=31, freqs=freqs)
+        short = mc_rows(PAPER_SPEC, 7, trials=20, seed=31, freqs=freqs)
+        long = mc_rows(PAPER_SPEC, 7, trials=60, seed=31, freqs=freqs)
         np.testing.assert_array_equal(short, long[:20])
 
     @pytest.mark.parametrize("block", [7, 8])  # 50 trials leave a last block of 1 and of 2
@@ -328,17 +331,28 @@ class TestMonteCarlo:
         s = spec_for(16, p_p=p_p)
         freqs = np.linspace(0.05, 0.45, 301)
         monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", 10 ** 6)
-        whole = _mc_delta_h(s, 9, trials=50, seed=5, freqs=freqs)
+        whole = mc_rows(s, 9, trials=50, seed=5, freqs=freqs)
         monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
-        assert np.array_equal(_mc_delta_h(s, 9, trials=50, seed=5, freqs=freqs), whole)
+        assert np.array_equal(mc_rows(s, 9, trials=50, seed=5, freqs=freqs), whole)
+
+    def test_memory_does_not_grow_with_trials(self):
+        s = GcfSpec.from_oversampling(256, 512, p_p=3)
+        trials = 2000
+        nf = len(wordlength.in_band_sensitivity(s).freqs)
+        tracemalloc.start()
+        try:
+            monte_carlo_run(s, 16, trials, 1, y=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < trials * nf * 8 / 4
 
     def test_one_run_gives_std_and_coverage(self):
-        run = monte_carlo_run(PAPER_SPEC, 7, 1000, seed=11)
-        fi, emp, model = monte_carlo_error_std(PAPER_SPEC, 7, 1000, seed=11)
-        np.testing.assert_array_equal(run.freqs, fi)
-        np.testing.assert_array_equal(run.error_std(), emp)
-        np.testing.assert_array_equal(run.sigma_dh, model)
-        assert run.coverage(2.0) == monte_carlo_coverage(PAPER_SPEC, 7, 2.0, 1000, seed=11)
+        run = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0)
+        rows = mc_rows(PAPER_SPEC, 7, 1000, 11, run.freqs)
+        assert run.trials == 1000
+        assert np.max(np.abs(run.error_std - rows.std(axis=0))) <= 1e-12 * np.max(rows.std(axis=0))
+        assert run.coverage() == np.mean(np.abs(rows) <= 2.0 * run.sigma_dh[None, :])
 
 
 class TestReport:
