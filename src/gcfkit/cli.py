@@ -335,11 +335,12 @@ def cmd_compare(cfg: DesignConfig) -> int:
     bands = folding_bands(spec.D, spec.f_c)
     gcf = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
     comb = response_grid(CombSpec(D=spec.D, n_c=cfg.comb_order), bands, cfg.points_per_band, cfg.global_points)
+    gcf_mag, comb_mag = gcf.magnitude, comb.magnitude
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(gcf.freqs)), start=1):
-            att_g = -20 * np.log10(max(np.max(gcf.magnitude[m]), 1e-15))
-            att_c = -20 * np.log10(max(np.max(comb.magnitude[m]), 1e-15))
+            att_g = -20 * np.log10(max(np.max(gcf_mag[m]), 1e-15))
+            att_c = -20 * np.log10(max(np.max(comb_mag[m]), 1e-15))
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
     worst_g = worst_case_attenuation(gcf)

@@ -14,7 +14,6 @@ precision; fixed-point conversion lives in :mod:`gcfkit.wordlength`.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -258,14 +257,14 @@ def comb_coefficients(comb: CombSpec) -> np.ndarray:
 def write_columns(path, columns: dict) -> None:
     """CSV with a header of column names and one row per index.
 
-    Each column is converted with .tolist(): floats are written as their
-    repr (full decimal precision), ints as they are.
+    Each column is formatted once, through .tolist(): floats are written as
+    their repr (full decimal precision), ints as they are.  Lines end in
+    CRLF, as csv.writer ends them.
     """
-    values = [np.asarray(col).tolist() for col in columns.values()]
+    text = [map(repr, np.asarray(col).tolist()) for col in columns.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        writer.writerows(zip(*values))
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
 
 
 def coefficients_to_csv(path, values) -> None:

@@ -56,20 +56,15 @@ from .spectral import (
 def y_from_p(prob: float) -> float:
     """Gaussian multiplier y with coverage prob: prob = erf(y / sqrt(2)).
 
-    Solved by bisection to an interval width of 1e-10.
+    Taken from the lower tail, y = -Phi^-1((1 - prob) / 2), which is the
+    same by symmetry; the upper-tail argument (1 + prob) / 2 rounds to 1
+    when prob is within 1.1e-16 of 1.
     """
+    from statistics import NormalDist  # imports decimal and fractions; only prob needs it
+
     if not 0.0 < prob < 1.0:
         raise ParameterError(f"prob must be in (0, 1), got {prob}")
-    lo, hi = 0.0, 1.0
-    while math.erf(hi / math.sqrt(2.0)) < prob:
-        hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if math.erf(mid / math.sqrt(2.0)) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -NormalDist().inv_cdf((1.0 - prob) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -371,10 +366,11 @@ def _quantized_multiplier_sets(spec: GcfSpec, f_n: int):
     return taps, r, quantize_coefficients(taps, f_n), quantize_coefficients(r, f_n)
 
 
-# Frequencies per block of the tap DTFT: its complex temporaries are
-# (block x taps), whatever the grid size.  Each frequency's sum is formed
-# on its own, so the result is the same for any block size.
-_DTFT_FREQ_BLOCK = 256
+# Frequencies per block of the tap DTFT and per tile of the Monte Carlo:
+# their complex temporaries are (block x taps) and (trials block x block),
+# whatever the grid size.  Each DTFT sum is formed on its own, so its result
+# is the same for any block size; for the Monte Carlo see _block_bounds.
+_FREQ_BLOCK = 1024
 
 
 def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -382,8 +378,8 @@ def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarra
     w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
     n = np.arange(len(taps))
     bank = np.empty(len(w), dtype=complex)
-    for lo in range(0, len(w), _DTFT_FREQ_BLOCK):
-        wb = w[lo:lo + _DTFT_FREQ_BLOCK]
+    for lo in range(0, len(w), _FREQ_BLOCK):
+        wb = w[lo:lo + _FREQ_BLOCK]
         bank[lo:lo + len(wb)] = (taps[None, :] * np.exp(-1j * np.outer(wb, n))).sum(axis=1)
     return cascade_response(freqs, spec.cascade_stages, r, start=bank)
 
@@ -426,31 +422,59 @@ def quantization_error_response(
 
 
 # Trials per block of the Monte Carlo responses: the complex temporaries of
-# a block are (block x in-band points), whatever the number of trials.
+# a block are (block x in-band points of a tile), whatever the number of trials.
 _MC_TRIAL_BLOCK = 64
 
 
-def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarray):
-    """Yield the d|H| samples of uniform multiplier noise in row blocks, shape (block, nf).
+def _block_bounds(n: int, size: int, min_last: int) -> list[tuple[int, int]]:
+    """(lo, hi) of consecutive blocks of size over range(n).
 
-    Every multiplier of the architecture gets an independent uniform draw on
-    [-2**-f_n/2, +2**-f_n/2]; trial t uses the substream seeded by (seed, t),
-    so results do not depend on evaluation order.  A block holds
-    _MC_TRIAL_BLOCK trials; each row is the same for any block size.
+    A last block narrower than min_last joins the one before it.  The Monte
+    Carlo products take their rounding from the BLAS kernel that numpy and
+    OpenBLAS pick for their shape: one row or column goes through gemv, and
+    gemms of a few columns through a small-matrix path.  Trial blocks of two
+    rows or more and frequency tiles of 200 columns or more round as the
+    whole product does, so a trailing block of one trial, and a trailing tile
+    under half a _FREQ_BLOCK, is merged rather than run on its own.
+    """
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < min_last:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
+    """Uniform multiplier noise on [-2**-f_n/2, +2**-f_n/2], shape (trials, taps + stages).
+
+    Every multiplier of the architecture gets an independent draw; trial t
+    uses the substream seeded by (seed, t), so results do not depend on
+    evaluation order.  The columns are the polyphase taps (none when D1 = 1,
+    whose unit tap is wiring, not a multiplier) and then the cascade r_k.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    half_lsb = 2.0 ** -f_n / 2.0
+    n_taps = 3 * spec.D1 - 2 if spec.D1 > 1 else 0
+    size = n_taps + len(spec.cascade_stages)
+    draws = np.empty((trials, size))
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        draws[t] = rng.uniform(-half_lsb, half_lsb, size=size)
+    return draws
+
+
+def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
+    """Yield the d|H| samples of the draws at freqs in row blocks, shape (block, nf).
+
+    A block holds _MC_TRIAL_BLOCK trials; each row is the same for any block
+    size.  The exact response pieces are built for the given freqs only.
+    """
     freqs = np.asarray(freqs, dtype=float)
     w = 2.0 * np.pi * freqs
     taps, r, _, _ = _quantized_multiplier_sets(spec, f_n)
     ks = list(spec.cascade_stages)
-    half_lsb = 2.0 ** -f_n / 2.0
-    n_taps = len(taps) if spec.D1 > 1 else 0  # degenerate unit tap is wiring, not a multiplier
     n_r = len(ks)
-    draws = np.empty((trials, n_taps + n_r))
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        draws[t] = rng.uniform(-half_lsb, half_lsb, size=n_taps + n_r)
+    n_taps = draws.shape[1] - n_r  # 0 for the unit tap of D1 = 1
     # exact response pieces
     n = np.arange(len(taps))
     E = np.exp(-1j * np.outer(w, n))
@@ -469,13 +493,7 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, trials: int, seed: int, freqs: np.ndarr
             quant = quant * np.abs(amp)
         return quant / dc - base[None, :]
 
-    # a last block of one trial joins the one before it, because numpy forms
-    # a one-row product with gemv, whose rounding differs from the gemm used
-    # for the other blocks
-    starts = list(range(0, trials, _MC_TRIAL_BLOCK))
-    if len(starts) > 1 and trials - starts[-1] == 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [trials]):
+    for lo, hi in _block_bounds(len(draws), _MC_TRIAL_BLOCK, 2):
         yield delta_h(draws[lo:hi])
 
 
@@ -513,27 +531,34 @@ def monte_carlo_run(
 ) -> MonteCarloRun:
     """d|H| of f_n-bit multiplier noise over the in-band grid, deterministic given seed.
 
-    The trial blocks are reduced one at a time, so memory does not grow with
-    trials: each block's per-frequency count, mean and M2 are merged into the
-    running ones (the pairwise update of Chan, Golub and LeVeque, 1979), and
-    the pairs within y * sigma_dh are counted.
+    The in-band grid is walked in tiles of _FREQ_BLOCK frequencies, and each
+    tile's trial blocks are reduced one at a time, so memory grows neither
+    with trials nor with grid size x taps: each block's per-frequency count,
+    mean and M2 are merged into the tile's running ones (the pairwise update
+    of Chan, Golub and LeVeque, 1979), and the pairs within y * sigma_dh are
+    counted.
     """
     sens = in_band_sensitivity(spec, bands, points_per_band=points_per_band, global_points=global_points)
     sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sens.s_t)
     bound = y * sigma_dh
-    count, mean, m2, covered = 0, 0.0, 0.0, 0
-    for block in _mc_delta_h(spec, f_n, trials, seed, sens.freqs):
-        b = len(block)
-        b_mean = block.mean(axis=0)
-        b_m2 = ((block - b_mean) ** 2).sum(axis=0)
-        delta = b_mean - mean
-        mean = mean + delta * (b / (count + b))
-        m2 = m2 + b_m2 + delta ** 2 * (count * b / (count + b))
-        count += b
-        covered += int(np.count_nonzero(np.abs(block) <= bound))
+    draws = _mc_draws(spec, f_n, trials, seed)
+    error_std = np.empty(len(sens.freqs))
+    covered = 0
+    for lo, hi in _block_bounds(len(sens.freqs), _FREQ_BLOCK, _FREQ_BLOCK // 2):
+        count, mean, m2 = 0, 0.0, 0.0
+        for block in _mc_delta_h(spec, f_n, draws, sens.freqs[lo:hi]):
+            b = len(block)
+            b_mean = block.mean(axis=0)
+            b_m2 = ((block - b_mean) ** 2).sum(axis=0)
+            delta = b_mean - mean
+            mean = mean + delta * (b / (count + b))
+            m2 = m2 + b_m2 + delta ** 2 * (count * b / (count + b))
+            count += b
+            covered += int(np.count_nonzero(np.abs(block) <= bound[lo:hi]))
+        error_std[lo:hi] = np.sqrt(m2 / count)
     return MonteCarloRun(
-        freqs=sens.freqs, error_std=np.sqrt(m2 / count), sigma_dh=sigma_dh,
-        y=y, trials=count, covered=covered,
+        freqs=sens.freqs, error_std=error_std, sigma_dh=sigma_dh,
+        y=y, trials=trials, covered=covered,
     )
 
 

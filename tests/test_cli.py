@@ -110,6 +110,48 @@ class TestValidate:
         assert "FAIL split_invariance" in capsys.readouterr().out
 
 
+CLI = "import sys; from gcfkit.cli import main; sys.exit(main())"
+# Runs argv[2:] with its output in the file argv[1] and prints its exit code
+# and ru_maxrss in KiB.  A child's ru_maxrss starts at the resident size of
+# the process that spawned it (vfork shares that memory until exec), so
+# gcfkit is spawned from this small interpreter, not from the test process.
+RSS_PROBE = """
+import os, subprocess, sys
+with open(sys.argv[1], "w") as log:
+    proc = subprocess.Popen(sys.argv[2:], stdout=log, stderr=subprocess.STDOUT)
+    _, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def gcfkit_peak_rss(args, workdir):
+    """Run gcfkit with args in a fresh interpreter: (exit code, peak RSS in MB).
+
+    ru_maxrss counts the BLAS and numpy buffers too, which tracemalloc does
+    not see.  gcfkit's output goes to workdir/cli.log.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gcfkit.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, os.path.join(workdir, "cli.log"), sys.executable, "-c", CLI, *args],
+        env=env, cwd=workdir, capture_output=True, text=True, check=True,
+    )
+    code, kib = out.stdout.split()
+    return int(code), int(kib) / 1024.0
+
+
+def test_validate_memory_does_not_grow_with_grid_times_taps(tmp_path):
+    # 18,551 in-band points x 766 taps: the whole-grid Monte Carlo peaked at 478 MB
+    code, rss = gcfkit_peak_rss(
+        ["validate", "--decimation-factor", "256", "--pp-split", "7", "--oversampling-ratio", "512",
+         "--chi", "1e-4", "--y", "2", "--input-width", "1", "--trials", "1000",
+         "--output-dir", str(tmp_path / "out")],
+        tmp_path,
+    )
+    assert code == 0, (tmp_path / "cli.log").read_text()
+    assert rss < 200
+
+
 class TestSimulate:
     def test_small_run(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,19 +1,22 @@
 """The shared stage kernel against the copies of it that it replaced.
 
 The functions prefixed ``old_`` are the stage-factor loops as they were
-written out in spectral, wordlength and cli before the kernel existed; they
-are kept here, frozen, as oracles.  Every quantity that feeds a sized word
-length or a Monte Carlo statistic must be bit-identical to them.
+written out in spectral, wordlength and cli before the kernel existed, and
+the earlier forms of rewritten outputs: the whole-grid Monte Carlo, the
+csv.writer export and the per-band magnitudes of comparison.csv.  They are
+kept here, frozen, as oracles.  Every quantity that feeds a sized word
+length, a Monte Carlo statistic or an artifact must be bit-identical to them.
 """
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from gcfkit import GcfSpec, ToleranceSpec, gcf_response, sensitivity, stage_coefficients
+from gcfkit import CombSpec, GcfSpec, ToleranceSpec, gcf_response, sensitivity, stage_coefficients
 from gcfkit import cli, spectral, wordlength
-from gcfkit.filters import normalization_gain, polyphase_impulse, stage_multiplier
+from gcfkit.filters import normalization_gain, polyphase_impulse, stage_multiplier, write_columns
 from gcfkit.spectral import (
     cascade_response,
     folding_bands,
@@ -23,6 +26,7 @@ from gcfkit.spectral import (
 )
 from gcfkit.wordlength import (
     _mc_delta_h,
+    _mc_draws,
     _quantized_multiplier_sets,
     _response_from_multipliers,
     quantization_error_response,
@@ -160,7 +164,7 @@ def test_blocked_tap_dtft_matches_old(D, pp, rho, monkeypatch):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
     for block in (len(freqs) - 1, 7):  # a last block of one frequency, and a ragged one
-        monkeypatch.setattr(wordlength, "_DTFT_FREQ_BLOCK", block)
+        monkeypatch.setattr(wordlength, "_FREQ_BLOCK", block)
         assert len(freqs) % block != 0
         taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, 9)
         for t, rv in ((taps, r), (taps_q, r_q)):
@@ -188,7 +192,7 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
 def test_mc_delta_h_matches_old(D, pp, rho, trials):
     spec = spec_of(D, pp, rho)
     _, fi = in_band_freqs(spec)
-    rows = np.vstack(list(_mc_delta_h(spec, 9, trials, 4, fi)))
+    rows = np.vstack(list(_mc_delta_h(spec, 9, _mc_draws(spec, 9, trials, 4), fi)))
     assert np.array_equal(rows, old_mc_delta_h(spec, 9, trials, 4, fi))
 
 
@@ -198,11 +202,68 @@ def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, 
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
     spec = spec_of(D, pp, rho)
     run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, points_per_band=17, global_points=512)
-    rows = np.vstack(list(_mc_delta_h(spec, 9, trials, 4, run.freqs)))
+    rows = np.vstack(list(_mc_delta_h(spec, 9, _mc_draws(spec, 9, trials, 4), run.freqs)))
     assert np.array_equal(rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
     std = rows.std(axis=0)
     assert np.all(np.abs(run.error_std - std) <= 1e-12 * std)
     assert run.coverage() == np.mean(np.abs(rows) <= 2.0 * run.sigma_dh[None, :])
+
+
+def old_monte_carlo_run(spec, f_n, trials, seed, y, points_per_band, global_points):
+    """(error_std, covered) of the whole-grid Monte Carlo: one pass of trial blocks over every in-band point."""
+    sens = wordlength.in_band_sensitivity(spec, points_per_band=points_per_band, global_points=global_points)
+    bound = y * (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sens.s_t)
+    rows = old_mc_delta_h(spec, f_n, trials, seed, sens.freqs)
+    count, mean, m2, covered = 0, 0.0, 0.0, 0
+    starts = list(range(0, trials, wordlength._MC_TRIAL_BLOCK))
+    if len(starts) > 1 and trials - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [trials]):
+        block = rows[lo:hi]
+        b = len(block)
+        b_mean = block.mean(axis=0)
+        b_m2 = ((block - b_mean) ** 2).sum(axis=0)
+        delta = b_mean - mean
+        mean = mean + delta * (b / (count + b))
+        m2 = m2 + b_m2 + delta ** 2 * (count * b / (count + b))
+        count += b
+        covered += int(np.count_nonzero(np.abs(block) <= bound))
+    return np.sqrt(m2 / count), covered
+
+
+MC_SPLITS = [(16, -1, 64), (64, 1, 256), (64, 5, 256), (256, 3, 512), (256, 7, 512)]
+# (points_per_band, global_points) per D: 1735, 2331 and 2430 in-band points,
+# so that tiles of 300 and 1024 leave no tile under 200 columns
+MC_GRIDS = {16: (97, 4096), 64: (65, 1024), 256: (17, 512)}
+
+
+@pytest.mark.parametrize("D,pp,rho", MC_SPLITS, ids=[f"D{D}-pp{pp}" for D, pp, _ in MC_SPLITS])
+def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
+    spec = spec_of(D, pp, rho)
+    grid = MC_GRIDS[D]
+    std, covered = old_monte_carlo_run(spec, 9, 129, 4, 2.0, *grid)  # trial blocks of 64 and 65
+    nf = len(std)
+    tiles = []
+    tile_delta_h = wordlength._mc_delta_h
+
+    def recording(*args):  # (spec, f_n, draws, freqs of one tile)
+        tiles.append(len(args[-1]))
+        return tile_delta_h(*args)
+
+    monkeypatch.setattr(wordlength, "_mc_delta_h", recording)
+    join = (nf - 100) // 2  # three tiles, the last of about 100 columns, which joins the second
+    for size in (join, 300, 1024, nf):
+        tiles.clear()
+        monkeypatch.setattr(wordlength, "_FREQ_BLOCK", size)
+        run = wordlength.monte_carlo_run(spec, 9, 129, 4, 2.0, points_per_band=grid[0], global_points=grid[1])
+        if size == join:
+            assert tiles == [join, nf - join]
+        assert sum(tiles) == nf
+        # narrower products go through gemv or OpenBLAS's small-matrix path,
+        # whose rounding is not the whole product's
+        assert min(tiles) >= 200
+        assert np.array_equal(run.error_std, std)
+        assert run.covered == covered
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
@@ -289,3 +350,49 @@ def test_sensitivity_csv_matches_separate_evaluation(tmp_path, D, pp, rho, norma
     assert cli.cmd_sensitivity(cfg) == 0
     old_cmd_sensitivity_csv(cfg, tmp_path / "old.csv")
     assert (tmp_path / "sensitivity.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def old_write_columns(path, columns):
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*values))
+
+
+def test_write_columns_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)
+    x[:8] = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1.0]
+    columns = {"freq": np.linspace(0.0, 0.5, 500), "value": x,
+               "in_band": rng.integers(0, 2, 500), "index": np.arange(500)}
+    write_columns(tmp_path / "new.csv", columns)
+    old_write_columns(tmp_path / "old.csv", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def old_comparison_csv(cfg, path):
+    """comparison.csv as written with the grid magnitudes recomputed per band."""
+    spec = cfg.spec()
+    bands = folding_bands(spec.D, spec.f_c)
+    gcf = spectral.response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
+    comb = spectral.response_grid(CombSpec(D=spec.D, n_c=cfg.comb_order), bands,
+                                  cfg.points_per_band, cfg.global_points)
+    with open(path, "w") as fh:
+        fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
+        for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(gcf.freqs)), start=1):
+            att_g = -20 * np.log10(max(np.max(gcf.magnitude[m]), 1e-15))
+            att_c = -20 * np.log10(max(np.max(comb.magnitude[m]), 1e-15))
+            row = (i, lo, hi, att_c, att_g, att_g - att_c)
+            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
+
+
+@pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256), (256, 7, 512)], ids=["D16-pp-1", "D64-pp1", "D256-pp7"])
+def test_comparison_csv_matches_per_band_magnitudes(tmp_path, D, pp, rho):
+    cfg = cli.DesignConfig(
+        decimation_factor=D, pp_split=pp, oversampling_ratio=rho,
+        points_per_band=17, global_points=512, output_dir=str(tmp_path),
+    )
+    assert cli.cmd_compare(cfg) == 0
+    old_comparison_csv(cfg, tmp_path / "old.csv")
+    assert (tmp_path / "comparison.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

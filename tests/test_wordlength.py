@@ -25,6 +25,7 @@ from gcfkit import wordlength
 from gcfkit.filters import polyphase_impulse
 from gcfkit.wordlength import (
     _mc_delta_h,
+    _mc_draws,
     _stage_magnitude,
     _quantized_multiplier_sets,
     _response_from_multipliers,
@@ -57,6 +58,10 @@ class TestYFromP:
     def test_roundtrip(self):
         for y in (0.5, 1.0, 2.0, 3.1):
             assert y_from_p(math.erf(y / math.sqrt(2))) == pytest.approx(y, abs=1e-9)
+
+    def test_prob_next_to_one(self):
+        # (1 + prob) / 2 rounds to 1 here; erfc(y / sqrt(2)) = 1.1e-16 at y = 8.29
+        assert y_from_p(math.nextafter(1.0, 0.0)) == pytest.approx(8.2924, abs=1e-3)
 
 
 class TestToleranceSpec:
@@ -289,7 +294,7 @@ class TestQuantizationErrorResponse:
 
 
 def mc_rows(spec, f_n, trials, seed, freqs):
-    return np.vstack(list(_mc_delta_h(spec, f_n, trials, seed, freqs)))
+    return np.vstack(list(_mc_delta_h(spec, f_n, _mc_draws(spec, f_n, trials, seed), freqs)))
 
 
 class TestMonteCarlo:
@@ -346,6 +351,18 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < trials * nf * 8 / 4
+
+    def test_memory_does_not_grow_with_grid_times_taps(self):
+        s = GcfSpec.from_oversampling(256, 512, p_p=7)
+        nf = len(wordlength.in_band_sensitivity(s).freqs)
+        n_taps = 3 * s.D1 - 2
+        tracemalloc.start()
+        try:
+            monte_carlo_run(s, 16, 64, 1, y=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nf * n_taps * 16 / 4
 
     def test_one_run_gives_std_and_coverage(self):
         run = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0)
