@@ -41,7 +41,7 @@ from .wordlength import (
     WordLengthReport,
     cascade_derivative_magnitudes,
     design_wordlengths,
-    fractional_bits,
+    in_band_sensitivity,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,

@@ -313,6 +313,7 @@ def cmd_simulate(cfg: DesignConfig) -> int:
     spec = cfg.spec()
     tol = cfg.tolerance()
     outdir = cfg.output_dir
+    _write_config_echo(cfg, outdir)
     report = _design(cfg, spec, tol)
     fmt = FixedPointFormat(i_n=report.i_n_k, f_n=report.f_n)
     sd_cfg = SdConfig(
@@ -321,7 +322,6 @@ def cmd_simulate(cfg: DesignConfig) -> int:
     )
     run = run_experiment(sd_cfg, spec, fmt, segment=cfg.segment, overlap_fraction=cfg.overlap)
     export_run(run, outdir)
-    _write_config_echo(cfg, outdir)
     edge = spec.f_c * spec.D
     print(f"decimated {len(run.bitstream)} -> {len(run.decimated)} samples; "
           f"useful band edge {edge:.4f}; overloads {run.overload_count}")

@@ -4,7 +4,9 @@ fixed-point GCF cascade, Welch spectra.
 The modulator is the standard double-integrator feedback loop with a 2-level
 quantizer (both feedback taps unity), giving (1 - z^-1)**2 noise shaping.
 All processing runs in normalized frequency; a physical sampling rate is
-carried as metadata only.
+carried as metadata only.  Every stage walks the signal in blocks of
+_SAMPLE_BLOCK samples, so only the test signal (8 B/sample) and the int8
+bitstream (1 B/sample) span the whole run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .wordlength import FixedPointFormat, quantize_coefficients
 OVERLOAD_LIMIT = 2.0
 
 GENERATOR_TAPS = 1025
+
+# Samples per block in every stage of the experiment.
+_SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,15 +87,21 @@ def generate_bandlimited_signal(cfg: SdConfig) -> np.ndarray:
     fx_ratio (1025 taps); deterministic given cfg.seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    white = rng.standard_normal(cfg.n_samples + GENERATOR_TAPS - 1)
     k = np.arange(GENERATOR_TAPS) - (GENERATOR_TAPS - 1) / 2.0
     taps = 2.0 * cfg.fx_ratio * np.sinc(2.0 * cfg.fx_ratio * k) * np.hanning(GENERATOR_TAPS)
-    x = np.convolve(white, taps, mode="valid")
-    peak = float(np.max(np.abs(x)))
+    x = np.empty(cfg.n_samples)
+    # the noise is drawn in blocks from one stream; each block's "valid"
+    # convolution starts on the last GENERATOR_TAPS - 1 draws of the one before
+    white = rng.standard_normal(GENERATOR_TAPS - 1)
+    for start in range(0, cfg.n_samples, _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, cfg.n_samples)
+        white = np.concatenate((white[-(GENERATOR_TAPS - 1):], rng.standard_normal(stop - start)))
+        x[start:stop] = np.convolve(white, taps, mode="valid")
+    peak = max(float(x.max()), -float(x.min()))
     if peak > 0.0:
-        x = x * (cfg.amplitude / peak)
+        x *= cfg.amplitude / peak
     else:
-        x = np.zeros_like(x)
+        x.fill(0.0)
     return x
 
 
@@ -106,20 +117,24 @@ def sd_modulate(x) -> ModulatorResult:
     States are bounded for |x| <= 0.8; quantizer inputs beyond the
     no-overload range are counted, never raised.
     """
+    x = np.asarray(x, dtype=float)
+    bits = np.empty(len(x), dtype=np.int8)
     v1 = 0.0
     v2 = 0.0
     y_prev = 0.0
     overload = 0
     limit = OVERLOAD_LIMIT
-    out = []
-    for x_n in np.asarray(x, dtype=float).tolist():
-        v1 += x_n - y_prev
-        v2 += v1 - y_prev
-        if v2 > limit or v2 < -limit:
-            overload += 1
-        y_prev = 1.0 if v2 >= 0.0 else -1.0
-        out.append(y_prev)
-    return ModulatorResult(bits=np.array(out, dtype=np.int8), overload_count=overload)
+    for start in range(0, len(x), _SAMPLE_BLOCK):
+        out = []
+        for x_n in x[start:start + _SAMPLE_BLOCK].tolist():
+            v1 += x_n - y_prev
+            v2 += v1 - y_prev
+            if v2 > limit or v2 < -limit:
+                overload += 1
+            y_prev = 1.0 if v2 >= 0.0 else -1.0
+            out.append(y_prev)
+        bits[start:start + len(out)] = out
+    return ModulatorResult(bits=bits, overload_count=overload)
 
 
 def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.ndarray:
@@ -129,7 +144,10 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
     r_k rounded to fmt.f_n fraction bits, accumulates exactly in integers
     (fraction bits grow by f_n per stage, no truncation), checks the result
     against the sized integer width, and keeps the even samples.  The final
-    output is scaled by h_o in floating point.  An input sample with
+    output is scaled by h_o in floating point.  The input runs through in
+    blocks, each stage carrying its last 3 inputs across them; an overflow
+    names the lowest stage that overflows anywhere in the signal, with that
+    stage's peak over the whole signal.  An input sample with
     |x| >= 2**fmt.i_n[0] does not fit stage 0's register and raises
     StageOverflowError for stage 0.
     """
@@ -151,22 +169,35 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
         raise StageOverflowError(0, float(peak_in), float(1 << fmt.i_n[0]))
     r_q = quantize_coefficients(np.asarray(stage_coefficients(spec).r), f_n)
     r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
-    v = x.astype(np.int64)
-    shift = 0
-    for k in range(spec.p):
-        x1 = np.concatenate((np.zeros(1, np.int64), v))[: len(v)]
-        x2 = np.concatenate((np.zeros(2, np.int64), v))[: len(v)]
-        x3 = np.concatenate((np.zeros(3, np.int64), v))[: len(v)]
-        v = (v << f_n) + r_int[k] * (x1 + x2) + (x3 << f_n)
-        shift += f_n
-        peak = int(np.max(np.abs(v))) if len(v) else 0
-        limit = 1 << (fmt.i_n[k] + shift)
-        if peak >= limit:
-            raise StageOverflowError(k, peak / 2.0 ** shift, float(1 << fmt.i_n[k]))
-        v = v[::2]
+    limits = [1 << (fmt.i_n[k] + (k + 1) * f_n) for k in range(spec.p)]
+    peaks = [0] * spec.p
+    history = [np.zeros(3, np.int64)] * spec.p  # each stage's last 3 inputs
+    # lowest stage that has overflowed so far: its peak stays over the limit, so every
+    # later block stops there too, before the stages above it could wrap int64
+    over = spec.p
     h_o = normalization_gain(spec).h_o
-    out = v.astype(float) * (2.0 ** -shift) * h_o
-    return out[: n_in // spec.D]
+    out = np.empty(n_in // spec.D)
+    # blocks are a multiple of D long, so each stage keeps the even samples of the whole signal
+    block = max(_SAMPLE_BLOCK // spec.D, 1) * spec.D
+    for start in range(0, n_in, block):
+        v = x[start:start + block].astype(np.int64)
+        for k in range(spec.p):
+            n = len(v)
+            ext = np.concatenate((history[k], v))
+            history[k] = ext[n:]
+            v = (v << f_n) + r_int[k] * (ext[2:n + 2] + ext[1:n + 1]) + (ext[:n] << f_n)
+            peaks[k] = max(peaks[k], int(np.max(np.abs(v))))
+            if peaks[k] >= limits[k]:
+                over = k
+                break
+            v = v[::2]
+        if over == spec.p:
+            o = start // spec.D
+            v = v[: len(out) - o]
+            out[o:o + len(v)] = v.astype(float) * (2.0 ** -(spec.p * f_n)) * h_o
+    if over < spec.p:
+        raise StageOverflowError(over, peaks[over] / 2.0 ** ((over + 1) * f_n), float(1 << fmt.i_n[over]))
+    return out
 
 
 def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
@@ -178,7 +209,7 @@ def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
     |rfft|**2 / sum(window**2), doubled at every bin but DC and Nyquist,
     are averaged.  Returns (frequencies in cycles/sample, psd).
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if segment < 2:
         raise ParameterError(f"segment must be >= 2 samples, got {segment}")
     if segment > len(x):
@@ -188,10 +219,17 @@ def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
     step = segment - int(segment * overlap_fraction)
     segs = np.lib.stride_tricks.sliding_window_view(x, segment)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
-    power = np.abs(np.fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * window, axis=1)) ** 2
-    power /= np.sum(window ** 2)
-    power[:, 1:(None if segment % 2 else -1)] *= 2.0
-    return np.fft.rfftfreq(segment), power.mean(axis=0)
+    total = np.zeros(segment // 2 + 1)
+    # 64 segments are made float at a time; the periodograms are summed one
+    # by one in segment order, the order of mean(axis=0)
+    for first in range(0, len(segs), 64):
+        chunk = np.asarray(segs[first:first + 64], dtype=float)
+        power = np.abs(np.fft.rfft((chunk - chunk.mean(axis=1, keepdims=True)) * window, axis=1)) ** 2
+        power /= np.sum(window ** 2)
+        power[:, 1:(None if segment % 2 else -1)] *= 2.0
+        for row in power:
+            total += row
+    return np.fft.rfftfreq(segment), total / len(segs)
 
 
 def run_experiment(
@@ -211,7 +249,7 @@ def run_experiment(
     x = generate_bandlimited_signal(cfg)
     mod = sd_modulate(x)
     decimated = decimate_fixed_point(mod.bits, spec, fmt)
-    psd_in = welch_psd(mod.bits.astype(float), segment, overlap_fraction)
+    psd_in = welch_psd(mod.bits, segment, overlap_fraction)
     psd_out = welch_psd(decimated, min(segment, len(decimated)), overlap_fraction)
     return SimulationRun(
         config=cfg, spec=spec.as_dict(), fmt=fmt,
@@ -244,8 +282,7 @@ def export_run(run: SimulationRun, outdir) -> None:
     with open(os.path.join(outdir, "config.json"), "w") as fh:
         json.dump(provenance, fh, indent=2)
         fh.write("\n")
-    raw = ((run.bitstream.astype(np.int16) + 1) // 2).astype(np.uint8)
-    raw.tofile(os.path.join(outdir, "bitstream.bin"))
+    (run.bitstream > 0).astype(np.uint8).tofile(os.path.join(outdir, "bitstream.bin"))
     write_columns(os.path.join(outdir, "decimated.csv"),
                   {"index": np.arange(len(run.decimated)), "value": run.decimated})
     _psd_to_csv(os.path.join(outdir, "psd_in.csv"), *run.psd_in)

@@ -119,7 +119,13 @@ class SensitivityResult:
     n_multipliers: int
 
     def fraction_bits(self, tol: ToleranceSpec) -> FractionalBitsResult:
-        """F_n of tol over these frequencies, as in fractional_bits."""
+        """Fraction bits needed to hold |d|H|| <= chi over these frequencies.
+
+        F_n = ceil(-log2(sqrt(12) * min chi / (y sqrt(S_T)))); the minimum is
+        searched on the grid points (the folding bands are narrow and S_T is
+        smooth, so grid search at the default density is reliable).  The
+        frequency achieving the minimum is reported as binding_freq.
+        """
         st = self.s_t
         if np.all(st <= 0.0):
             raise InternalError("S_T vanished identically over the folding bands")
@@ -308,26 +314,6 @@ def in_band_sensitivity(
     if not np.any(mask):
         raise ParameterError("frequency grid has no in-band points")
     return sensitivity(spec, freqs[mask], normalized=normalized)
-
-
-def fractional_bits(
-    spec: GcfSpec,
-    tol: ToleranceSpec,
-    bands: FoldingBandSet | None = None,
-    freqs: np.ndarray | None = None,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-    normalized: bool = True,
-) -> FractionalBitsResult:
-    """Fraction bits needed to hold |d|H|| <= chi over the folding bands.
-
-    F_n = ceil(-log2(sqrt(12) * min_FB chi / (y sqrt(S_T)))); the minimum is
-    searched on the in-band grid points (the bands are narrow and S_T is
-    smooth, so grid search at the default density is reliable).  The
-    frequency achieving the minimum is reported as binding_freq.
-    """
-    sens = in_band_sensitivity(spec, bands, freqs, points_per_band, global_points, normalized)
-    return sens.fraction_bits(tol)
 
 
 def integer_bits(spec: GcfSpec, input_width: int) -> IntegerSizing:

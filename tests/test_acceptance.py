@@ -36,8 +36,8 @@ from gcfkit import (
     design_wordlengths,
     expand_full_polynomial,
     folding_bands,
-    fractional_bits,
     grid_frequencies,
+    in_band_sensitivity,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,
@@ -96,9 +96,9 @@ def fn_table():
             for chi in SWEEP_CHIS:
                 for y in (2.0, 1.63):
                     tol = ToleranceSpec.from_y(chi, y)
-                    table[(D, pp, chi, y)] = fractional_bits(
-                        spec, tol, bands=bands, freqs=freqs
-                    ).f_n
+                    table[(D, pp, chi, y)] = in_band_sensitivity(
+                        spec, bands=bands, freqs=freqs
+                    ).fraction_bits(tol).f_n
     return table, time.perf_counter() - t0
 
 

@@ -152,6 +152,18 @@ def test_validate_memory_does_not_grow_with_grid_times_taps(tmp_path):
     assert rss < 200
 
 
+def test_simulate_memory_does_not_grow_with_whole_signal_temporaries(tmp_path):
+    # 2**22 modulator samples: whole-signal temporaries at 64 B/sample peaked at 299 MB
+    code, rss = gcfkit_peak_rss(
+        ["simulate", "--decimation-factor", "16", "--oversampling-ratio", "64",
+         "--chi", "1e-4", "--y", "2", "--input-width", "1", "--n-samples", "4194304",
+         "--output-dir", str(tmp_path / "out")],
+        tmp_path,
+    )
+    assert code == 0, (tmp_path / "cli.log").read_text()
+    assert rss < 150
+
+
 class TestSimulate:
     def test_small_run(self, tmp_path, capsys):
         cfg = write_config(
@@ -197,6 +209,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, oversampling_ratio=128, n_samples=2 ** 12)
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert "stage 2" in capsys.readouterr().err
+        assert (tmp_path / "out" / "resolved_config.json").exists()
 
     @pytest.mark.parametrize("segment", ["0", "-5", "1"])
     def test_short_segment_is_config_error(self, tmp_path, capsys, segment):

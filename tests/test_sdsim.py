@@ -12,11 +12,14 @@ from gcfkit import (
     export_run,
     generate_bandlimited_signal,
     integer_bits,
+    normalization_gain,
+    quantize_coefficients,
     run_experiment,
     sd_modulate,
     stage_coefficients,
     welch_psd,
 )
+from gcfkit import sdsim
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 128)  # simulation setup: f_c = 1/256
 
@@ -273,3 +276,146 @@ class TestExperiment:
         export_run(self.make_run(), d2)
         for name in ("bitstream.bin", "decimated.csv", "psd_in.csv", "psd_out.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# Frozen oracles: the experiment's stages as written when each one held the
+# whole signal at once.  The modulator's oracle is old_sd_modulate above.
+
+def whole_signal_generator(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    white = rng.standard_normal(cfg.n_samples + sdsim.GENERATOR_TAPS - 1)
+    k = np.arange(sdsim.GENERATOR_TAPS) - (sdsim.GENERATOR_TAPS - 1) / 2.0
+    taps = 2.0 * cfg.fx_ratio * np.sinc(2.0 * cfg.fx_ratio * k) * np.hanning(sdsim.GENERATOR_TAPS)
+    x = np.convolve(white, taps, mode="valid")
+    peak = float(np.max(np.abs(x)))
+    if peak > 0.0:
+        x = x * (cfg.amplitude / peak)
+    else:
+        x = np.zeros_like(x)
+    return x
+
+
+def whole_signal_decimator(bitstream, spec, fmt):
+    x = np.asarray(bitstream)
+    n_in = len(x)
+    f_n = fmt.f_n
+    peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
+    if peak_in >= 1 << fmt.i_n[0]:
+        raise StageOverflowError(0, float(peak_in), float(1 << fmt.i_n[0]))
+    r_q = quantize_coefficients(np.asarray(stage_coefficients(spec).r), f_n)
+    r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
+    v = x.astype(np.int64)
+    shift = 0
+    for k in range(spec.p):
+        x1 = np.concatenate((np.zeros(1, np.int64), v))[: len(v)]
+        x2 = np.concatenate((np.zeros(2, np.int64), v))[: len(v)]
+        x3 = np.concatenate((np.zeros(3, np.int64), v))[: len(v)]
+        v = (v << f_n) + r_int[k] * (x1 + x2) + (x3 << f_n)
+        shift += f_n
+        peak = int(np.max(np.abs(v))) if len(v) else 0
+        limit = 1 << (fmt.i_n[k] + shift)
+        if peak >= limit:
+            raise StageOverflowError(k, peak / 2.0 ** shift, float(1 << fmt.i_n[k]))
+        v = v[::2]
+    h_o = normalization_gain(spec).h_o
+    out = v.astype(float) * (2.0 ** -shift) * h_o
+    return out[: n_in // spec.D]
+
+
+def whole_signal_welch(x, segment, overlap_fraction):
+    x = np.asarray(x, dtype=float)
+    step = segment - int(segment * overlap_fraction)
+    segs = np.lib.stride_tricks.sliding_window_view(x, segment)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
+    power = np.abs(np.fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * window, axis=1)) ** 2
+    power /= np.sum(window ** 2)
+    power[:, 1:(None if segment % 2 else -1)] *= 2.0
+    return np.fft.rfftfreq(segment), power.mean(axis=0)
+
+
+# 1,000 is not a multiple of D, 4,096 is, and 2**20 holds every signal in one block
+@pytest.fixture(params=[1000, 4096, 1 << 20])
+def sample_block(request, monkeypatch):
+    monkeypatch.setattr(sdsim, "_SAMPLE_BLOCK", request.param)
+    return request.param
+
+
+class TestBlockedMatchesWholeSignal:
+    @pytest.mark.parametrize("n", [1, 999, 10007])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5])
+    def test_generator(self, sample_block, n, amplitude):
+        cfg = SdConfig(fx_ratio=1 / 256, amplitude=amplitude, n_samples=n, seed=11)
+        assert np.array_equal(generate_bandlimited_signal(cfg), whole_signal_generator(cfg))
+
+    @pytest.mark.parametrize("gain", [1.0, 3.0])  # 3.0 overloads the quantizer
+    def test_modulator(self, sample_block, gain):
+        x = gain * whole_signal_generator(SdConfig(fx_ratio=1 / 256, n_samples=10007, seed=4))
+        res = sd_modulate(x)
+        bits, overload = old_sd_modulate(x)
+        assert res.bits.dtype == np.int8
+        assert np.array_equal(res.bits, bits)
+        assert res.overload_count == overload
+        if gain > 1.0:
+            assert overload > 0
+
+    @pytest.mark.parametrize("D", [2, 16, 64])
+    @pytest.mark.parametrize("n", [64, 1001, 10007])
+    def test_decimator(self, sample_block, D, n):
+        spec = GcfSpec.from_oversampling(D, 2 * D)
+        fmt = FixedPointFormat(i_n=integer_bits(spec, 1).i_n, f_n=7)
+        bits = np.where(np.random.default_rng(n + D).random(n) < 0.5, -1, 1).astype(np.int8)
+        assert np.array_equal(decimate_fixed_point(bits, spec, fmt), whole_signal_decimator(bits, spec, fmt))
+
+    def test_experiment(self, sample_block):
+        cfg = SdConfig(fx_ratio=1 / 256, n_samples=10007, seed=5)
+        run = run_experiment(cfg, PAPER_SPEC, paper_format(), segment=1001, overlap_fraction=0.9)
+        x = whole_signal_generator(cfg)
+        bits, overload = old_sd_modulate(x)
+        decimated = whole_signal_decimator(bits, PAPER_SPEC, paper_format())
+        assert np.array_equal(run.bitstream, bits)
+        assert run.overload_count == overload
+        assert np.array_equal(run.decimated, decimated)
+        for got, want in ((run.psd_in, whole_signal_welch(bits, 1001, 0.9)),
+                          (run.psd_out, whole_signal_welch(decimated, 625, 0.9))):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("segment,overlap", [(1001, 0.9), (256, 0.5), (2048, 0.0)])
+def test_welch_segment_chunks_match_whole_signal(segment, overlap):
+    # several hundred segments, so the 64-segment chunks end mid-signal
+    rng = np.random.default_rng(segment)
+    bits = np.where(rng.random(30011) < 0.5, -1, 1).astype(np.int8)
+    noise = rng.standard_normal(30011)
+    for x in (bits, noise):
+        f, psd = welch_psd(x, segment, overlap)
+        f_ref, psd_ref = whole_signal_welch(x, segment, overlap)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(psd, psd_ref)
+
+
+# Stage 2 (8 integer bits) overflows on the +/-1 noise in the first block; a
+# burst of 7s in a later block overflows stage 0 (4 bits) or stage 1 (7 bits)
+# as well.  The error must name the lowest stage with its peak over the whole
+# signal, as the whole-signal decimator does.
+@pytest.mark.parametrize("i_n,burst_start,lowest", [
+    ((4, 12, 8, 20), 1500, 0),
+    ((4, 12, 8, 20), 2990, 0),
+    ((12, 7, 8, 20), 1500, 1),
+    ((12, 12, 8, 20), 1500, 2),
+])
+def test_overflow_names_lowest_stage_over_all_blocks(monkeypatch, i_n, burst_start, lowest):
+    monkeypatch.setattr(sdsim, "_SAMPLE_BLOCK", 1000)
+    fmt = FixedPointFormat(i_n=i_n, f_n=7)
+    x = np.where(np.random.default_rng(3).random(3000) < 0.5, -1, 1).astype(np.int8)
+    x[burst_start:burst_start + 8] = 7
+    with pytest.raises(StageOverflowError) as first_block:
+        whole_signal_decimator(x[:992], PAPER_SPEC, fmt)
+    assert first_block.value.stage == 2
+    with pytest.raises(StageOverflowError) as want:
+        whole_signal_decimator(x, PAPER_SPEC, fmt)
+    with pytest.raises(StageOverflowError) as got:
+        decimate_fixed_point(x, PAPER_SPEC, fmt)
+    assert want.value.stage == lowest
+    assert (got.value.stage, got.value.value, got.value.limit) == (
+        want.value.stage, want.value.value, want.value.limit)

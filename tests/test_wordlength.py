@@ -12,7 +12,7 @@ from gcfkit import (
     cascade_derivative_magnitudes,
     design_wordlengths,
     folding_bands,
-    fractional_bits,
+    in_band_sensitivity,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,
@@ -203,29 +203,31 @@ class TestSensitivity:
 
 class TestFractionalBits:
     def test_paper_design_point(self):
-        res = fractional_bits(PAPER_SPEC, PAPER_TOL)
+        res = in_band_sensitivity(PAPER_SPEC).fraction_bits(PAPER_TOL)
         assert res.f_n == 7
         fb = folding_bands(16, 1 / 128)
         assert fb.contains(np.array([res.binding_freq]))[0]
 
     def test_halving_chi_adds_one_bit(self):
-        base = fractional_bits(PAPER_SPEC, PAPER_TOL).f_n
-        halved = fractional_bits(PAPER_SPEC, ToleranceSpec.from_y(0.5e-4, 2.0)).f_n
+        sens = in_band_sensitivity(PAPER_SPEC)
+        base = sens.fraction_bits(PAPER_TOL).f_n
+        halved = sens.fraction_bits(ToleranceSpec.from_y(0.5e-4, 2.0)).f_n
         assert halved == base + 1
 
     def test_non_decreasing_in_polyphase_share(self):
         fns = []
         for p_p in range(-1, 4):
             s = spec_for(16, p_p=p_p)
-            fns.append(fractional_bits(s, PAPER_TOL).f_n)
+            fns.append(in_band_sensitivity(s).fraction_bits(PAPER_TOL).f_n)
         assert fns == sorted(fns)
 
     def test_monotone_in_chi_and_y(self):
+        sens = in_band_sensitivity(PAPER_SPEC)
         for chi_lo, chi_hi in ((1e-4, 5e-4), (1e-3, 5e-3)):
-            assert (fractional_bits(PAPER_SPEC, ToleranceSpec.from_y(chi_lo, 2.0)).f_n
-                    >= fractional_bits(PAPER_SPEC, ToleranceSpec.from_y(chi_hi, 2.0)).f_n)
-        assert (fractional_bits(PAPER_SPEC, ToleranceSpec.from_y(1e-4, 2.0)).f_n
-                >= fractional_bits(PAPER_SPEC, ToleranceSpec.from_y(1e-4, 1.63)).f_n)
+            assert (sens.fraction_bits(ToleranceSpec.from_y(chi_lo, 2.0)).f_n
+                    >= sens.fraction_bits(ToleranceSpec.from_y(chi_hi, 2.0)).f_n)
+        assert (sens.fraction_bits(ToleranceSpec.from_y(1e-4, 2.0)).f_n
+                >= sens.fraction_bits(ToleranceSpec.from_y(1e-4, 1.63)).f_n)
 
 
 class TestIntegerBits:
