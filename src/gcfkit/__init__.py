@@ -7,16 +7,12 @@ from .errors import (
     StageOverflowError,
 )
 from .filters import (
-    CascadeCoefficients,
     CombSpec,
     GcfSpec,
-    NormalizationGain,
-    PolyphaseBank,
     comb_coefficients,
     compute_alpha,
     expand_full_polynomial,
     normalization_gain,
-    polyphase_decompose,
     polyphase_impulse,
     stage_coefficients,
 )
@@ -34,7 +30,6 @@ from .wordlength import (
     ErrorStats,
     FixedPointFormat,
     FractionalBitsResult,
-    IntegerSizing,
     MonteCarloRun,
     SensitivityResult,
     ToleranceSpec,

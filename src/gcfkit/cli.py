@@ -87,6 +87,10 @@ class DesignConfig:
     def __post_init__(self):
         if self.points_per_band < 2:
             raise ParameterError(f"points_per_band must be >= 2, got {self.points_per_band}")
+        if self.global_points < 0:
+            raise ParameterError(f"global_points must be >= 0, got {self.global_points}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def spec(self) -> GcfSpec:
         if self.signal_bandwidth is not None:
@@ -111,16 +115,36 @@ class DesignConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _field_type(f) -> type:
+    """Type of a DesignConfig field from its annotation: "float | None" gives float."""
+    return {"int": int, "float": float, "str": str, "bool": bool}[f.type.split(" | ")[0]]
+
+
+def _check_json_value(f, value) -> None:
+    """Reject a JSON value of the wrong type: an int passes for a float, a bool only for a bool."""
+    kind = _field_type(f)
+    if value is None:
+        ok = f.type.endswith(" | None")
+    elif isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, kind) or (kind is float and isinstance(value, int))
+    if not ok:
+        raise ParameterError(f"config key {f.name!r} expects {f.type}, got {value!r}")
+
+
 def load_config(path: str | None, overrides: dict) -> DesignConfig:
-    """JSON config plus overrides; unknown keys are rejected."""
-    known = {f.name for f in fields(DesignConfig)}
+    """JSON config plus overrides; unknown keys and mistyped values are rejected."""
+    known = {f.name: f for f in fields(DesignConfig)}
     merged: dict = {}
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        unknown = set(data) - known
+        unknown = set(data) - set(known)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            _check_json_value(known[name], value)
         merged.update(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return DesignConfig(**merged)
@@ -176,19 +200,19 @@ def cmd_design(cfg: DesignConfig, sweep_splits: bool = False) -> int:
         _write_fn_sweep(cfg, outdir)
     report = _design(cfg, spec, tol)
     report.to_json(os.path.join(outdir, "report.json"))
-    r = np.asarray(stage_coefficients(spec).r)
-    bank = polyphase_impulse(spec)
+    r = np.asarray(stage_coefficients(spec))
+    h_p = polyphase_impulse(spec)
     coefficients_to_csv(os.path.join(outdir, "cascade_exact.csv"), r)
     coefficients_to_csv(os.path.join(outdir, "cascade_quantized.csv"), quantize_coefficients(r, report.f_n))
-    coefficients_to_csv(os.path.join(outdir, "bank_exact.csv"), bank.h_p)
+    coefficients_to_csv(os.path.join(outdir, "bank_exact.csv"), h_p)
     coefficients_to_csv(
         os.path.join(outdir, "bank_quantized.csv"),
-        quantize_coefficients(bank.h_p / bank.h_p.sum(), report.f_n),
+        quantize_coefficients(h_p / h_p.sum(), report.f_n),
     )
     coefficients_to_json(
         os.path.join(outdir, "coefficients.json"), spec,
         cascade=r, cascade_quantized=quantize_coefficients(r, report.f_n),
-        bank=bank.h_p, expanded=expand_full_polynomial(spec),
+        bank=h_p, expanded=expand_full_polynomial(spec),
     )
     print(report.table())
     return EXIT_OK
@@ -258,7 +282,7 @@ def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(0.01, 0.49, size=50)
     analytic = cascade_derivative_magnitudes(caspec, freqs, normalized=False)
-    r = np.asarray(stage_coefficients(caspec).r)
+    r = np.asarray(stage_coefficients(caspec))
     ks = caspec.cascade_stages
     step = 1e-6
     worst = 0.0
@@ -364,8 +388,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         if f.name == "normalized":
             parser.add_argument("--unnormalized", action="store_const", const=False, dest="normalized")
         else:
-            kind = {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
-            parser.add_argument("--" + f.name.replace("_", "-"), type=kind, dest=f.name)
+            parser.add_argument("--" + f.name.replace("_", "-"), type=_field_type(f), dest=f.name)
 
 
 def build_parser(commands) -> argparse.ArgumentParser:

@@ -112,39 +112,6 @@ class CombSpec:
         return {"D": self.D, "n_c": self.n_c}
 
 
-@dataclass(frozen=True)
-class CascadeCoefficients:
-    """Per-stage multipliers r_k of the cascade, ascending k.
-
-    After commutation every stage runs at its own input rate with unit
-    delays; stage k's full-rate delay unit is 2**k.
-    """
-
-    r: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.r)
-
-
-@dataclass(frozen=True)
-class PolyphaseBank:
-    """Impulse response of the polyphase section and its D1 branches.
-
-    h_p has length L = 3*D1 - 2; branch k holds e_k(n) = h_p(D1*n + k),
-    zero-padded so all branches have ceil(L/D1) entries.
-    """
-
-    h_p: np.ndarray
-    branches: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class NormalizationGain:
-    """Scalar h_o making the DC gain of h_o * H_P * H_N exactly one."""
-
-    h_o: float
-
-
 def stage_multiplier(alpha: float, k: int) -> float:
     """Multiplier r_k = 1 + 2 cos(2**k alpha) of the full-rate stage k."""
     return 1.0 + 2.0 * math.cos((2.0 ** k) * alpha)
@@ -155,12 +122,14 @@ def stage_dc_gain(r) -> float:
     return np.prod(2.0 + 2.0 * np.asarray(r))
 
 
-def stage_coefficients(spec: GcfSpec) -> CascadeCoefficients:
+def stage_coefficients(spec: GcfSpec) -> tuple[float, ...]:
     """Cascade multipliers r_k = 1 + 2 cos(2**k alpha) for k = p_p+1 .. p-1.
 
-    p_p = p-1 yields a valid empty cascade (pure polyphase realization).
+    Ascending k: after commutation every stage runs at its own input rate
+    with unit delays, and stage k's full-rate delay unit is 2**k.  p_p = p-1
+    yields a valid empty cascade (pure polyphase realization).
     """
-    return CascadeCoefficients(r=tuple(stage_multiplier(spec.alpha, k) for k in spec.cascade_stages))
+    return tuple(stage_multiplier(spec.alpha, k) for k in spec.cascade_stages)
 
 
 def _xt_sequence(D1: int, alpha: float, length: int) -> np.ndarray:
@@ -177,8 +146,8 @@ def _xt_sequence(D1: int, alpha: float, length: int) -> np.ndarray:
     return x
 
 
-def polyphase_impulse(spec: GcfSpec) -> PolyphaseBank:
-    """Impulse response h_p of the polyphase section and its branches.
+def polyphase_impulse(spec: GcfSpec) -> np.ndarray:
+    """Impulse response h_p of the polyphase section.
 
     h_p(n), n in [0, 3*D1-3], is the triple modulated cumulative sum of the
     sparse 4-tap sequence x_t; evaluated as three successive modulated
@@ -198,24 +167,7 @@ def polyphase_impulse(spec: GcfSpec) -> PolyphaseBank:
     scale = max(np.max(np.abs(h.real)), 1.0)
     if residue > _REALNESS_TOL * scale:
         raise InternalError(f"polyphase impulse response not real: residue {residue:g}")
-    h_p = np.ascontiguousarray(h.real)
-    return PolyphaseBank(h_p=h_p, branches=tuple(polyphase_decompose(h_p, D1)))
-
-
-def polyphase_decompose(h_p: np.ndarray, D1: int) -> list[np.ndarray]:
-    """Split h_p into D1 branches e_k(n) = h_p(D1*n + k), zero-padded.
-
-    len(h_p) must be 3*D1 - 2.  Every branch gets ceil(L/D1) entries so
-    downstream consumers never deal with ragged banks.
-    """
-    h_p = np.asarray(h_p, dtype=float)
-    L = len(h_p)
-    if L != 3 * D1 - 2:
-        raise ParameterError(f"expected len(h_p) = 3*D1-2 = {3 * D1 - 2}, got {L}")
-    rows = -(-L // D1)
-    padded = np.zeros(rows * D1)
-    padded[:L] = h_p
-    return [padded[k::D1].copy() for k in range(D1)]
+    return np.ascontiguousarray(h.real)
 
 
 def expand_full_polynomial(spec: GcfSpec) -> np.ndarray:
@@ -225,7 +177,7 @@ def expand_full_polynomial(spec: GcfSpec) -> np.ndarray:
     the polyphase bank (already expressed in full-rate delays) is multiplied
     by every sparse cascade-stage factor.
     """
-    poly = polyphase_impulse(spec).h_p.astype(float)
+    poly = polyphase_impulse(spec)
     for k in spec.cascade_stages:
         r_k = stage_multiplier(spec.alpha, k)
         stage = np.zeros(3 * 2 ** k + 1)
@@ -237,13 +189,17 @@ def expand_full_polynomial(spec: GcfSpec) -> np.ndarray:
     return poly
 
 
-def normalization_gain(spec: GcfSpec) -> NormalizationGain:
-    """h_o = 1 / sum(expanded coefficients) = 1 / H(e^{j0})."""
-    total = float(np.sum(expand_full_polynomial(spec)))
+def normalization_gain(spec: GcfSpec) -> float:
+    """h_o = 1 / H(e^{j0}), making the DC gain of h_o * H_P * H_N exactly one.
+
+    By split invariance H is the product of the stages k = 0..p-1 at every
+    split, so its DC gain is prod(2 + 2 r_k) over all p stages.
+    """
+    total = float(stage_dc_gain([stage_multiplier(spec.alpha, k) for k in range(spec.p)]))
     if total <= 0.0:
         # cannot occur for alpha < pi/D
         raise InternalError(f"non-positive DC gain {total:g}")
-    return NormalizationGain(h_o=1.0 / total)
+    return 1.0 / total
 
 
 def comb_coefficients(comb: CombSpec) -> np.ndarray:

@@ -167,7 +167,7 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
     peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
     if peak_in >= 1 << fmt.i_n[0]:
         raise StageOverflowError(0, float(peak_in), float(1 << fmt.i_n[0]))
-    r_q = quantize_coefficients(np.asarray(stage_coefficients(spec).r), f_n)
+    r_q = quantize_coefficients(np.asarray(stage_coefficients(spec)), f_n)
     r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
     limits = [1 << (fmt.i_n[k] + (k + 1) * f_n) for k in range(spec.p)]
     peaks = [0] * spec.p
@@ -175,7 +175,7 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
     # lowest stage that has overflowed so far: its peak stays over the limit, so every
     # later block stops there too, before the stages above it could wrap int64
     over = spec.p
-    h_o = normalization_gain(spec).h_o
+    h_o = normalization_gain(spec)
     out = np.empty(n_in // spec.D)
     # blocks are a multiple of D long, so each stage keeps the even samples of the whole signal
     block = max(_SAMPLE_BLOCK // spec.D, 1) * spec.D

@@ -5,11 +5,11 @@ internally.  Responses of the linear-phase cascade are evaluated in product
 form, stage by stage, which stays finite at the in-band zeros; by split
 invariance that one stage kernel (stage_bracket, cascade_response) gives
 every cascade response and sensitivity in the toolkit.  The
-polyphase section is evaluated by reassembling its D1 branches, the
-architecture the paper evaluates; the reassembly runs over fixed blocks of
-frequencies spread across threads, so its memory does not grow with
-D1 x grid size, and its result is bit-identical to the plain per-branch
-loop.
+polyphase section is evaluated from its impulse response h_p by reassembling
+the D1 branches h_p(D1*n + k), the architecture the paper evaluates; the
+reassembly runs over fixed blocks of frequencies spread across threads, so
+its memory does not grow with D1 x grid size, and its result is
+bit-identical to the plain per-branch loop.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class FoldingBandSet:
     bands: tuple[tuple[float, float], ...]
 
     EDGE_EPS = 1e-12  # so that grid points at k/D +/- f_c count as in-band
-
-    @property
-    def k_m(self) -> int:
-        return len(self.bands)
 
     def band_masks(self, freqs: np.ndarray):
         """One boolean mask per band, each band widened by EDGE_EPS."""
@@ -156,13 +152,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _polyphase_response(f: np.ndarray, branches, D1: int) -> np.ndarray:
-    """H_P via the branch reassembly sum_k z^-k E_k(z^D1).
+def _polyphase_response(f: np.ndarray, h_p: np.ndarray, D1: int) -> np.ndarray:
+    """H_P via the branch reassembly sum_k z^-k E_k(z^D1), e_k(n) = h_p(D1*n + k).
 
-    Bit-identical to the per-branch loop
+    h_p is zero-padded to whole rows of D1, so every branch has as many
+    taps.  Bit-identical to the per-branch loop
 
         out = 0
-        for k, e_k in enumerate(branches):
+        for k in range(D1):
+            e_k = h_p[k::D1]
             out += exp(-j w k) * sum_n e_k(n) exp(-j w D1 n)
 
     with the sums in the same order: exp(-j w D1 n) is computed once per
@@ -174,7 +172,9 @@ def _polyphase_response(f: np.ndarray, branches, D1: int) -> np.ndarray:
     are a few (block x D1) arrays per thread.
     """
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    taps = np.array(branches)  # (D1, taps per branch)
+    padded = np.zeros(-(-len(h_p) // D1) * D1)
+    padded[:len(h_p)] = h_p
+    taps = padded.reshape(-1, D1).T  # (D1, taps per branch)
     delays = D1 * np.arange(taps.shape[1])
     k = np.arange(D1)
 
@@ -200,19 +200,17 @@ def gcf_response(spec: GcfSpec, f, normalized: bool = False) -> complex | np.nda
     """Complex GCF response H_P * H_N at f (cycles/sample).
 
     The cascade part uses the closed-form stage product; the polyphase part
-    is evaluated from the reassembled branches (blocked over frequencies,
+    is evaluated from the reassembled branches of h_p (blocked over frequencies,
     threaded, and bit-identical to the per-branch loop; see
     _polyphase_response).  With normalized set the result is scaled by h_o
     (unity DC gain).
     """
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    cascade = stage_coefficients(spec)
-    out = cascade_response(f_arr, spec.cascade_stages, cascade.r)
+    out = cascade_response(f_arr, spec.cascade_stages, stage_coefficients(spec))
     if spec.D1 > 1:
-        bank = polyphase_impulse(spec)
-        out = out * _polyphase_response(f_arr, bank.branches, spec.D1)
+        out = out * _polyphase_response(f_arr, polyphase_impulse(spec), spec.D1)
     if normalized:
-        out = out * normalization_gain(spec).h_o
+        out = out * normalization_gain(spec)
     return out if np.ndim(f) else complex(out[0])
 
 

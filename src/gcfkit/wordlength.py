@@ -106,7 +106,6 @@ class ToleranceSpec:
 class FractionalBitsResult:
     f_n: int
     binding_freq: float
-    s_t_max: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ class SensitivityResult:
             ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
         idx = int(np.argmin(ratio))
         f_n = int(math.ceil(-math.log2(math.sqrt(12.0) * ratio[idx])))
-        return FractionalBitsResult(f_n=f_n, binding_freq=float(self.freqs[idx]), s_t_max=float(st[idx]))
+        return FractionalBitsResult(f_n=f_n, binding_freq=float(self.freqs[idx]))
 
 
 @dataclass(frozen=True)
@@ -147,19 +146,6 @@ class FixedPointFormat:
     def __post_init__(self):
         if self.f_n < 0 or any(b < 0 for b in self.i_n):
             raise ParameterError("bit counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.sign_bits + (max(self.i_n) if self.i_n else 0) + self.f_n
-
-
-@dataclass(frozen=True)
-class IntegerSizing:
-    """Per-stage dynamic-range growth g_k and accumulated integer bits."""
-
-    g: tuple[float, ...]
-    i_n: tuple[int, ...]
-    input_width: int
 
 
 @dataclass(frozen=True)
@@ -240,7 +226,7 @@ def cascade_derivative_magnitudes(spec: GcfSpec, freqs, normalized: bool = True)
     """
     freqs = np.asarray(freqs, dtype=float)
     ks = list(spec.cascade_stages)
-    r = np.asarray(stage_coefficients(spec).r)
+    r = np.asarray(stage_coefficients(spec))
     brackets = stage_brackets(freqs, ks, r)
     derivs = _bracket_derivs(freqs, ks)
     out = np.empty_like(brackets)
@@ -316,8 +302,8 @@ def in_band_sensitivity(
     return sensitivity(spec, freqs[mask], normalized=normalized)
 
 
-def integer_bits(spec: GcfSpec, input_width: int) -> IntegerSizing:
-    """Worst-case integer sizing of the cascade stages.
+def integer_bits(spec: GcfSpec, input_width: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Worst-case integer sizing of the cascade stages: (g, i_n), one entry per stage.
 
     Stage growth g_k = log2(2 + 2 r_k) <= 3; integer widths accumulate
     through the cascade (each stage's output feeds the next), so
@@ -325,14 +311,13 @@ def integer_bits(spec: GcfSpec, input_width: int) -> IntegerSizing:
     """
     if input_width < 1:
         raise ParameterError(f"input_width must be >= 1, got {input_width}")
-    r = stage_coefficients(spec).r
-    g = tuple(math.log2(2.0 + 2.0 * r_k) for r_k in r)
+    g = tuple(math.log2(2.0 + 2.0 * r_k) for r_k in stage_coefficients(spec))
     acc = 0
     i_n = []
     for g_k in g:
         acc += math.ceil(g_k)
         i_n.append(input_width + acc)
-    return IntegerSizing(g=g, i_n=tuple(i_n), input_width=input_width)
+    return g, tuple(i_n)
 
 
 def quantize_coefficients(values, f_n: int) -> np.ndarray:
@@ -346,9 +331,9 @@ def quantize_coefficients(values, f_n: int) -> np.ndarray:
 
 def _quantized_multiplier_sets(spec: GcfSpec, f_n: int):
     """(exact taps, exact r) and their f_n-bit roundings, taps unit-DC-scaled."""
-    bank = polyphase_impulse(spec)
-    taps = bank.h_p / bank.h_p.sum()
-    r = np.asarray(stage_coefficients(spec).r)
+    h_p = polyphase_impulse(spec)
+    taps = h_p / h_p.sum()
+    r = np.asarray(stage_coefficients(spec))
     return taps, r, quantize_coefficients(taps, f_n), quantize_coefficients(r, f_n)
 
 
@@ -563,14 +548,14 @@ def design_wordlengths(
         normalized=normalized,
     )
     fres = sens.fraction_bits(tol)
-    sizing = integer_bits(spec, input_width)
+    g, i_n = integer_bits(spec, input_width)
     return WordLengthReport(
         spec=spec.as_dict(),
         tolerance=tol.as_dict(),
         input_width=input_width,
         f_n=fres.f_n,
-        g_k=sizing.g,
-        i_n_k=sizing.i_n,
+        g_k=g,
+        i_n_k=i_n,
         binding_freq=fres.binding_freq,
         case_tag=sens.case_tag,
         n_multipliers=sens.n_multipliers,

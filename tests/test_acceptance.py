@@ -188,7 +188,7 @@ def test_criterion_5_sensitivity_correctness():
         freqs = rng.uniform(0.005, 0.495, 50)
         analytic = cascade_derivative_magnitudes(spec, freqs, normalized=False)
         ks = list(spec.cascade_stages)
-        r = np.asarray(stage_coefficients(spec).r)
+        r = np.asarray(stage_coefficients(spec))
         w = 2 * np.pi * freqs
         step = 1e-6
 
@@ -310,14 +310,14 @@ def test_criterion_9_dynamic_range():
         for q in (0.0, 0.25, 0.5, 0.79, 1.0):
             for fc_scale in (4, 8, 64):
                 spec = GcfSpec(D=D, f_c=1 / (2 * fc_scale * D), q=q)
-                sizing = integer_bits(spec, input_width=1)
-                growth_ok &= all(g <= 3.0 for g in sizing.g)
+                g, _ = integer_bits(spec, input_width=1)
+                growth_ok &= all(g_k <= 3.0 for g_k in g)
 
     overflow_ok = True
     rng = np.random.default_rng(SEED)
     for D in (2, 4, 8):
         spec = GcfSpec.from_oversampling(D, 4 * D)
-        fmt = FixedPointFormat(i_n=integer_bits(spec, 1).i_n, f_n=7)
+        fmt = FixedPointFormat(i_n=integer_bits(spec, 1)[1], f_n=7)
         h = expand_full_polynomial(spec)
         n = 512
         sign_matched = np.sign(h[::-1]).astype(np.int64)
@@ -361,7 +361,7 @@ def test_criterion_10_sigma_delta_experiment():
 
     # (b) paper experiment: band edge and in-band vs out-of-band power
     spec = GcfSpec.from_oversampling(16, 128)  # f_c = 1/256
-    fmt = FixedPointFormat(i_n=integer_bits(spec, 1).i_n, f_n=7)
+    fmt = FixedPointFormat(i_n=integer_bits(spec, 1)[1], f_n=7)
     cfg = SdConfig(fx_ratio=1 / 256, amplitude=0.5, n_samples=n, seed=SEED)
     run = run_experiment(cfg, spec, fmt)
     edge = spec.f_c * spec.D

@@ -253,11 +253,30 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("flag,value", [
         ("--chi", "nan"), ("--chi", "inf"), ("--y", "nan"), ("--points-per-band", "1"),
+        ("--seed", "-1"), ("--global-points", "-1"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path)
         assert main(["design", "--config", str(cfg), flag, value]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("normalized", "false"), ("normalized", 0), ("chi", True), ("chi", "1e-4"),
+        ("decimation_factor", 16.0), ("seed", None), ("input_width", False), ("output_dir", 3),
+    ])
+    def test_mistyped_json_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("q", 0), ("amplitude", 0), ("sample_rate_hz", None), ("normalized", False), ("global_points", 0),
+        ("global_points", 1),
+    ])
+    def test_well_typed_json_value_is_accepted(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["design", "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "out" / "resolved_config.json").read_text())[key] == value
 
 
 COMMON_OPTIONS = [

@@ -25,7 +25,7 @@ PAPER_SPEC = GcfSpec.from_oversampling(16, 128)  # simulation setup: f_c = 1/256
 
 
 def paper_format(f_n=7):
-    return FixedPointFormat(i_n=integer_bits(PAPER_SPEC, 1).i_n, f_n=f_n)
+    return FixedPointFormat(i_n=integer_bits(PAPER_SPEC, 1)[1], f_n=f_n)
 
 
 class TestSdConfig:
@@ -156,7 +156,7 @@ class TestFixedPointDecimator:
         assert err.value.value == 2.0 ** 58
 
     def test_widths_beyond_int64_rejected(self):
-        fmt = FixedPointFormat(i_n=integer_bits(PAPER_SPEC, 1).i_n, f_n=20)
+        fmt = FixedPointFormat(i_n=integer_bits(PAPER_SPEC, 1)[1], f_n=20)
         with pytest.raises(ParameterError):
             decimate_fixed_point(np.ones(64, dtype=np.int64), PAPER_SPEC, fmt)
 
@@ -165,7 +165,7 @@ class TestFixedPointDecimator:
             SdConfig(fx_ratio=1 / 256, n_samples=2 ** 14, seed=9)
         )).bits
         out = decimate_fixed_point(bits.astype(np.int64), PAPER_SPEC, paper_format())
-        r = np.asarray(stage_coefficients(PAPER_SPEC).r)
+        r = np.asarray(stage_coefficients(PAPER_SPEC))
         v = bits.astype(float)
         for r_k in r:
             x1 = np.concatenate(([0.0], v))[: len(v)]
@@ -302,7 +302,7 @@ def whole_signal_decimator(bitstream, spec, fmt):
     peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
     if peak_in >= 1 << fmt.i_n[0]:
         raise StageOverflowError(0, float(peak_in), float(1 << fmt.i_n[0]))
-    r_q = quantize_coefficients(np.asarray(stage_coefficients(spec).r), f_n)
+    r_q = quantize_coefficients(np.asarray(stage_coefficients(spec)), f_n)
     r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
     v = x.astype(np.int64)
     shift = 0
@@ -317,7 +317,7 @@ def whole_signal_decimator(bitstream, spec, fmt):
         if peak >= limit:
             raise StageOverflowError(k, peak / 2.0 ** shift, float(1 << fmt.i_n[k]))
         v = v[::2]
-    h_o = normalization_gain(spec).h_o
+    h_o = normalization_gain(spec)
     out = v.astype(float) * (2.0 ** -shift) * h_o
     return out[: n_in // spec.D]
 
@@ -362,7 +362,7 @@ class TestBlockedMatchesWholeSignal:
     @pytest.mark.parametrize("n", [64, 1001, 10007])
     def test_decimator(self, sample_block, D, n):
         spec = GcfSpec.from_oversampling(D, 2 * D)
-        fmt = FixedPointFormat(i_n=integer_bits(spec, 1).i_n, f_n=7)
+        fmt = FixedPointFormat(i_n=integer_bits(spec, 1)[1], f_n=7)
         bits = np.where(np.random.default_rng(n + D).random(n) < 0.5, -1, 1).astype(np.int8)
         assert np.array_equal(decimate_fixed_point(bits, spec, fmt), whole_signal_decimator(bits, spec, fmt))
 

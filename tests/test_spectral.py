@@ -27,17 +27,17 @@ def spec_for(D, p_p=-1, q=0.79):
 class TestFoldingBands:
     def test_paper_bands(self):
         fb = folding_bands(16, 1 / 128)
-        assert fb.k_m == 8
+        assert len(fb.bands) == 8
         for k, (lo, hi) in enumerate(fb.bands, start=1):
             assert lo == pytest.approx(k / 16 - 1 / 128)
             assert hi == pytest.approx(min(k / 16 + 1 / 128, 0.5))
 
     def test_odd_decimation(self):
-        assert folding_bands(5, 0.01).k_m == 2
+        assert len(folding_bands(5, 0.01).bands) == 2
 
     def test_nyquist_clipping(self):
         fb = folding_bands(2, 0.01)
-        assert fb.k_m == 1
+        assert len(fb.bands) == 1
         assert fb.bands[0] == pytest.approx((0.49, 0.5))
 
     def test_overlap_rejected(self):
@@ -48,7 +48,7 @@ class TestFoldingBands:
     def test_band_count_parity_rule(self, D):
         fb = folding_bands(D, 1 / (4 * D))
         expected = D // 2 if D % 2 == 0 else (D - 1) // 2
-        assert fb.k_m == expected
+        assert len(fb.bands) == expected
 
     def test_disjoint_bands(self):
         fb = folding_bands(8, 1 / 64)
@@ -124,9 +124,25 @@ class TestPolyphaseReassembly:
         f = np.random.default_rng(D + nf).uniform(0.0, 0.5, nf)
         for p_p in range(D.bit_length() - 1):
             s = spec_for(D, p_p=p_p)
-            branches = polyphase_impulse(s).branches
-            want = _reassembly_loop(f, branches, s.D1)
-            assert np.array_equal(_polyphase_response(f, branches, s.D1), want), p_p
+            h_p = polyphase_impulse(s)
+            want = _reassembly_loop(f, [h_p[k::s.D1] for k in range(s.D1)], s.D1)
+            assert np.array_equal(_polyphase_response(f, h_p, s.D1), want), p_p
+
+    # Branch k holds e_k(n) = h_p(D1*n + k), zero-padded to equal length.
+    F = np.linspace(0.0, 0.5, 9)
+
+    def test_two_branch_example(self):
+        h = np.array([1.0, 3.0, 3.0, 1.0])
+        want = _reassembly_loop(self.F, [np.array([1.0, 3.0]), np.array([3.0, 1.0])], 2)
+        assert np.array_equal(_polyphase_response(self.F, h, 2), want)
+
+    def test_single_branch_identity(self):
+        assert np.array_equal(_polyphase_response(self.F, np.array([1.0]), 1), np.ones(len(self.F)))
+
+    def test_four_branch_zero_padding(self):
+        h = np.array([1, 3, 6, 10, 12, 12, 10, 6, 3, 1], dtype=float)
+        branches = [np.array(e, dtype=float) for e in ([1, 12, 3], [3, 12, 1], [6, 10, 0], [10, 6, 0])]
+        assert np.array_equal(_polyphase_response(self.F, h, 4), _reassembly_loop(self.F, branches, 4))
 
 
 class TestResponseGrid:
@@ -155,7 +171,7 @@ class TestResponseGrid:
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
         fb = folding_bands(s.D, s.f_c)
         grid = response_grid(s, fb)
-        for k in range(1, fb.k_m + 1):
+        for k in range(1, len(fb.bands) + 1):
             # k/D, not the interval midpoint: the last band is clipped at Nyquist
             idx = np.argmin(np.abs(grid.freqs - k / 16))
             assert grid.freqs[idx] == pytest.approx(k / 16, abs=1e-12)

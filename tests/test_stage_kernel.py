@@ -128,7 +128,7 @@ def in_band_freqs(spec, points_per_band=17, global_points=512):
 def test_stage_brackets_match_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
-    r = np.asarray(stage_coefficients(spec).r)
+    r = np.asarray(stage_coefficients(spec))
     ks = list(spec.cascade_stages)
     assert np.array_equal(stage_brackets(freqs, ks, r), old_stage_brackets(freqs, ks, r))
     bank_ks = range(spec.p_p + 1)
@@ -141,7 +141,7 @@ def test_stage_bracket_accepts_columns():
     freqs, _ = in_band_freqs(spec)
     w = 2.0 * np.pi * freqs
     ks = list(spec.cascade_stages)
-    rows = np.asarray(stage_coefficients(spec).r) + np.linspace(-1e-3, 1e-3, 5)[:, None]
+    rows = np.asarray(stage_coefficients(spec)) + np.linspace(-1e-3, 1e-3, 5)[:, None]
     for j, k in enumerate(ks):
         got = stage_bracket(w, k, rows[:, j:j + 1])
         assert got.shape == (5, len(freqs))
@@ -271,7 +271,7 @@ def test_fd_response_matches_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs = np.random.default_rng(3).uniform(0.01, 0.49, size=50)
     ks = spec.cascade_stages
-    r = np.asarray(stage_coefficients(spec).r)
+    r = np.asarray(stage_coefficients(spec))
     for rv in (r, r + 1e-6, r - 1e-6):
         assert np.array_equal(cascade_response(freqs, ks, rv), old_fd_resp(freqs, ks, rv))
 
@@ -280,10 +280,10 @@ def test_fd_response_matches_old(D, pp, rho):
 def test_gcf_response_matches_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
-    old = old_cascade_response(freqs, spec.cascade_stages, stage_coefficients(spec).r)
+    old = old_cascade_response(freqs, spec.cascade_stages, stage_coefficients(spec))
     if spec.D1 > 1:
-        old = old * spectral._polyphase_response(freqs, polyphase_impulse(spec).branches, spec.D1)
-    old = old * normalization_gain(spec).h_o
+        old = old * spectral._polyphase_response(freqs, polyphase_impulse(spec), spec.D1)
+    old = old * normalization_gain(spec)
     new = gcf_response(spec, freqs, normalized=True)
     assert np.max(np.abs(new.real - old.real)) <= 1e-12 * np.max(np.abs(old.real))
     assert np.max(np.abs(new.imag - old.imag)) <= 1e-12 * np.max(np.abs(old.imag))
