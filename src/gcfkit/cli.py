@@ -91,9 +91,19 @@ class DesignConfig:
             raise ParameterError(f"global_points must be >= 0, got {self.global_points}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.trials < 1000:
+            raise ParameterError(f"trials must be >= 1000, got {self.trials}")
+        fs = self.sample_rate_hz
+        if fs is not None and not (math.isfinite(fs) and fs > 0):
+            raise ParameterError(f"sample_rate_hz must be positive and finite, got {fs}")
 
     def spec(self) -> GcfSpec:
         if self.signal_bandwidth is not None:
+            f_c, rho = self.signal_bandwidth, self.oversampling_ratio
+            if rho is not None and not (rho > 0 and math.isclose(f_c, 0.5 / rho, rel_tol=1e-12)):
+                raise ParameterError(
+                    f"signal_bandwidth {f_c} conflicts with oversampling_ratio {rho}: f_c must be 1/(2 rho)"
+                )
             return GcfSpec(
                 D=self.decimation_factor, f_c=self.signal_bandwidth,
                 p_p=self.pp_split, q=self.q, rho=self.oversampling_ratio,
@@ -254,10 +264,11 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
     report = _design(cfg, spec, tol)
     err = quantization_error_response(spec, report.f_n, bands=bands, freqs=grid.freqs)
     # sigma_dh rests on the normalized S_T; the s_t column follows cfg.normalized
-    result = err.sensitivity if cfg.normalized else sensitivity(spec, grid.freqs, normalized=False)
+    model = sensitivity(spec, grid.freqs)
+    result = model if cfg.normalized else sensitivity(spec, grid.freqs, normalized=False)
     grid_to_csv(
         os.path.join(outdir, "sensitivity.csv"), grid,
-        extra={"s_t": result.s_t, "sigma_dh": err.sigma_dh, "delta_h": err.delta_h},
+        extra={"s_t": result.s_t, "sigma_dh": model.sigma_dh(report.f_n), "delta_h": err.delta_h},
     )
     print(f"S_T grid ({result.case_tag}, {result.n_multipliers} multipliers): "
           f"in-band max {np.max(result.s_t[grid.in_band_mask]):.6g}, F_n {report.f_n}")

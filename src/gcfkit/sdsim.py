@@ -276,7 +276,7 @@ def export_run(run: SimulationRun, outdir) -> None:
     provenance = {
         "config": run.config.as_dict(),
         "spec": run.spec,
-        "format": {"i_n": list(run.fmt.i_n), "f_n": run.fmt.f_n, "sign_bits": run.fmt.sign_bits},
+        "format": {"i_n": list(run.fmt.i_n), "f_n": run.fmt.f_n, "sign_bits": 1},
         "overload_count": run.overload_count,
     }
     with open(os.path.join(outdir, "config.json"), "w") as fh:

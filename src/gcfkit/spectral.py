@@ -121,6 +121,11 @@ def stage_bracket(w: np.ndarray, k: int, r_k) -> np.ndarray:
     return 2.0 * (np.cos(3.0 * half * w) + r_k * np.cos(half * w))
 
 
+def stage_derivative(w: np.ndarray, k: int) -> np.ndarray:
+    """d/dr_k of stage_bracket: 2 cos(2^{k-1}w), w in radians/sample."""
+    return 2.0 * np.cos((2.0 ** (k - 1)) * w)
+
+
 def stage_brackets(f, stage_ks, r) -> np.ndarray:
     """stage_bracket of every stage at frequencies f, one row per stage."""
     w = 2.0 * np.pi * np.asarray(f, dtype=float)

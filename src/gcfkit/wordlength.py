@@ -9,23 +9,24 @@ where S_T is the sum of squared magnitudes of the response derivatives with
 respect to the multipliers.  Bounding the error by a tolerance chi over the
 folding bands with Gaussian multiplier y gives the fractional size
 
-    F_n = ceil(-log2(sqrt(12) * min_FB chi / (y * sqrt(S_T)))).
+    F_n = max(0, ceil(-log2(sqrt(12) * min_FB chi / (y * sqrt(S_T))))).
 
 Sensitivity convention: each filter section is referenced to its own DC gain
 and the residual normalizer is treated as exact (not quantized).  Under this
 convention the stored polyphase branch taps are the unit-DC-scaled values
 (their derivative weight is exactly 1, so the pure-polyphase S_T equals the
 tap count L = 3*D1-2), while cascade multipliers r_k keep their raw values
-with the normalization applied downstream in floating point.  Derivatives of
-the cascade are evaluated in product form, which stays finite at the in-band
-zeros where the quotient form degenerates to 0/0.  By split invariance the
-polyphase magnitude |H_P| is the same stage product over k = 0..p_p,
+with the normalization applied downstream in floating point.  With
+b_k = 2 (cos(3*2^{k-1}w) + r_k cos(2^{k-1}w)) the factor of stage k and
+c_k = 2 cos(2^{k-1}w) its derivative, each referenced to 2 + 2 r_k,
 
-    |H_P(w)| = |prod_{k=0..p_p} 2 (cos(3*2^{k-1}w) + r_k cos(2^{k-1}w))|,
+    S_T(p_p) = L |H_N|**2 + sum_{u > p_p} |c_u|**2 prod_{k != u} |b_k|**2,
 
-referenced to its DC gain prod(2 + 2 r_k), so S_T costs O(p * nf) time and
-memory at every split.  An unnormalized mode (bare section responses) is
-kept for diagnosis.
+with |H_N|**2 = prod_{k > p_p} |b_k|**2 and L = 0 at D1 = 1.  By split
+invariance the cascade terms are the same products of the p stage factors
+at every split, so S_T is one pass over k = 0..p-1 in O(nf) memory, and the
+product form stays finite at the in-band zeros.  An unnormalized mode (bare
+section responses) is kept for diagnosis.
 
 Integer sizing is worst-case: each stage grows the dynamic range by
 g_k = log2(2 + 2 r_k) <= 3 bits, accumulated through the cascade.
@@ -50,6 +51,7 @@ from .spectral import (
     grid_frequencies,
     stage_bracket,
     stage_brackets,
+    stage_derivative,
 )
 
 
@@ -117,13 +119,19 @@ class SensitivityResult:
     case_tag: str
     n_multipliers: int
 
-    def fraction_bits(self, tol: ToleranceSpec) -> FractionalBitsResult:
-        """Fraction bits needed to hold |d|H|| <= chi over these frequencies.
+    def sigma_dh(self, f_n: int) -> np.ndarray:
+        """Model std of d|H| with f_n fraction bits: 2**-f_n / sqrt(12) * sqrt(S_T)."""
+        return (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(self.s_t)
 
-        F_n = ceil(-log2(sqrt(12) * min chi / (y sqrt(S_T)))); the minimum is
-        searched on the grid points (the folding bands are narrow and S_T is
-        smooth, so grid search at the default density is reliable).  The
-        frequency achieving the minimum is reported as binding_freq.
+    def fraction_bits(self, tol: ToleranceSpec) -> FractionalBitsResult:
+        """Fraction bits needed to hold y * sigma_dh <= chi over these frequencies.
+
+        F_n = max(0, ceil(-log2(sqrt(12) * min chi / (y sqrt(S_T))))): a
+        tolerance that integer multipliers already meet needs no fraction
+        bits.  The minimum is searched on the grid points (the folding bands
+        are narrow and S_T is smooth, so grid search at the default density
+        is reliable).  The frequency achieving the minimum is reported as
+        binding_freq.
         """
         st = self.s_t
         if np.all(st <= 0.0):
@@ -131,17 +139,16 @@ class SensitivityResult:
         with np.errstate(divide="ignore"):
             ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
         idx = int(np.argmin(ratio))
-        f_n = int(math.ceil(-math.log2(math.sqrt(12.0) * ratio[idx])))
+        f_n = max(0, math.ceil(-math.log2(math.sqrt(12.0) * ratio[idx])))
         return FractionalBitsResult(f_n=f_n, binding_freq=float(self.freqs[idx]))
 
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Sign / integer / fraction bit allocation; i_n is per cascade stage."""
+    """Integer / fraction bit allocation behind one sign bit; i_n is per cascade stage."""
 
     i_n: tuple[int, ...]
     f_n: int
-    sign_bits: int = 1
 
     def __post_init__(self):
         if self.f_n < 0 or any(b < 0 for b in self.i_n):
@@ -150,15 +157,12 @@ class FixedPointFormat:
 
 @dataclass(frozen=True)
 class ErrorStats:
-    """Realized quantization error against the statistical model."""
+    """Realized quantization error of the rounded multipliers."""
 
     freqs: np.ndarray
     in_band_mask: np.ndarray
     quantized: np.ndarray  # complex response with rounded multipliers, unit DC gain
     delta_h: np.ndarray
-    sigma_dm: float
-    sigma_dh: np.ndarray
-    sensitivity: SensitivityResult  # normalized S_T behind sigma_dh
 
 
 @dataclass(frozen=True)
@@ -207,15 +211,6 @@ class WordLengthReport:
         return "\n".join(lines)
 
 
-def _bracket_derivs(freqs: np.ndarray, stage_ks) -> np.ndarray:
-    """d/dr of the per-stage factors: 2 cos(2^{k-1} w)."""
-    w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    out = np.empty((len(list(stage_ks)), len(w)))
-    for row, k in enumerate(stage_ks):
-        out[row] = 2.0 * np.cos((2.0 ** (k - 1)) * w)
-    return out
-
-
 def cascade_derivative_magnitudes(spec: GcfSpec, freqs, normalized: bool = True) -> np.ndarray:
     """|dH_N / dr_u| for every cascade stage, product form, shape (stages, nf).
 
@@ -225,62 +220,48 @@ def cascade_derivative_magnitudes(spec: GcfSpec, freqs, normalized: bool = True)
     derivatives are referenced to the cascade DC gain prod(2 + 2 r).
     """
     freqs = np.asarray(freqs, dtype=float)
+    w = 2.0 * np.pi * freqs
     ks = list(spec.cascade_stages)
     r = np.asarray(stage_coefficients(spec))
     brackets = stage_brackets(freqs, ks, r)
-    derivs = _bracket_derivs(freqs, ks)
     out = np.empty_like(brackets)
-    for u in range(len(ks)):
+    for u, k in enumerate(ks):
         others = np.prod(np.delete(brackets, u, axis=0), axis=0) if len(ks) > 1 else 1.0
-        out[u] = np.abs(derivs[u] * others)
+        out[u] = np.abs(stage_derivative(w, k) * others)
     if normalized:
         out /= stage_dc_gain(r)
     return out
 
 
-def _stage_magnitude(spec: GcfSpec, freqs: np.ndarray, ks, normalized: bool) -> np.ndarray:
-    """|prod_k 2(cos 3*2^{k-1}w + r_k cos 2^{k-1}w)| over the full-rate stages ks.
-
-    With ks = k_p+1..p-1 this is |H_N|.  Split invariance makes the polyphase
-    section equal to the cascade stages it replaces, so ks = 0..p_p gives
-    |H_P|.  The DC gain of the product is prod(2 + 2 r_k).
-    """
-    r = np.array([stage_multiplier(spec.alpha, k) for k in ks])
-    mag = np.abs(np.prod(stage_brackets(freqs, ks, r), axis=0))
-    return mag / stage_dc_gain(r) if normalized else mag
-
-
 def sensitivity(spec: GcfSpec, freqs, normalized: bool = True) -> SensitivityResult:
     """Sensitivity function S_T over the given frequencies.
 
-    Three architecture cases:
-
-    * pure cascade (p_p = -1): S_T = sum_u |dH_N/dr_u|**2;
-    * pure polyphase (p_p = p-1): S_T is the constant tap count L = 3*D1-2,
-      independent of frequency (each tap derivative is a unit phasor);
-    * partial split: S_T = L |H_N|**2 + |H_P|**2 sum_u |dH_N/dr_u|**2,
-      with |H_P| the product of the stages k = 0..p_p (split invariance),
-      so no frequencies x taps DTFT is formed.
+    One pass over the stages k = 0..p-1 carries prod_{j<k} b_j**2, |H_N|**2
+    and the cascade sum (see the module docstring), so
+    S_T = L |H_N|**2 + sum_{u > p_p} c_u**2 prod_{k != u} b_k**2 at every
+    split: the pure cascade has no tap term (L = 0 at D1 = 1), and the pure
+    polyphase bank has no cascade term, which leaves S_T = L exactly.
     """
     freqs = np.asarray(freqs, dtype=float)
+    w = 2.0 * np.pi * freqs
+    prefix = np.ones(len(w))  # prod_{j<k} b_j**2
+    hn2 = np.ones(len(w))
+    cascade_sum = np.zeros(len(w))
+    for k in range(spec.p):
+        r_k = stage_multiplier(spec.alpha, k)
+        scale = 2.0 + 2.0 * r_k if normalized else 1.0
+        b2 = (stage_bracket(w, k, r_k) / scale) ** 2
+        if k > spec.p_p:
+            cascade_sum = cascade_sum * b2 + (stage_derivative(w, k) / scale) ** 2 * prefix
+            hn2 *= b2
+        prefix *= b2
     L = 3 * spec.D1 - 2
-    n_stages = spec.p - spec.p_p - 1
-    n_mult = L + n_stages
-    if spec.p_p == spec.p - 1:
-        return SensitivityResult(
-            freqs=freqs, s_t=np.full(len(freqs), float(L)),
-            case_tag="full-polyphase", n_multipliers=n_mult,
-        )
-    d = cascade_derivative_magnitudes(spec, freqs, normalized=normalized)
-    cascade_term = np.sum(d * d, axis=0)
-    if spec.p_p == -1:
-        return SensitivityResult(
-            freqs=freqs, s_t=cascade_term, case_tag="full-cascade", n_multipliers=n_mult,
-        )
-    hn_mag = _stage_magnitude(spec, freqs, spec.cascade_stages, normalized)
-    hp_mag = _stage_magnitude(spec, freqs, range(spec.p_p + 1), normalized)
-    s_t = L * hn_mag ** 2 + (hp_mag ** 2) * cascade_term
-    return SensitivityResult(freqs=freqs, s_t=s_t, case_tag="partial", n_multipliers=n_mult)
+    case_tag = ("full-cascade" if spec.p_p == -1
+                else "full-polyphase" if spec.p_p == spec.p - 1 else "partial")
+    return SensitivityResult(
+        freqs=freqs, s_t=(L if spec.D1 > 1 else 0) * hn2 + cascade_sum,
+        case_tag=case_tag, n_multipliers=L + len(spec.cascade_stages),
+    )
 
 
 def in_band_sensitivity(
@@ -366,8 +347,8 @@ def quantization_error_response(
     """Realized magnitude distortion d|H| = |H_q| - |H| for rounded multipliers.
 
     Exact and quantized responses are each self-normalized to unit DC gain
-    before the magnitudes are compared, alongside the model prediction
-    sigma_dh = sigma_dm * sqrt(S_T).
+    before the magnitudes are compared.  The model std it is set against is
+    SensitivityResult.sigma_dh.
     """
     bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
     if freqs is None:
@@ -379,16 +360,11 @@ def quantization_error_response(
     dc_exact = taps.sum() * stage_dc_gain(r)
     dc_quant = taps_q.sum() * stage_dc_gain(r_q)
     delta = np.abs(quant) / dc_quant - np.abs(exact) / dc_exact
-    sigma_dm = 2.0 ** -f_n / math.sqrt(12.0)
-    sens = sensitivity(spec, freqs, normalized=True)
     return ErrorStats(
         freqs=freqs,
         in_band_mask=bands.contains(freqs),
         quantized=quant / dc_quant,
         delta_h=delta,
-        sigma_dm=sigma_dm,
-        sigma_dh=sigma_dm * np.sqrt(sens.s_t),
-        sensitivity=sens,
     )
 
 
@@ -510,7 +486,7 @@ def monte_carlo_run(
     counted.
     """
     sens = in_band_sensitivity(spec, bands, points_per_band=points_per_band, global_points=global_points)
-    sigma_dh = (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sens.s_t)
+    sigma_dh = sens.sigma_dh(f_n)
     bound = y * sigma_dh
     draws = _mc_draws(spec, f_n, trials, seed)
     error_std = np.empty(len(sens.freqs))

@@ -253,12 +253,25 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("flag,value", [
         ("--chi", "nan"), ("--chi", "inf"), ("--y", "nan"), ("--points-per-band", "1"),
-        ("--seed", "-1"), ("--global-points", "-1"),
+        ("--seed", "-1"), ("--global-points", "-1"), ("--trials", "999"), ("--sample-rate-hz", "-5"),
+        ("--sample-rate-hz", "0"), ("--sample-rate-hz", "inf"), ("--signal-bandwidth", "0.01"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path)
         assert main(["design", "--config", str(cfg), flag, value]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_loose_tolerance_needs_no_fraction_bits(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), "--chi", "1", "--y", "2"]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["f_n"] == 0
+
+    def test_consistent_bandwidth_and_oversampling_ratio(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), "--signal-bandwidth", repr(1 / 128)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["spec"]["f_c"] == 1 / 128 and report["spec"]["rho"] == 64
+        assert report["f_n"] == 7
 
     @pytest.mark.parametrize("key,value", [
         ("normalized", "false"), ("normalized", 0), ("chi", True), ("chi", "1e-4"),

@@ -114,6 +114,27 @@ def old_mc_delta_h(spec, f_n, trials, seed, freqs):
     return out
 
 
+def old_stage_magnitude(spec, freqs, ks, normalized):
+    r = np.array([stage_multiplier(spec.alpha, k) for k in ks])
+    mag = np.abs(np.prod(old_stage_brackets(freqs, ks, r), axis=0))
+    return mag / np.prod(2.0 + 2.0 * r) if normalized else mag
+
+
+def old_sensitivity(spec, freqs, normalized):
+    """S_T by architecture case: a constant, the cascade sum, or L |H_N|**2 + |H_P|**2 x the cascade sum."""
+    freqs = np.asarray(freqs, dtype=float)
+    L = 3 * spec.D1 - 2
+    if spec.p_p == spec.p - 1:
+        return np.full(len(freqs), float(L))
+    d = wordlength.cascade_derivative_magnitudes(spec, freqs, normalized=normalized)
+    cascade_term = np.sum(d * d, axis=0)
+    if spec.p_p == -1:
+        return cascade_term
+    hn_mag = old_stage_magnitude(spec, freqs, spec.cascade_stages, normalized)
+    hp_mag = old_stage_magnitude(spec, freqs, range(spec.p_p + 1), normalized)
+    return L * hn_mag ** 2 + (hp_mag ** 2) * cascade_term
+
+
 def spec_of(D, pp, rho):
     return GcfSpec.from_oversampling(D, rho, p_p=pp)
 
@@ -289,6 +310,35 @@ def test_gcf_response_matches_old(D, pp, rho):
     assert np.max(np.abs(new.imag - old.imag)) <= 1e-12 * np.max(np.abs(old.imag))
 
 
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("D", [2 ** p for p in range(1, 11)])
+def test_one_pass_sensitivity_matches_three_cases(D, normalized):
+    for pp in range(-1, D.bit_length() - 1):
+        spec = spec_of(D, pp, 2 * D)
+        freqs, _ = in_band_freqs(spec)
+        got = sensitivity(spec, freqs, normalized=normalized).s_t
+        want = old_sensitivity(spec, freqs, normalized)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if pp == spec.p - 1:
+            assert np.all(got == float(3 * spec.D1 - 2))
+
+
+@pytest.mark.parametrize("rho_per_D", [2, 4])
+@pytest.mark.parametrize("D", [16, 32, 64, 256, 1024])
+def test_one_pass_sensitivity_sizes_as_three_cases(D, rho_per_D):
+    bands = folding_bands(D, 1.0 / (2 * rho_per_D * D))
+    freqs = grid_frequencies(bands)
+    freqs = freqs[bands.contains(freqs)]
+    for pp in range(-1, D.bit_length() - 1):
+        spec = spec_of(D, pp, rho_per_D * D)
+        new = sensitivity(spec, freqs)
+        old = wordlength.SensitivityResult(freqs, old_sensitivity(spec, freqs, True), new.case_tag, new.n_multipliers)
+        for chi in cli.SWEEP_CHIS:
+            for y in cli.SWEEP_YS:
+                tol = ToleranceSpec.from_y(chi, y)
+                assert new.fraction_bits(tol) == old.fraction_bits(tol)
+
+
 def old_fractional_bits(spec, tol, points_per_band, global_points, normalized):
     bands = folding_bands(spec.D, spec.f_c)
     freqs = grid_frequencies(bands, points_per_band, global_points)
@@ -335,9 +385,10 @@ def old_cmd_sensitivity_csv(cfg, path):
     bands = folding_bands(spec.D, spec.f_c)
     grid = spectral.response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
     result = sensitivity(spec, grid.freqs, normalized=cfg.normalized)
+    sigma_dh = sensitivity(spec, grid.freqs, normalized=True).sigma_dh
     f_n = cli._design(cfg, spec, cfg.tolerance()).f_n
     err = quantization_error_response(spec, f_n, bands=bands, freqs=grid.freqs)
-    spectral.grid_to_csv(path, grid, extra={"s_t": result.s_t, "sigma_dh": err.sigma_dh, "delta_h": err.delta_h})
+    spectral.grid_to_csv(path, grid, extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": err.delta_h})
 
 
 @pytest.mark.parametrize("normalized", [True, False])

@@ -22,11 +22,11 @@ from gcfkit import (
     y_from_p,
 )
 from gcfkit import wordlength
-from gcfkit.filters import polyphase_impulse
+from gcfkit.filters import polyphase_impulse, stage_dc_gain
+from gcfkit.spectral import cascade_response
 from gcfkit.wordlength import (
     _mc_delta_h,
     _mc_draws,
-    _stage_magnitude,
     _quantized_multiplier_sets,
     _response_from_multipliers,
 )
@@ -116,13 +116,21 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("D", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_polyphase_magnitude_matches_dtft(self, D):
+        # S_T = L |H_N|**2 + |H_P|**2 sum_u |dH_N/dr_u|**2 with |H_P| from a
+        # direct DTFT of h_p: the stage product over k <= p_p that the one
+        # pass uses in its place is the polyphase section (split invariance)
         freqs = np.linspace(0.0, 0.5, 257)
         for p_p in range(D.bit_length() - 1):
             s = spec_for(D, p_p=p_p)
             h_p = polyphase_impulse(s)
             dtft = np.abs(np.exp(-2j * np.pi * np.outer(freqs, np.arange(len(h_p)))) @ h_p)
-            for normalized, want in ((False, dtft), (True, dtft / h_p.sum())):
-                got = _stage_magnitude(s, freqs, range(s.p_p + 1), normalized)
+            r = np.asarray(stage_coefficients(s))
+            hn = np.abs(cascade_response(freqs, s.cascade_stages, r))
+            for normalized in (False, True):
+                hp, dc = (dtft / h_p.sum(), stage_dc_gain(r)) if normalized else (dtft, 1.0)
+                d = cascade_derivative_magnitudes(s, freqs, normalized=normalized)
+                want = (3 * s.D1 - 2) * (hn / dc) ** 2 + hp ** 2 * np.sum(d * d, axis=0)
+                got = sensitivity(s, freqs, normalized=normalized).s_t
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
 
     @pytest.mark.parametrize("D,p_p", [(8, -1), (16, -1), (16, 1), (32, 2)])
@@ -289,10 +297,9 @@ class TestQuantizationErrorResponse:
         assert np.max(np.abs(err.delta_h[err.in_band_mask])) <= 1e-4
 
     def test_sigma_scaling_is_exactly_binary(self):
-        e7 = quantization_error_response(PAPER_SPEC, 7)
-        e6 = quantization_error_response(PAPER_SPEC, 6)
-        np.testing.assert_array_equal(e6.sigma_dh, 2.0 * e7.sigma_dh)
-        assert e6.sigma_dm == 2.0 * e7.sigma_dm
+        sens = in_band_sensitivity(PAPER_SPEC)
+        np.testing.assert_array_equal(sens.sigma_dh(6), 2.0 * sens.sigma_dh(7))
+        np.testing.assert_array_equal(sens.sigma_dh(0), 2.0 ** 7 * sens.sigma_dh(7))
 
 
 def mc_rows(spec, f_n, trials, seed, freqs):
