@@ -65,15 +65,13 @@ class DesignConfig:
     decimation_factor: int = 16
     pp_split: int = -1
     q: float = 0.79
-    signal_bandwidth: float | None = None   # f_c, cycles/sample
-    oversampling_ratio: float | None = None  # alternative to signal_bandwidth
+    oversampling_ratio: float | None = None  # f_c = 1/(2 rho)
     chi: float = 1e-4
     prob: float | None = None
     y: float | None = None
     input_width: int = 1
     points_per_band: int = 129
     global_points: int = 4096
-    normalized: bool = True
     seed: int = 12345
     trials: int = 2000
     n_samples: int = 2 ** 18
@@ -81,10 +79,11 @@ class DesignConfig:
     sample_rate_hz: float | None = None
     segment: int = 4096
     overlap: float = 0.5
-    comb_order: int = 3
     output_dir: str = "out"
 
     def __post_init__(self):
+        if self.input_width < 1:
+            raise ParameterError(f"input_width must be >= 1, got {self.input_width}")
         if self.points_per_band < 2:
             raise ParameterError(f"points_per_band must be >= 2, got {self.points_per_band}")
         if self.global_points < 0:
@@ -98,21 +97,9 @@ class DesignConfig:
             raise ParameterError(f"sample_rate_hz must be positive and finite, got {fs}")
 
     def spec(self) -> GcfSpec:
-        if self.signal_bandwidth is not None:
-            f_c, rho = self.signal_bandwidth, self.oversampling_ratio
-            if rho is not None and not (rho > 0 and math.isclose(f_c, 0.5 / rho, rel_tol=1e-12)):
-                raise ParameterError(
-                    f"signal_bandwidth {f_c} conflicts with oversampling_ratio {rho}: f_c must be 1/(2 rho)"
-                )
-            return GcfSpec(
-                D=self.decimation_factor, f_c=self.signal_bandwidth,
-                p_p=self.pp_split, q=self.q, rho=self.oversampling_ratio,
-            )
-        if self.oversampling_ratio is not None:
-            return GcfSpec.from_oversampling(
-                self.decimation_factor, self.oversampling_ratio, p_p=self.pp_split, q=self.q
-            )
-        raise ParameterError("one of signal_bandwidth / oversampling_ratio is required")
+        if self.oversampling_ratio is None:
+            raise ParameterError("oversampling_ratio is required")
+        return GcfSpec.from_oversampling(self.decimation_factor, self.oversampling_ratio, self.pp_split, self.q)
 
     def tolerance(self) -> ToleranceSpec:
         if self.y is not None and self.prob is not None:
@@ -174,9 +161,7 @@ SWEEP_YS = (2.0, 1.63)
 def _design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec):
     """Word-length design of spec on the config's grid."""
     return design_wordlengths(
-        spec, tol, cfg.input_width,
-        points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-        normalized=cfg.normalized,
+        spec, tol, cfg.input_width, points_per_band=cfg.points_per_band, global_points=cfg.global_points,
     )
 
 
@@ -193,7 +178,6 @@ def _write_fn_sweep(cfg: DesignConfig, outdir: str) -> None:
             spec = GcfSpec(D=base.D, f_c=base.f_c, p_p=pp, q=base.q, rho=base.rho)
             sens = in_band_sensitivity(
                 spec, points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-                normalized=cfg.normalized,
             )
             for chi in SWEEP_CHIS:
                 for y in SWEEP_YS:
@@ -206,9 +190,9 @@ def cmd_design(cfg: DesignConfig, sweep_splits: bool = False) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
+    report = _design(cfg, spec, tol)
     if sweep_splits:
         _write_fn_sweep(cfg, outdir)
-    report = _design(cfg, spec, tol)
     report.to_json(os.path.join(outdir, "report.json"))
     r = np.asarray(stage_coefficients(spec))
     h_p = polyphase_impulse(spec)
@@ -233,17 +217,16 @@ def cmd_response(cfg: DesignConfig) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
+    report = _design(cfg, spec, tol)
     bands = folding_bands(spec.D, spec.f_c)
     exact = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), exact)
-    report = _design(cfg, spec, tol)
     err = quantization_error_response(spec, report.f_n, bands=bands, freqs=exact.freqs)
     grid_to_csv(
         os.path.join(outdir, "response_quantized.csv"),
         ResponseGrid(freqs=exact.freqs, values=err.quantized, in_band_mask=exact.in_band_mask),
     )
-    comb = CombSpec(D=spec.D, n_c=cfg.comb_order)
-    comb_grid = response_grid(comb, bands, cfg.points_per_band, cfg.global_points)
+    comb_grid = response_grid(CombSpec(D=spec.D), bands, cfg.points_per_band, cfg.global_points)
     grid_to_csv(os.path.join(outdir, "response_comb.csv"), comb_grid)
     with open(os.path.join(outdir, "bands.csv"), "w") as fh:
         fh.write("k,low,high\n")
@@ -263,23 +246,18 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
     grid = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
     report = _design(cfg, spec, tol)
     err = quantization_error_response(spec, report.f_n, bands=bands, freqs=grid.freqs)
-    # sigma_dh rests on the normalized S_T; the s_t column follows cfg.normalized
-    model = sensitivity(spec, grid.freqs)
-    result = model if cfg.normalized else sensitivity(spec, grid.freqs, normalized=False)
+    result = sensitivity(spec, grid.freqs)
     grid_to_csv(
         os.path.join(outdir, "sensitivity.csv"), grid,
-        extra={"s_t": result.s_t, "sigma_dh": model.sigma_dh(report.f_n), "delta_h": err.delta_h},
+        extra={"s_t": result.s_t, "sigma_dh": result.sigma_dh(report.f_n), "delta_h": err.delta_h},
     )
     print(f"S_T grid ({result.case_tag}, {result.n_multipliers} multipliers): "
           f"in-band max {np.max(result.s_t[grid.in_band_mask]):.6g}, F_n {report.f_n}")
     return EXIT_OK
 
 
-def _check_split_invariance(spec: GcfSpec, corrupt: bool) -> tuple[bool, str]:
+def _check_split_invariance(spec: GcfSpec) -> tuple[bool, str]:
     ref = expand_full_polynomial(GcfSpec(D=spec.D, f_c=spec.f_c, p_p=-1, q=spec.q))
-    if corrupt:
-        ref = ref.copy()
-        ref[1] += 1e-6
     scale = np.max(np.abs(ref))
     worst = 0.0
     for pp in range(0, spec.p):
@@ -292,7 +270,7 @@ def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
     caspec = spec if spec.p_p == -1 else GcfSpec(D=spec.D, f_c=spec.f_c, p_p=-1, q=spec.q)
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(0.01, 0.49, size=50)
-    analytic = cascade_derivative_magnitudes(caspec, freqs, normalized=False)
+    analytic = cascade_derivative_magnitudes(caspec, freqs)
     r = np.asarray(stage_coefficients(caspec))
     ks = caspec.cascade_stages
     step = 1e-6
@@ -321,14 +299,14 @@ def _check_mc(spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: in
     return ok_std and ok_cov, msg
 
 
-def cmd_validate(cfg: DesignConfig, corrupt: bool = False) -> int:
+def cmd_validate(cfg: DesignConfig) -> int:
     spec = cfg.spec()
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
     report = _design(cfg, spec, tol)
     checks = {}
-    ok1, msg1 = _check_split_invariance(spec, corrupt)
+    ok1, msg1 = _check_split_invariance(spec)
     checks["split_invariance"] = {"pass": ok1, "detail": msg1}
     ok2, msg2 = _check_sensitivity_fd(spec, cfg.seed)
     checks["sensitivity_fd"] = {"pass": ok2, "detail": msg2}
@@ -369,7 +347,7 @@ def cmd_compare(cfg: DesignConfig) -> int:
     _write_config_echo(cfg, outdir)
     bands = folding_bands(spec.D, spec.f_c)
     gcf = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    comb = response_grid(CombSpec(D=spec.D, n_c=cfg.comb_order), bands, cfg.points_per_band, cfg.global_points)
+    comb = response_grid(CombSpec(D=spec.D), bands, cfg.points_per_band, cfg.global_points)
     gcf_mag, comb_mag = gcf.magnitude, comb.magnitude
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
@@ -385,21 +363,11 @@ def cmd_compare(cfg: DesignConfig) -> int:
     return EXIT_OK
 
 
-# Switches of single subcommands, passed to their handlers by name.
-_SWITCHES = {
-    "validate": ("corrupt", "deliberately corrupt a coefficient (harness self-test)"),
-    "design": ("sweep_splits", "also write fn_sweep.csv over all splits, chi and y values"),
-}
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    """--config plus --field-name per DesignConfig field; normalized is --unnormalized."""
+    """--config plus --field-name per DesignConfig field."""
     parser.add_argument("--config", help="JSON config file")
     for f in fields(DesignConfig):
-        if f.name == "normalized":
-            parser.add_argument("--unnormalized", action="store_const", const=False, dest="normalized")
-        else:
-            parser.add_argument("--" + f.name.replace("_", "-"), type=_field_type(f), dest=f.name)
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_field_type(f), dest=f.name)
 
 
 def build_parser(commands) -> argparse.ArgumentParser:
@@ -409,9 +377,9 @@ def build_parser(commands) -> argparse.ArgumentParser:
     for name in commands:
         p = sub.add_parser(name)
         _add_common(p)
-        if name in _SWITCHES:
-            switch, text = _SWITCHES[name]
-            p.add_argument("--" + switch.replace("_", "-"), action="store_true", help=text)
+        if name == "design":
+            p.add_argument("--sweep-splits", action="store_true",
+                           help="also write fn_sweep.csv over all splits, chi and y values")
     return parser
 
 
@@ -426,7 +394,7 @@ def main(argv=None) -> int:
     }
     overrides = vars(build_parser(handlers).parse_args(argv))
     command, path = overrides.pop("command"), overrides.pop("config")
-    switches = {name: overrides.pop(name) for name, _ in _SWITCHES.values() if name in overrides}
+    switches = {"sweep_splits": overrides.pop("sweep_splits")} if command == "design" else {}
     try:
         cfg = load_config(path, overrides)
         return handlers[command](cfg, **switches)

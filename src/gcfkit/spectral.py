@@ -224,9 +224,8 @@ def response_grid(
     band_config: FoldingBandSet,
     points_per_band: int = DEFAULT_POINTS_PER_BAND,
     global_points: int = DEFAULT_GLOBAL_POINTS,
-    normalized: bool = True,
 ) -> ResponseGrid:
-    """Dense response grid over [0, 1/2] with folding bands refined.
+    """Dense response grid over [0, 1/2] with folding bands refined, unit DC gain.
 
     The grid is global_points uniform samples augmented so every folding
     band carries at least points_per_band samples including both edges and
@@ -238,7 +237,7 @@ def response_grid(
     if isinstance(spec_or_comb, CombSpec):
         values = comb_response(spec_or_comb, freqs)
     elif isinstance(spec_or_comb, GcfSpec):
-        values = gcf_response(spec_or_comb, freqs, normalized=normalized)
+        values = gcf_response(spec_or_comb, freqs, normalized=True)
     else:
         raise ParameterError(f"expected GcfSpec or CombSpec, got {type(spec_or_comb)!r}")
     return ResponseGrid(freqs=freqs, values=np.asarray(values), in_band_mask=band_config.contains(freqs))

@@ -25,8 +25,7 @@ c_k = 2 cos(2^{k-1}w) its derivative, each referenced to 2 + 2 r_k,
 with |H_N|**2 = prod_{k > p_p} |b_k|**2 and L = 0 at D1 = 1.  By split
 invariance the cascade terms are the same products of the p stage factors
 at every split, so S_T is one pass over k = 0..p-1 in O(nf) memory, and the
-product form stays finite at the in-band zeros.  An unnormalized mode (bare
-section responses) is kept for diagnosis.
+product form stays finite at the in-band zeros.
 
 Integer sizing is worst-case: each stage grows the dynamic range by
 g_k = log2(2 + 2 r_k) <= 3 bits, accumulated through the cascade.
@@ -92,13 +91,17 @@ class ToleranceSpec:
 
     @classmethod
     def from_prob(cls, chi: float, prob: float) -> "ToleranceSpec":
-        return cls(chi=chi, prob=prob, y=y_from_p(prob))
+        y = y_from_p(prob)
+        if not y > 0.0:
+            raise ParameterError(f"prob = {prob:g} is too close to 0: its y rounds to 0")
+        return cls(chi=chi, prob=prob, y=y)
 
     @classmethod
     def from_y(cls, chi: float, y: float) -> "ToleranceSpec":
-        if not (math.isfinite(y) and y > 0.0):
-            raise ParameterError(f"y must be positive and finite, got {y}")
-        return cls(chi=chi, prob=math.erf(y / math.sqrt(2.0)), y=y)
+        prob = math.erf(y / math.sqrt(2.0))
+        if not 0.0 < prob < 1.0:
+            raise ParameterError(f"y = {y:g} is out of range: erf(y / sqrt(2)) = {prob} is not in (0, 1)")
+        return cls(chi=chi, prob=prob, y=y)
 
     def as_dict(self) -> dict:
         return {"chi": self.chi, "prob": self.prob, "y": self.y}
@@ -139,7 +142,10 @@ class SensitivityResult:
         with np.errstate(divide="ignore"):
             ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
         idx = int(np.argmin(ratio))
-        f_n = max(0, math.ceil(-math.log2(math.sqrt(12.0) * ratio[idx])))
+        bound = math.sqrt(12.0) * ratio[idx]
+        if not bound >= 2.0 ** -1023:  # 2**F_n must stay a finite double
+            raise ParameterError(f"chi = {tol.chi:g} needs more than 1023 fraction bits; give a larger chi")
+        f_n = 0 if bound >= 1.0 else math.ceil(-math.log2(bound))
         return FractionalBitsResult(f_n=f_n, binding_freq=float(self.freqs[idx]))
 
 
@@ -211,13 +217,12 @@ class WordLengthReport:
         return "\n".join(lines)
 
 
-def cascade_derivative_magnitudes(spec: GcfSpec, freqs, normalized: bool = True) -> np.ndarray:
-    """|dH_N / dr_u| for every cascade stage, product form, shape (stages, nf).
+def cascade_derivative_magnitudes(spec: GcfSpec, freqs) -> np.ndarray:
+    """|dH_N / dr_u| of the bare cascade for every stage, product form, shape (stages, nf).
 
     Stage u's factor is replaced by its derivative 2 cos(2^{u-1}w); all other
     stage factors are kept.  No division by stage factors occurs, so the
-    result is finite at the in-band zeros.  With normalized set the bare
-    derivatives are referenced to the cascade DC gain prod(2 + 2 r).
+    result is finite at the in-band zeros.
     """
     freqs = np.asarray(freqs, dtype=float)
     w = 2.0 * np.pi * freqs
@@ -228,12 +233,10 @@ def cascade_derivative_magnitudes(spec: GcfSpec, freqs, normalized: bool = True)
     for u, k in enumerate(ks):
         others = np.prod(np.delete(brackets, u, axis=0), axis=0) if len(ks) > 1 else 1.0
         out[u] = np.abs(stage_derivative(w, k) * others)
-    if normalized:
-        out /= stage_dc_gain(r)
     return out
 
 
-def sensitivity(spec: GcfSpec, freqs, normalized: bool = True) -> SensitivityResult:
+def sensitivity(spec: GcfSpec, freqs) -> SensitivityResult:
     """Sensitivity function S_T over the given frequencies.
 
     One pass over the stages k = 0..p-1 carries prod_{j<k} b_j**2, |H_N|**2
@@ -249,7 +252,7 @@ def sensitivity(spec: GcfSpec, freqs, normalized: bool = True) -> SensitivityRes
     cascade_sum = np.zeros(len(w))
     for k in range(spec.p):
         r_k = stage_multiplier(spec.alpha, k)
-        scale = 2.0 + 2.0 * r_k if normalized else 1.0
+        scale = 2.0 + 2.0 * r_k
         b2 = (stage_bracket(w, k, r_k) / scale) ** 2
         if k > spec.p_p:
             cascade_sum = cascade_sum * b2 + (stage_derivative(w, k) / scale) ** 2 * prefix
@@ -270,7 +273,6 @@ def in_band_sensitivity(
     freqs: np.ndarray | None = None,
     points_per_band: int = DEFAULT_POINTS_PER_BAND,
     global_points: int = DEFAULT_GLOBAL_POINTS,
-    normalized: bool = True,
 ) -> SensitivityResult:
     """S_T on the points of freqs (default: the response grid) inside the folding bands."""
     bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
@@ -280,7 +282,7 @@ def in_band_sensitivity(
     mask = bands.contains(freqs)
     if not np.any(mask):
         raise ParameterError("frequency grid has no in-band points")
-    return sensitivity(spec, freqs[mask], normalized=normalized)
+    return sensitivity(spec, freqs[mask])
 
 
 def integer_bits(spec: GcfSpec, input_width: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -516,13 +518,9 @@ def design_wordlengths(
     bands: FoldingBandSet | None = None,
     points_per_band: int = DEFAULT_POINTS_PER_BAND,
     global_points: int = DEFAULT_GLOBAL_POINTS,
-    normalized: bool = True,
 ) -> WordLengthReport:
     """Full word-length design: F_n from the statistics, I_n from worst case."""
-    sens = in_band_sensitivity(
-        spec, bands, points_per_band=points_per_band, global_points=global_points,
-        normalized=normalized,
-    )
+    sens = in_band_sensitivity(spec, bands, points_per_band=points_per_band, global_points=global_points)
     fres = sens.fraction_bits(tol)
     g, i_n = integer_bits(spec, input_width)
     return WordLengthReport(

@@ -186,7 +186,7 @@ def test_criterion_5_sensitivity_correctness():
     for D, pp in ((8, -1), (16, -1), (32, -1), (16, 0), (16, 2)):
         spec = GcfSpec.from_oversampling(D, 4 * D, p_p=pp)
         freqs = rng.uniform(0.005, 0.495, 50)
-        analytic = cascade_derivative_magnitudes(spec, freqs, normalized=False)
+        analytic = cascade_derivative_magnitudes(spec, freqs)
         ks = list(spec.cascade_stages)
         r = np.asarray(stage_coefficients(spec))
         w = 2 * np.pi * freqs

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import gcfkit
-from gcfkit import StageOverflowError
+from gcfkit import StageOverflowError, expand_full_polynomial
 from gcfkit.cli import main
 
 
@@ -24,6 +25,11 @@ def write_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def files_in(outdir):
+    """Names of the files in outdir; none if it was never made."""
+    return os.listdir(outdir) if os.path.isdir(outdir) else []
 
 
 class TestDesign:
@@ -101,9 +107,18 @@ class TestValidate:
         assert set(payload["checks"]) == {"split_invariance", "sensitivity_fd", "mc_model"}
         assert capsys.readouterr().out.count("PASS") == 3
 
-    def test_corrupted_coefficient_fails_named_check(self, tmp_path, capsys):
+    def test_corrupted_coefficient_fails_named_check(self, tmp_path, capsys, monkeypatch):
+        from gcfkit import cli
+
+        def corrupted(spec):
+            out = expand_full_polynomial(spec)
+            if spec.p_p == -1:  # the reference of the split-invariance check
+                out[1] += 1e-6
+            return out
+
+        monkeypatch.setattr(cli, "expand_full_polynomial", corrupted)
         cfg = write_config(tmp_path, trials=1000)
-        assert main(["validate", "--config", str(cfg), "--corrupt"]) == 1
+        assert main(["validate", "--config", str(cfg)]) == 1
         payload = json.loads((tmp_path / "out" / "validate.json").read_text())
         assert payload["pass"] is False
         assert payload["checks"]["split_invariance"]["pass"] is False
@@ -244,7 +259,7 @@ class TestConfigErrors:
         assert main(["design", "--config", str(path)]) == 2
 
     def test_overlapping_bands(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, oversampling_ratio=None, signal_bandwidth=0.05)
+        cfg = write_config(tmp_path, oversampling_ratio=10)
         assert main(["design", "--config", str(cfg)]) == 2
 
     def test_both_prob_and_y(self, tmp_path):
@@ -254,27 +269,50 @@ class TestConfigErrors:
     @pytest.mark.parametrize("flag,value", [
         ("--chi", "nan"), ("--chi", "inf"), ("--y", "nan"), ("--points-per-band", "1"),
         ("--seed", "-1"), ("--global-points", "-1"), ("--trials", "999"), ("--sample-rate-hz", "-5"),
-        ("--sample-rate-hz", "0"), ("--sample-rate-hz", "inf"), ("--signal-bandwidth", "0.01"),
+        ("--sample-rate-hz", "0"), ("--sample-rate-hz", "inf"), ("--input-width", "0"),
+        ("--chi", "1e-310"), ("--y", "9"), ("--prob", "1e-17"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, flag, value):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, **({"y": None} if flag == "--prob" else {}))
         assert main(["design", "--config", str(cfg), flag, value]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert re.search(rf"\b{flag[2:].replace('-', '_')}\b", err), err
+        assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
 
     def test_loose_tolerance_needs_no_fraction_bits(self, tmp_path):
         cfg = write_config(tmp_path)
-        assert main(["design", "--config", str(cfg), "--chi", "1", "--y", "2"]) == 0
-        assert json.loads((tmp_path / "out" / "report.json").read_text())["f_n"] == 0
+        # with y = 1e-320, y * sqrt(S_T) underflows to 0 and the bound chi / (y sqrt(S_T)) is inf
+        for chi, y in (("1", "2"), ("1e-4", "1e-320")):
+            assert main(["design", "--config", str(cfg), "--chi", chi, "--y", y]) == 0
+            assert json.loads((tmp_path / "out" / "report.json").read_text())["f_n"] == 0
 
-    def test_consistent_bandwidth_and_oversampling_ratio(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["design", "--config", str(cfg), "--signal-bandwidth", repr(1 / 128)]) == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["spec"]["f_c"] == 1 / 128 and report["spec"]["rho"] == 64
-        assert report["f_n"] == 7
+    @pytest.mark.parametrize("args", [
+        ["response", "--input-width", "0"],
+        ["design", "--sweep-splits", "--input-width", "0"],
+        ["design", "--chi", "1e-310"],
+        ["response", "--chi", "1e-310"],
+        ["sensitivity", "--chi", "1e-310"],
+        ["validate", "--chi", "1e-310", "--trials", "1000"],
+    ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+    def test_config_error_leaves_only_resolved_config(self, tmp_path, capsys, args):
+        cfg = write_config(tmp_path, points_per_band=17, global_points=256)
+        assert main([args[0], "--config", str(cfg), *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
 
     @pytest.mark.parametrize("key,value", [
-        ("normalized", "false"), ("normalized", 0), ("chi", True), ("chi", "1e-4"),
+        ("signal_bandwidth", 1 / 128), ("normalized", True), ("comb_order", 3),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("chi", True), ("chi", "1e-4"),
         ("decimation_factor", 16.0), ("seed", None), ("input_width", False), ("output_dir", 3),
     ])
     def test_mistyped_json_value_is_config_error(self, tmp_path, capsys, key, value):
@@ -283,7 +321,7 @@ class TestConfigErrors:
         assert f"config key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("q", 0), ("amplitude", 0), ("sample_rate_hz", None), ("normalized", False), ("global_points", 0),
+        ("q", 0), ("amplitude", 0), ("sample_rate_hz", None), ("global_points", 0),
         ("global_points", 1),
     ])
     def test_well_typed_json_value_is_accepted(self, tmp_path, key, value):
@@ -293,16 +331,16 @@ class TestConfigErrors:
 
 
 COMMON_OPTIONS = [
-    "--config", "--decimation-factor", "--pp-split", "--q", "--signal-bandwidth",
+    "--config", "--decimation-factor", "--pp-split", "--q",
     "--oversampling-ratio", "--chi", "--prob", "--y", "--input-width", "--points-per-band",
-    "--global-points", "--unnormalized", "--seed", "--trials", "--n-samples", "--amplitude",
-    "--sample-rate-hz", "--segment", "--overlap", "--comb-order", "--output-dir",
+    "--global-points", "--seed", "--trials", "--n-samples", "--amplitude",
+    "--sample-rate-hz", "--segment", "--overlap", "--output-dir",
 ]
 COMMAND_OPTIONS = {
     "design": COMMON_OPTIONS + ["--sweep-splits"],
     "response": COMMON_OPTIONS,
     "sensitivity": COMMON_OPTIONS,
-    "validate": COMMON_OPTIONS + ["--corrupt"],
+    "validate": COMMON_OPTIONS,
     "simulate": COMMON_OPTIONS,
     "compare": COMMON_OPTIONS,
 }
@@ -333,24 +371,21 @@ class TestParser:
             dests = {a.dest for a in sub._actions}
             assert {f.name for f in fields(DesignConfig)} <= dests
 
-    def test_flag_types_and_unnormalized(self):
+    def test_flag_types_and_unnormalized(self, capsys):
         parser, _ = subparsers()
         args = parser.parse_args([
-            "design", "--unnormalized", "--decimation-factor", "32", "--q", "0.5",
+            "design", "--decimation-factor", "32", "--q", "0.5",
             "--output-dir", "x", "--oversampling-ratio", "128",
         ])
-        assert args.normalized is False
         assert args.decimation_factor == 32 and isinstance(args.decimation_factor, int)
         assert args.q == 0.5 and args.oversampling_ratio == 128.0
         assert isinstance(args.oversampling_ratio, float)
         assert args.output_dir == "x"
-        assert parser.parse_args(["design"]).normalized is None
-
-    def test_unnormalized_reaches_config(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["design", "--config", str(cfg), "--unnormalized"]) == 0
-        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
-        assert resolved["normalized"] is False
+        assert parser.parse_args(["design"]).q is None
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["design", "--unnormalized"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unnormalized" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
     def test_help_exits_zero(self, command, capsys):

@@ -16,7 +16,7 @@ import pytest
 
 from gcfkit import CombSpec, GcfSpec, ToleranceSpec, gcf_response, sensitivity, stage_coefficients
 from gcfkit import cli, spectral, wordlength
-from gcfkit.filters import normalization_gain, polyphase_impulse, stage_multiplier, write_columns
+from gcfkit.filters import normalization_gain, polyphase_impulse, stage_dc_gain, stage_multiplier, write_columns
 from gcfkit.spectral import (
     cascade_response,
     folding_bands,
@@ -126,7 +126,9 @@ def old_sensitivity(spec, freqs, normalized):
     L = 3 * spec.D1 - 2
     if spec.p_p == spec.p - 1:
         return np.full(len(freqs), float(L))
-    d = wordlength.cascade_derivative_magnitudes(spec, freqs, normalized=normalized)
+    d = wordlength.cascade_derivative_magnitudes(spec, freqs)
+    if normalized:
+        d = d / stage_dc_gain(stage_coefficients(spec))
     cascade_term = np.sum(d * d, axis=0)
     if spec.p_p == -1:
         return cascade_term
@@ -310,13 +312,14 @@ def test_gcf_response_matches_old(D, pp, rho):
     assert np.max(np.abs(new.imag - old.imag)) <= 1e-12 * np.max(np.abs(old.imag))
 
 
-@pytest.mark.parametrize("normalized", [True, False])
+# sensitivity has the oracle's normalized mode only
+@pytest.mark.parametrize("normalized", [True])
 @pytest.mark.parametrize("D", [2 ** p for p in range(1, 11)])
 def test_one_pass_sensitivity_matches_three_cases(D, normalized):
     for pp in range(-1, D.bit_length() - 1):
         spec = spec_of(D, pp, 2 * D)
         freqs, _ = in_band_freqs(spec)
-        got = sensitivity(spec, freqs, normalized=normalized).s_t
+        got = sensitivity(spec, freqs).s_t
         want = old_sensitivity(spec, freqs, normalized)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         if pp == spec.p - 1:
@@ -339,11 +342,11 @@ def test_one_pass_sensitivity_sizes_as_three_cases(D, rho_per_D):
                 assert new.fraction_bits(tol) == old.fraction_bits(tol)
 
 
-def old_fractional_bits(spec, tol, points_per_band, global_points, normalized):
+def old_fractional_bits(spec, tol, points_per_band, global_points):
     bands = folding_bands(spec.D, spec.f_c)
     freqs = grid_frequencies(bands, points_per_band, global_points)
     mask = bands.contains(freqs)
-    st = sensitivity(spec, freqs[mask], normalized=normalized).s_t
+    st = sensitivity(spec, freqs[mask]).s_t
     with np.errstate(divide="ignore"):
         ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
     idx = int(np.argmin(ratio))
@@ -360,42 +363,39 @@ def old_fn_sweep(cfg, path):
             for chi in cli.SWEEP_CHIS:
                 for y in cli.SWEEP_YS:
                     f_n = old_fractional_bits(
-                        spec, ToleranceSpec.from_y(chi, y),
-                        cfg.points_per_band, cfg.global_points, cfg.normalized,
+                        spec, ToleranceSpec.from_y(chi, y), cfg.points_per_band, cfg.global_points,
                     )
                     fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 
 
-@pytest.mark.parametrize("D,rho,grid,normalized", [
-    (16, 64, {}, True),
-    (16, 64, {}, False),
-    (64, 256, {"points_per_band": 33, "global_points": 1024}, True),
-    (256, 512, {"points_per_band": 17, "global_points": 512}, True),
+@pytest.mark.parametrize("D,rho,grid", [
+    (16, 64, {}),
+    (64, 256, {"points_per_band": 33, "global_points": 1024}),
+    (256, 512, {"points_per_band": 17, "global_points": 512}),
 ])
-def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid, normalized):
-    cfg = cli.DesignConfig(decimation_factor=D, oversampling_ratio=rho, normalized=normalized, **grid)
+def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid):
+    cfg = cli.DesignConfig(decimation_factor=D, oversampling_ratio=rho, **grid)
     cli._write_fn_sweep(cfg, str(tmp_path))
     old_fn_sweep(cfg, tmp_path / "old.csv")
     assert (tmp_path / "fn_sweep.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def old_cmd_sensitivity_csv(cfg, path):
-    """sensitivity.csv as written with its own S_T evaluation in both modes."""
+    """sensitivity.csv as written with its own S_T evaluation for each column."""
     spec = cfg.spec()
     bands = folding_bands(spec.D, spec.f_c)
     grid = spectral.response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    result = sensitivity(spec, grid.freqs, normalized=cfg.normalized)
-    sigma_dh = sensitivity(spec, grid.freqs, normalized=True).sigma_dh
+    result = sensitivity(spec, grid.freqs)
+    sigma_dh = sensitivity(spec, grid.freqs).sigma_dh
     f_n = cli._design(cfg, spec, cfg.tolerance()).f_n
     err = quantization_error_response(spec, f_n, bands=bands, freqs=grid.freqs)
     spectral.grid_to_csv(path, grid, extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": err.delta_h})
 
 
-@pytest.mark.parametrize("normalized", [True, False])
 @pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256)], ids=["D16-pp-1", "D64-pp1"])
-def test_sensitivity_csv_matches_separate_evaluation(tmp_path, D, pp, rho, normalized):
+def test_sensitivity_csv_matches_separate_evaluation(tmp_path, D, pp, rho):
     cfg = cli.DesignConfig(
-        decimation_factor=D, pp_split=pp, oversampling_ratio=rho, normalized=normalized,
+        decimation_factor=D, pp_split=pp, oversampling_ratio=rho,
         points_per_band=17, global_points=512, output_dir=str(tmp_path),
     )
     assert cli.cmd_sensitivity(cfg) == 0
@@ -427,7 +427,7 @@ def old_comparison_csv(cfg, path):
     spec = cfg.spec()
     bands = folding_bands(spec.D, spec.f_c)
     gcf = spectral.response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    comb = spectral.response_grid(CombSpec(D=spec.D, n_c=cfg.comb_order), bands,
+    comb = spectral.response_grid(CombSpec(D=spec.D, n_c=3), bands,
                                   cfg.points_per_band, cfg.global_points)
     with open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")

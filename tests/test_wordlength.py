@@ -103,10 +103,12 @@ class TestSensitivity:
         assert np.all(res.s_t == float(3 * D1 - 2))
 
     def test_single_stage_dc_unnormalized(self):
-        # one stage, alpha=0: dH/dr = 2 cos(w/2) e^{-j3w/2} -> 4 at DC
+        # one stage, alpha=0: the bare dH/dr = 2 cos(w/2) e^{-j3w/2} -> |dH/dr|**2 = 4 at DC
         s = GcfSpec(D=2, f_c=1 / 16, q=0.0, p_p=-1)
-        res = sensitivity(s, np.array([0.0]), normalized=False)
-        assert res.s_t[0] == pytest.approx(4.0, rel=1e-12)
+        d = cascade_derivative_magnitudes(s, np.array([0.0]))
+        assert d[0, 0] ** 2 == pytest.approx(4.0, rel=1e-12)
+        # referenced to the DC gain 2 + 2 r = 8 of the stage
+        assert sensitivity(s, np.array([0.0])).s_t[0] == pytest.approx(4.0 / 64.0, rel=1e-12)
 
     def test_case_tags_and_counts(self):
         assert sensitivity(spec_for(16, -1), np.array([0.1])).case_tag == "full-cascade"
@@ -126,19 +128,18 @@ class TestSensitivity:
             dtft = np.abs(np.exp(-2j * np.pi * np.outer(freqs, np.arange(len(h_p)))) @ h_p)
             r = np.asarray(stage_coefficients(s))
             hn = np.abs(cascade_response(freqs, s.cascade_stages, r))
-            for normalized in (False, True):
-                hp, dc = (dtft / h_p.sum(), stage_dc_gain(r)) if normalized else (dtft, 1.0)
-                d = cascade_derivative_magnitudes(s, freqs, normalized=normalized)
-                want = (3 * s.D1 - 2) * (hn / dc) ** 2 + hp ** 2 * np.sum(d * d, axis=0)
-                got = sensitivity(s, freqs, normalized=normalized).s_t
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
+            hp, dc = dtft / h_p.sum(), stage_dc_gain(r)
+            d = cascade_derivative_magnitudes(s, freqs) / dc
+            want = (3 * s.D1 - 2) * (hn / dc) ** 2 + hp ** 2 * np.sum(d * d, axis=0)
+            got = sensitivity(s, freqs).s_t
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
 
     @pytest.mark.parametrize("D,p_p", [(8, -1), (16, -1), (16, 1), (32, 2)])
     def test_product_form_matches_finite_differences(self, D, p_p):
         s = spec_for(D, p_p=p_p)
         rng = np.random.default_rng(99)
         freqs = rng.uniform(0.01, 0.49, 50)
-        analytic = cascade_derivative_magnitudes(s, freqs, normalized=False)
+        analytic = cascade_derivative_magnitudes(s, freqs)
         r = np.asarray(stage_coefficients(s))
         ks = list(s.cascade_stages)
         w = 2 * np.pi * freqs
@@ -163,7 +164,7 @@ class TestSensitivity:
         freqs = np.linspace(0.003, 0.497, 1500)
         w = 2 * np.pi * freqs
         r = np.asarray(stage_coefficients(s))
-        product = cascade_derivative_magnitudes(s, freqs, normalized=False)
+        product = cascade_derivative_magnitudes(s, freqs)
         brackets = np.array([
             2.0 * (np.cos(3 * 2.0 ** (k - 1) * w) + r_k * np.cos(2.0 ** (k - 1) * w))
             for k, r_k in zip(s.cascade_stages, r)
