@@ -36,7 +36,6 @@ from .wordlength import (
     WordLengthReport,
     cascade_derivative_magnitudes,
     design_wordlengths,
-    in_band_sensitivity,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,

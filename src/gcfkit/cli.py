@@ -32,11 +32,15 @@ from .filters import (
     stage_coefficients,
 )
 from .spectral import (
+    DEFAULT_GLOBAL_POINTS,
+    DEFAULT_POINTS_PER_BAND,
+    FoldingBandSet,
     ResponseGrid,
     cascade_response,
     folding_bands,
-    response_grid,
+    grid_frequencies,
     grid_to_csv,
+    response_grid,
     worst_case_attenuation,
 )
 from .wordlength import (
@@ -44,7 +48,6 @@ from .wordlength import (
     ToleranceSpec,
     cascade_derivative_magnitudes,
     design_wordlengths,
-    in_band_sensitivity,
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
@@ -70,8 +73,8 @@ class DesignConfig:
     prob: float | None = None
     y: float | None = None
     input_width: int = 1
-    points_per_band: int = 129
-    global_points: int = 4096
+    points_per_band: int = DEFAULT_POINTS_PER_BAND
+    global_points: int = DEFAULT_GLOBAL_POINTS
     seed: int = 12345
     trials: int = 2000
     n_samples: int = 2 ** 18
@@ -158,27 +161,29 @@ SWEEP_CHIS = (5e-3, 1e-3, 1e-4)
 SWEEP_YS = (2.0, 1.63)
 
 
-def _design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec):
-    """Word-length design of spec on the config's grid."""
-    return design_wordlengths(
-        spec, tol, cfg.input_width, points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-    )
+def _grid(cfg: DesignConfig, spec: GcfSpec):
+    """(folding bands, grid frequencies, in-band mask) of spec on the config's grid.
+
+    Each command builds it once; its responses and its sizing all use it.
+    """
+    bands = folding_bands(spec.D, spec.f_c)
+    freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
+    return bands, freqs, bands.contains(freqs)
 
 
-def _write_fn_sweep(cfg: DesignConfig, outdir: str) -> None:
+def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
     """F_n over every split of D, the standard chi triple and both working y.
 
-    S_T does not depend on chi or y, so each split evaluates it once.
+    The folding bands do not depend on the split, so every split is sized
+    on the same in-band frequencies; S_T does not depend on chi or y, so
+    each split evaluates it once.
     """
-    base = cfg.spec()
     path = os.path.join(outdir, "fn_sweep.csv")
     with open(path, "w") as fh:
         fh.write("D,D1,pp_split,chi,y,f_n\n")
         for pp in range(-1, base.p):
             spec = GcfSpec(D=base.D, f_c=base.f_c, p_p=pp, q=base.q, rho=base.rho)
-            sens = in_band_sensitivity(
-                spec, points_per_band=cfg.points_per_band, global_points=cfg.global_points,
-            )
+            sens = sensitivity(spec, in_band)
             for chi in SWEEP_CHIS:
                 for y in SWEEP_YS:
                     f_n = sens.fraction_bits(ToleranceSpec.from_y(chi, y)).f_n
@@ -190,9 +195,11 @@ def cmd_design(cfg: DesignConfig, sweep_splits: bool = False) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
-    report = _design(cfg, spec, tol)
+    _, freqs, mask = _grid(cfg, spec)
+    in_band = freqs[mask]
+    report = design_wordlengths(spec, tol, cfg.input_width, in_band)
     if sweep_splits:
-        _write_fn_sweep(cfg, outdir)
+        _write_fn_sweep(spec, in_band, outdir)
     report.to_json(os.path.join(outdir, "report.json"))
     r = np.asarray(stage_coefficients(spec))
     h_p = polyphase_impulse(spec)
@@ -217,22 +224,21 @@ def cmd_response(cfg: DesignConfig) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
-    report = _design(cfg, spec, tol)
-    bands = folding_bands(spec.D, spec.f_c)
-    exact = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    grid_to_csv(os.path.join(outdir, "response_exact.csv"), exact)
-    err = quantization_error_response(spec, report.f_n, bands=bands, freqs=exact.freqs)
+    bands, freqs, mask = _grid(cfg, spec)
+    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
+    grid_to_csv(os.path.join(outdir, "response_exact.csv"), response_grid(spec, freqs, mask))
+    err = quantization_error_response(spec, report.f_n, freqs)
     grid_to_csv(
         os.path.join(outdir, "response_quantized.csv"),
-        ResponseGrid(freqs=exact.freqs, values=err.quantized, in_band_mask=exact.in_band_mask),
+        ResponseGrid(freqs=freqs, values=err.quantized, in_band_mask=mask),
     )
-    comb_grid = response_grid(CombSpec(D=spec.D), bands, cfg.points_per_band, cfg.global_points)
+    comb_grid = response_grid(CombSpec(D=spec.D), freqs, mask)
     grid_to_csv(os.path.join(outdir, "response_comb.csv"), comb_grid)
     with open(os.path.join(outdir, "bands.csv"), "w") as fh:
         fh.write("k,low,high\n")
         for i, (lo, hi) in enumerate(bands.bands, start=1):
             fh.write(f"{i},{lo!r},{hi!r}\n")
-    max_dev = float(np.max(np.abs(err.delta_h[err.in_band_mask])))
+    max_dev = float(np.max(np.abs(err.delta_h[mask])))
     print(f"max in-band |d|H|| at F_n={report.f_n}: {max_dev:.3e} (chi = {tol.chi:g})")
     return EXIT_OK
 
@@ -242,17 +248,17 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
-    bands = folding_bands(spec.D, spec.f_c)
-    grid = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    report = _design(cfg, spec, tol)
-    err = quantization_error_response(spec, report.f_n, bands=bands, freqs=grid.freqs)
-    result = sensitivity(spec, grid.freqs)
+    _, freqs, mask = _grid(cfg, spec)
+    grid = response_grid(spec, freqs, mask)
+    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
+    err = quantization_error_response(spec, report.f_n, freqs)
+    result = sensitivity(spec, freqs)
     grid_to_csv(
         os.path.join(outdir, "sensitivity.csv"), grid,
         extra={"s_t": result.s_t, "sigma_dh": result.sigma_dh(report.f_n), "delta_h": err.delta_h},
     )
     print(f"S_T grid ({result.case_tag}, {result.n_multipliers} multipliers): "
-          f"in-band max {np.max(result.s_t[grid.in_band_mask]):.6g}, F_n {report.f_n}")
+          f"in-band max {np.max(result.s_t[mask]):.6g}, F_n {report.f_n}")
     return EXIT_OK
 
 
@@ -284,12 +290,17 @@ def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
     return worst <= 1e-5, f"sensitivity_fd: max rel err {worst:.3e} (tol 1e-5)"
 
 
-def _check_mc(spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: int) -> tuple[bool, str]:
+def _check_mc(
+    spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: int, bands: FoldingBandSet,
+) -> tuple[bool, str]:
     # Model-validity checks that hold for the uniform multiplier-noise model:
     # sigma_dh is an upper bound on the true per-frequency std (10% slack for
     # sampling noise), and coverage at the design y cannot fall far below the
-    # Gaussian prediction.
-    run = monte_carlo_run(spec, f_n, trials, seed, tol.y)
+    # Gaussian prediction.  The Monte Carlo runs on the default grid, not the
+    # config's: moving it changes validate.json, which the benchmark checks,
+    # so that move waits for the reference re-record of ROADMAP item 1.
+    freqs = grid_frequencies(bands, DEFAULT_POINTS_PER_BAND, DEFAULT_GLOBAL_POINTS)
+    run = monte_carlo_run(spec, f_n, trials, seed, tol.y, freqs[bands.contains(freqs)])
     ok_std = bool(np.all(run.error_std <= 1.1 * run.sigma_dh + 1e-18))
     cov = run.coverage()
     floor = math.erf(tol.y / math.sqrt(2.0)) - 0.03
@@ -304,13 +315,14 @@ def cmd_validate(cfg: DesignConfig) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
-    report = _design(cfg, spec, tol)
+    bands, freqs, mask = _grid(cfg, spec)
+    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     checks = {}
     ok1, msg1 = _check_split_invariance(spec)
     checks["split_invariance"] = {"pass": ok1, "detail": msg1}
     ok2, msg2 = _check_sensitivity_fd(spec, cfg.seed)
     checks["sensitivity_fd"] = {"pass": ok2, "detail": msg2}
-    ok3, msg3 = _check_mc(spec, tol, report.f_n, cfg.trials, cfg.seed)
+    ok3, msg3 = _check_mc(spec, tol, report.f_n, cfg.trials, cfg.seed, bands)
     checks["mc_model"] = {"pass": ok3, "detail": msg3}
     all_ok = all(c["pass"] for c in checks.values())
     payload = {"pass": all_ok, "checks": checks, "f_n": report.f_n}
@@ -327,7 +339,8 @@ def cmd_simulate(cfg: DesignConfig) -> int:
     tol = cfg.tolerance()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
-    report = _design(cfg, spec, tol)
+    _, freqs, mask = _grid(cfg, spec)
+    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     fmt = FixedPointFormat(i_n=report.i_n_k, f_n=report.f_n)
     sd_cfg = SdConfig(
         fx_ratio=spec.f_c, amplitude=cfg.amplitude,
@@ -345,9 +358,9 @@ def cmd_compare(cfg: DesignConfig) -> int:
     spec = cfg.spec()
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
-    bands = folding_bands(spec.D, spec.f_c)
-    gcf = response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    comb = response_grid(CombSpec(D=spec.D), bands, cfg.points_per_band, cfg.global_points)
+    bands, freqs, mask = _grid(cfg, spec)
+    gcf = response_grid(spec, freqs, mask)
+    comb = response_grid(CombSpec(D=spec.D), freqs, mask)
     gcf_mag, comb_mag = gcf.magnitude, comb.magnitude
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")

@@ -219,13 +219,12 @@ def gcf_response(spec: GcfSpec, f, normalized: bool = False) -> complex | np.nda
     return out if np.ndim(f) else complex(out[0])
 
 
-def response_grid(
-    spec_or_comb,
+def grid_frequencies(
     band_config: FoldingBandSet,
     points_per_band: int = DEFAULT_POINTS_PER_BAND,
     global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> ResponseGrid:
-    """Dense response grid over [0, 1/2] with folding bands refined, unit DC gain.
+) -> np.ndarray:
+    """Dense frequency grid over [0, 1/2] with the folding bands refined.
 
     The grid is global_points uniform samples augmented so every folding
     band carries at least points_per_band samples including both edges and
@@ -233,22 +232,6 @@ def response_grid(
     """
     if points_per_band < 2:
         raise ParameterError(f"points_per_band must be >= 2, got {points_per_band}")
-    freqs = grid_frequencies(band_config, points_per_band, global_points)
-    if isinstance(spec_or_comb, CombSpec):
-        values = comb_response(spec_or_comb, freqs)
-    elif isinstance(spec_or_comb, GcfSpec):
-        values = gcf_response(spec_or_comb, freqs, normalized=True)
-    else:
-        raise ParameterError(f"expected GcfSpec or CombSpec, got {type(spec_or_comb)!r}")
-    return ResponseGrid(freqs=freqs, values=np.asarray(values), in_band_mask=band_config.contains(freqs))
-
-
-def grid_frequencies(
-    band_config: FoldingBandSet,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> np.ndarray:
-    """Frequency samples of :func:`response_grid` without evaluating a filter."""
     pieces = [np.linspace(0.0, 0.5, global_points)]
     for lo, hi in band_config.bands:
         seg = np.linspace(lo, hi, points_per_band)
@@ -256,6 +239,17 @@ def grid_frequencies(
         pieces.append(seg)
         pieces.append(np.array([center]))
     return np.unique(np.concatenate(pieces))
+
+
+def response_grid(spec_or_comb, freqs: np.ndarray, in_band_mask: np.ndarray) -> ResponseGrid:
+    """Unit-DC-gain response of a GCF or comb at freqs, with their in-band flags."""
+    if isinstance(spec_or_comb, CombSpec):
+        values = comb_response(spec_or_comb, freqs)
+    elif isinstance(spec_or_comb, GcfSpec):
+        values = gcf_response(spec_or_comb, freqs, normalized=True)
+    else:
+        raise ParameterError(f"expected GcfSpec or CombSpec, got {type(spec_or_comb)!r}")
+    return ResponseGrid(freqs=freqs, values=np.asarray(values), in_band_mask=in_band_mask)
 
 
 def worst_case_attenuation(grid: ResponseGrid) -> float:

@@ -41,17 +41,7 @@ import numpy as np
 
 from .errors import InternalError, ParameterError
 from .filters import GcfSpec, polyphase_impulse, stage_coefficients, stage_dc_gain, stage_multiplier
-from .spectral import (
-    DEFAULT_GLOBAL_POINTS,
-    DEFAULT_POINTS_PER_BAND,
-    FoldingBandSet,
-    cascade_response,
-    folding_bands,
-    grid_frequencies,
-    stage_bracket,
-    stage_brackets,
-    stage_derivative,
-)
+from .spectral import cascade_response, stage_bracket, stage_brackets, stage_derivative
 
 
 def y_from_p(prob: float) -> float:
@@ -139,7 +129,7 @@ class SensitivityResult:
         st = self.s_t
         if np.all(st <= 0.0):
             raise InternalError("S_T vanished identically over the folding bands")
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
         idx = int(np.argmin(ratio))
         bound = math.sqrt(12.0) * ratio[idx]
@@ -165,8 +155,6 @@ class FixedPointFormat:
 class ErrorStats:
     """Realized quantization error of the rounded multipliers."""
 
-    freqs: np.ndarray
-    in_band_mask: np.ndarray
     quantized: np.ndarray  # complex response with rounded multipliers, unit DC gain
     delta_h: np.ndarray
 
@@ -267,24 +255,6 @@ def sensitivity(spec: GcfSpec, freqs) -> SensitivityResult:
     )
 
 
-def in_band_sensitivity(
-    spec: GcfSpec,
-    bands: FoldingBandSet | None = None,
-    freqs: np.ndarray | None = None,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> SensitivityResult:
-    """S_T on the points of freqs (default: the response grid) inside the folding bands."""
-    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
-    if freqs is None:
-        freqs = grid_frequencies(bands, points_per_band, global_points)
-    freqs = np.asarray(freqs, dtype=float)
-    mask = bands.contains(freqs)
-    if not np.any(mask):
-        raise ParameterError("frequency grid has no in-band points")
-    return sensitivity(spec, freqs[mask])
-
-
 def integer_bits(spec: GcfSpec, input_width: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Worst-case integer sizing of the cascade stages: (g, i_n), one entry per stage.
 
@@ -338,36 +308,20 @@ def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarra
     return cascade_response(freqs, spec.cascade_stages, r, start=bank)
 
 
-def quantization_error_response(
-    spec: GcfSpec,
-    f_n: int,
-    bands: FoldingBandSet | None = None,
-    freqs: np.ndarray | None = None,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> ErrorStats:
-    """Realized magnitude distortion d|H| = |H_q| - |H| for rounded multipliers.
+def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> ErrorStats:
+    """Realized magnitude distortion d|H| = |H_q| - |H| at freqs for rounded multipliers.
 
     Exact and quantized responses are each self-normalized to unit DC gain
     before the magnitudes are compared.  The model std it is set against is
     SensitivityResult.sigma_dh.
     """
-    bands = bands if bands is not None else folding_bands(spec.D, spec.f_c)
-    if freqs is None:
-        freqs = grid_frequencies(bands, points_per_band, global_points)
-    freqs = np.asarray(freqs, dtype=float)
     taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, f_n)
     exact = _response_from_multipliers(spec, freqs, taps, r)
     quant = _response_from_multipliers(spec, freqs, taps_q, r_q)
     dc_exact = taps.sum() * stage_dc_gain(r)
     dc_quant = taps_q.sum() * stage_dc_gain(r_q)
     delta = np.abs(quant) / dc_quant - np.abs(exact) / dc_exact
-    return ErrorStats(
-        freqs=freqs,
-        in_band_mask=bands.contains(freqs),
-        quantized=quant / dc_quant,
-        delta_h=delta,
-    )
+    return ErrorStats(quantized=quant / dc_quant, delta_h=delta)
 
 
 # Trials per block of the Monte Carlo responses: the complex temporaries of
@@ -448,7 +402,7 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
 
 @dataclass(frozen=True)
 class MonteCarloRun:
-    """Monte Carlo d|H| statistics on the in-band grid next to the model sigma_dh."""
+    """Monte Carlo d|H| statistics at in-band frequencies next to the model sigma_dh."""
 
     freqs: np.ndarray
     error_std: np.ndarray  # per-frequency empirical std of d|H|
@@ -468,26 +422,17 @@ class MonteCarloRun:
         return self.covered / (self.trials * len(self.freqs))
 
 
-def monte_carlo_run(
-    spec: GcfSpec,
-    f_n: int,
-    trials: int,
-    seed: int,
-    y: float,
-    bands: FoldingBandSet | None = None,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> MonteCarloRun:
-    """d|H| of f_n-bit multiplier noise over the in-band grid, deterministic given seed.
+def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, freqs: np.ndarray) -> MonteCarloRun:
+    """d|H| of f_n-bit multiplier noise at the in-band freqs, deterministic given seed.
 
-    The in-band grid is walked in tiles of _FREQ_BLOCK frequencies, and each
+    The frequencies are walked in tiles of _FREQ_BLOCK frequencies, and each
     tile's trial blocks are reduced one at a time, so memory grows neither
     with trials nor with grid size x taps: each block's per-frequency count,
     mean and M2 are merged into the tile's running ones (the pairwise update
     of Chan, Golub and LeVeque, 1979), and the pairs within y * sigma_dh are
     counted.
     """
-    sens = in_band_sensitivity(spec, bands, points_per_band=points_per_band, global_points=global_points)
+    sens = sensitivity(spec, freqs)
     sigma_dh = sens.sigma_dh(f_n)
     bound = y * sigma_dh
     draws = _mc_draws(spec, f_n, trials, seed)
@@ -511,17 +456,20 @@ def monte_carlo_run(
     )
 
 
-def design_wordlengths(
-    spec: GcfSpec,
-    tol: ToleranceSpec,
-    input_width: int,
-    bands: FoldingBandSet | None = None,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> WordLengthReport:
-    """Full word-length design: F_n from the statistics, I_n from worst case."""
-    sens = in_band_sensitivity(spec, bands, points_per_band=points_per_band, global_points=global_points)
+def design_wordlengths(spec: GcfSpec, tol: ToleranceSpec, input_width: int, freqs: np.ndarray) -> WordLengthReport:
+    """Full word-length design on the in-band freqs: F_n from the statistics, I_n from worst case.
+
+    An F_n at which the unit-DC taps round to a zero sum leaves the
+    quantized filter no DC gain to normalize by, and is rejected.
+    """
+    sens = sensitivity(spec, freqs)
     fres = sens.fraction_bits(tol)
+    _, _, taps_q, _ = _quantized_multiplier_sets(spec, fres.f_n)
+    if taps_q.sum() == 0.0:
+        raise ParameterError(
+            f"chi = {tol.chi:g} sizes F_n = {fres.f_n}, at which the polyphase taps round to a "
+            "zero DC gain; give a smaller chi"
+        )
     g, i_n = integer_bits(spec, input_width)
     return WordLengthReport(
         spec=spec.as_dict(),

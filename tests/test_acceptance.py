@@ -37,7 +37,6 @@ from gcfkit import (
     expand_full_polynomial,
     folding_bands,
     grid_frequencies,
-    in_band_sensitivity,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,
@@ -56,6 +55,13 @@ PAPER_TOL = ToleranceSpec.from_y(1e-4, 2.0)
 SEED = 20240917
 
 
+def in_band(spec):
+    """The in-band frequencies of spec's default response grid."""
+    bands = folding_bands(spec.D, spec.f_c)
+    freqs = grid_frequencies(bands)
+    return freqs[bands.contains(freqs)]
+
+
 def report(criterion, ok, detail):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
@@ -65,7 +71,7 @@ def report(criterion, ok, detail):
 # --------------------------------------------------------------------------
 def test_criterion_1_wordlength_reproduction():
     t0 = time.perf_counter()
-    rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, input_width=1)
+    rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, 1, in_band(PAPER_SPEC))
     elapsed = time.perf_counter() - t0
     ok = abs(rep.f_n - 7) <= 1 and elapsed < 1.0
     detail = (f"F_n = {rep.f_n} (target 7 +/- 1; exact-match mode: section-normalized "
@@ -91,14 +97,11 @@ def fn_table():
         p = D.bit_length() - 1
         for pp in range(-1, p):
             spec = GcfSpec.from_oversampling(D, 4 * D, p_p=pp)
-            bands = folding_bands(spec.D, spec.f_c)
-            freqs = grid_frequencies(bands)
+            freqs = in_band(spec)
             for chi in SWEEP_CHIS:
                 for y in (2.0, 1.63):
                     tol = ToleranceSpec.from_y(chi, y)
-                    table[(D, pp, chi, y)] = in_band_sensitivity(
-                        spec, bands=bands, freqs=freqs
-                    ).fraction_bits(tol).f_n
+                    table[(D, pp, chi, y)] = sensitivity(spec, freqs).fraction_bits(tol).f_n
     return table, time.perf_counter() - t0
 
 
@@ -226,7 +229,7 @@ def test_criterion_5_sensitivity_correctness():
 # 6. statistical model validation (Gaussian-model windows)
 # --------------------------------------------------------------------------
 def test_criterion_6a_coverage_y2():
-    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0).coverage()
+    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
     ok = 0.93 <= cov <= 0.97
     detail = (f"coverage at y=2: {cov:.4f} (target window [0.93, 0.97]; the single "
               f"dominant multiplier per band makes the error uniform, whose +/-2 sigma "
@@ -236,7 +239,7 @@ def test_criterion_6a_coverage_y2():
 
 
 def test_criterion_6b_coverage_y1():
-    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=1.0).coverage()
+    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=1.0, freqs=in_band(PAPER_SPEC)).coverage()
     ok = 0.66 <= cov <= 0.71
     detail = (f"coverage at y=1: {cov:.4f} (target window [0.66, 0.71]; a uniform "
               f"variable lies within 1 sigma with probability 1/sqrt(3) ~= 0.577)")
@@ -246,7 +249,7 @@ def test_criterion_6b_coverage_y1():
 
 @pytest.mark.parametrize("f_n", [6, 7])
 def test_criterion_6c_per_frequency_std(f_n):
-    run = monte_carlo_run(PAPER_SPEC, f_n, trials=2000, seed=SEED, y=2.0)
+    run = monte_carlo_run(PAPER_SPEC, f_n, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC))
     emp, model = run.error_std, run.sigma_dh
     live = model > 1e-18
     ratio = emp[live] / model[live]
@@ -262,7 +265,7 @@ def test_criterion_6c_per_frequency_std(f_n):
 
 def test_criterion_6_model_upper_bound_holds():
     # the defensible half of the model: sigma_dm*sqrt(S_T) bounds the true std
-    run = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0)
+    run = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC))
     emp, model = run.error_std, run.sigma_dh
     ok = bool(np.all(emp <= 1.1 * model + 1e-18))
     detail = f"empirical std <= 1.1 * model everywhere: {ok} (max ratio {np.max(np.where(model>0, emp/np.maximum(model,1e-300), 0)):.3f})"
@@ -274,11 +277,11 @@ def test_criterion_6_model_upper_bound_holds():
 # 7. quantized-response fidelity
 # --------------------------------------------------------------------------
 def test_criterion_7_quantized_fidelity():
-    rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, input_width=1)
-    err = quantization_error_response(PAPER_SPEC, rep.f_n)
-    in_band = np.abs(err.delta_h[err.in_band_mask])
-    worst = float(np.max(in_band))
-    exceed_frac = float(np.mean(in_band > PAPER_TOL.chi))
+    freqs = in_band(PAPER_SPEC)
+    rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, 1, freqs)
+    in_band_dh = np.abs(quantization_error_response(PAPER_SPEC, rep.f_n, freqs).delta_h)
+    worst = float(np.max(in_band_dh))
+    exceed_frac = float(np.mean(in_band_dh > PAPER_TOL.chi))
     ok = worst <= PAPER_TOL.chi or exceed_frac < 0.05
     detail = (f"max in-band |d|H|| = {worst:.3e} at F_n={rep.f_n} "
               f"(chi = {PAPER_TOL.chi:g}, exceedance fraction {exceed_frac:.3f})")
@@ -291,8 +294,10 @@ def test_criterion_7_quantized_fidelity():
 # --------------------------------------------------------------------------
 def test_criterion_8_gcf_vs_comb():
     bands = folding_bands(16, 1 / 128)
-    att_gcf = worst_case_attenuation(response_grid(PAPER_SPEC, bands))
-    att_comb = worst_case_attenuation(response_grid(CombSpec(16, 3), bands))
+    freqs = grid_frequencies(bands)
+    mask = bands.contains(freqs)
+    att_gcf = worst_case_attenuation(response_grid(PAPER_SPEC, freqs, mask))
+    att_comb = worst_case_attenuation(response_grid(CombSpec(16, 3), freqs, mask))
     gain = att_gcf - att_comb
     ok = abs(gain - 8.0) <= 2.0
     detail = (f"worst-case folding-band attenuation: comb {att_comb:.2f} dB, "

@@ -294,6 +294,9 @@ class TestConfigErrors:
         ["response", "--chi", "1e-310"],
         ["sensitivity", "--chi", "1e-310"],
         ["validate", "--chi", "1e-310", "--trials", "1000"],
+        # F_n = 1, at which every unit-DC polyphase tap rounds to 0
+        ["design", "--pp-split", "1", "--chi", "1", "--y", "2"],
+        ["response", "--pp-split", "1", "--chi", "1", "--y", "2"],
     ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
     def test_config_error_leaves_only_resolved_config(self, tmp_path, capsys, args):
         cfg = write_config(tmp_path, points_per_band=17, global_points=256)

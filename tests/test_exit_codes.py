@@ -4,12 +4,14 @@ gcfkit.cli.main runs on random values of every DesignConfig field, each
 given as its flag, at sizes that keep one run short: D <= 64, response
 grids of at most 33 points per band and 512 global points, 1000 Monte
 Carlo trials and at most 2**14 modulator samples.  Each run must exit 0, 1,
-2 or 3 without a traceback, and a config error (exit 2) must leave no
-artifact but resolved_config.json.
+2 or 3 without a traceback; a config error (exit 2) must leave no artifact
+but resolved_config.json, and after exit 0 or 1 every number in every CSV
+and JSON artifact must be finite.
 """
 
 import contextlib
 import io
+import json
 import math
 import os
 import tempfile
@@ -98,6 +100,27 @@ def test_every_field_but_output_dir_is_drawn():
     assert set(in_range(16, 64, "y")) == set(out_of_range(16, 64)) == names
 
 
+def json_numbers(value):
+    """Every int and float inside a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in json_numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def artifact_numbers(outdir):
+    """(file name, number) of every numeric field of the CSV and JSON artifacts in outdir."""
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name)) as fh:
+            if name.endswith(".json"):
+                # json.load reads NaN and Infinity as floats
+                yield from ((name, x) for x in json_numbers(json.load(fh)))
+            elif name.endswith(".csv"):
+                next(fh)  # header
+                yield from ((name, float(field)) for line in fh for field in line.split(","))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     command=st.sampled_from(["design", "response", "sensitivity", "validate", "simulate", "compare"]),
@@ -121,3 +144,6 @@ def test_main_exits_with_a_documented_code(command, values, sweep):
         if code == 2:
             written = os.listdir(outdir) if os.path.isdir(outdir) else []
             assert set(written) <= {"resolved_config.json"}, (argv, written)
+        elif code in (0, 1):
+            bad = [(name, x) for name, x in artifact_numbers(outdir) if not math.isfinite(x)]
+            assert not bad, (argv, bad[:5])

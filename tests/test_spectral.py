@@ -13,6 +13,7 @@ from gcfkit import (
     expand_full_polynomial,
     folding_bands,
     gcf_response,
+    grid_frequencies,
     response_grid,
     worst_case_attenuation,
 )
@@ -22,6 +23,12 @@ from gcfkit.spectral import ATTENUATION_CAP_DB, _REASSEMBLY_BLOCK, _polyphase_re
 
 def spec_for(D, p_p=-1, q=0.79):
     return GcfSpec.from_oversampling(D, 4 * D, p_p=p_p, q=q)
+
+
+def grid_of(spec_or_comb, fb, *grid):
+    """response_grid of spec_or_comb on the grid_frequencies(fb, *grid)."""
+    freqs = grid_frequencies(fb, *grid)
+    return response_grid(spec_or_comb, freqs, fb.contains(freqs))
 
 
 class TestFoldingBands:
@@ -149,7 +156,7 @@ class TestResponseGrid:
     def test_construction_contract(self):
         s = spec_for(16)
         fb = folding_bands(s.D, s.f_c)
-        grid = response_grid(s, fb, points_per_band=65, global_points=4096)
+        grid = grid_of(s, fb, 65, 4096)
         assert len(grid.freqs) >= 4096
         assert np.all(np.diff(grid.freqs) > 0)
         for lo, hi in fb.bands:
@@ -163,14 +170,14 @@ class TestResponseGrid:
     def test_comb_grid_same_freqs(self):
         s = spec_for(16)
         fb = folding_bands(s.D, s.f_c)
-        g1 = response_grid(s, fb)
-        g2 = response_grid(CombSpec(16, 3), fb)
+        g1 = grid_of(s, fb)
+        g2 = grid_of(CombSpec(16, 3), fb)
         np.testing.assert_array_equal(g1.freqs, g2.freqs)
 
     def test_folding_centres_are_zeros_for_comb_case(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
         fb = folding_bands(s.D, s.f_c)
-        grid = response_grid(s, fb)
+        grid = grid_of(s, fb)
         for k in range(1, len(fb.bands) + 1):
             # k/D, not the interval midpoint: the last band is clipped at Nyquist
             idx = np.argmin(np.abs(grid.freqs - k / 16))
@@ -180,7 +187,7 @@ class TestResponseGrid:
     def test_rejects_sparse_bands(self):
         s = spec_for(16)
         with pytest.raises(ParameterError):
-            response_grid(s, folding_bands(s.D, s.f_c), points_per_band=1)
+            grid_frequencies(folding_bands(s.D, s.f_c), points_per_band=1)
 
 
 class TestWorstCaseAttenuation:
@@ -188,7 +195,7 @@ class TestWorstCaseAttenuation:
         # independent oracle: |comb| is largest at the innermost band edge
         comb = CombSpec(16, 3)
         fb = folding_bands(16, 1 / 128)
-        grid = response_grid(comb, fb)
+        grid = grid_of(comb, fb)
         f_edge = 1 / 16 - 1 / 128
         ratio = math.sin(math.pi * f_edge * 16) / (16 * math.sin(math.pi * f_edge))
         expected = -20 * math.log10(abs(ratio) ** 3)
@@ -198,8 +205,8 @@ class TestWorstCaseAttenuation:
     def test_gcf_improvement_about_8db(self):
         s = spec_for(16)  # rho = 64
         fb = folding_bands(16, 1 / 128)
-        att_gcf = worst_case_attenuation(response_grid(s, fb))
-        att_comb = worst_case_attenuation(response_grid(CombSpec(16, 3), fb))
+        att_gcf = worst_case_attenuation(grid_of(s, fb))
+        att_comb = worst_case_attenuation(grid_of(CombSpec(16, 3), fb))
         assert att_gcf - att_comb == pytest.approx(8.0, abs=2.0)
 
     def test_zero_band_capped(self):
@@ -222,7 +229,7 @@ class TestGridCsv:
     def test_schema_and_extras(self, tmp_path):
         s = spec_for(8)
         fb = folding_bands(s.D, s.f_c)
-        grid = response_grid(s, fb, points_per_band=5, global_points=32)
+        grid = grid_of(s, fb, 5, 32)
         path = tmp_path / "grid.csv"
         grid_to_csv(path, grid, extra={"s_t": np.arange(len(grid.freqs), dtype=float)})
         lines = path.read_text().strip().splitlines()

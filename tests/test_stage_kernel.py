@@ -224,7 +224,7 @@ def test_mc_delta_h_matches_old(D, pp, rho, trials):
 def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, monkeypatch):
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
     spec = spec_of(D, pp, rho)
-    run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, points_per_band=17, global_points=512)
+    run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, in_band_freqs(spec)[1])
     rows = np.vstack(list(_mc_delta_h(spec, 9, _mc_draws(spec, 9, trials, 4), run.freqs)))
     assert np.array_equal(rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
     std = rows.std(axis=0)
@@ -234,7 +234,7 @@ def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, 
 
 def old_monte_carlo_run(spec, f_n, trials, seed, y, points_per_band, global_points):
     """(error_std, covered) of the whole-grid Monte Carlo: one pass of trial blocks over every in-band point."""
-    sens = wordlength.in_band_sensitivity(spec, points_per_band=points_per_band, global_points=global_points)
+    sens = sensitivity(spec, in_band_freqs(spec, points_per_band, global_points)[1])
     bound = y * (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(sens.s_t)
     rows = old_mc_delta_h(spec, f_n, trials, seed, sens.freqs)
     count, mean, m2, covered = 0, 0.0, 0.0, 0
@@ -278,7 +278,7 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
     for size in (join, 300, 1024, nf):
         tiles.clear()
         monkeypatch.setattr(wordlength, "_FREQ_BLOCK", size)
-        run = wordlength.monte_carlo_run(spec, 9, 129, 4, 2.0, points_per_band=grid[0], global_points=grid[1])
+        run = wordlength.monte_carlo_run(spec, 9, 129, 4, 2.0, in_band_freqs(spec, *grid)[1])
         if size == join:
             assert tiles == [join, nf - join]
         assert sum(tiles) == nf
@@ -375,7 +375,8 @@ def old_fn_sweep(cfg, path):
 ])
 def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid):
     cfg = cli.DesignConfig(decimation_factor=D, oversampling_ratio=rho, **grid)
-    cli._write_fn_sweep(cfg, str(tmp_path))
+    _, freqs, mask = cli._grid(cfg, cfg.spec())
+    cli._write_fn_sweep(cfg.spec(), freqs[mask], str(tmp_path))
     old_fn_sweep(cfg, tmp_path / "old.csv")
     assert (tmp_path / "fn_sweep.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -384,11 +385,12 @@ def old_cmd_sensitivity_csv(cfg, path):
     """sensitivity.csv as written with its own S_T evaluation for each column."""
     spec = cfg.spec()
     bands = folding_bands(spec.D, spec.f_c)
-    grid = spectral.response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
+    freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
+    grid = spectral.response_grid(spec, freqs, bands.contains(freqs))
     result = sensitivity(spec, grid.freqs)
     sigma_dh = sensitivity(spec, grid.freqs).sigma_dh
-    f_n = cli._design(cfg, spec, cfg.tolerance()).f_n
-    err = quantization_error_response(spec, f_n, bands=bands, freqs=grid.freqs)
+    f_n = wordlength.design_wordlengths(spec, cfg.tolerance(), cfg.input_width, freqs[grid.in_band_mask]).f_n
+    err = quantization_error_response(spec, f_n, grid.freqs)
     spectral.grid_to_csv(path, grid, extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": err.delta_h})
 
 
@@ -426,9 +428,9 @@ def old_comparison_csv(cfg, path):
     """comparison.csv as written with the grid magnitudes recomputed per band."""
     spec = cfg.spec()
     bands = folding_bands(spec.D, spec.f_c)
-    gcf = spectral.response_grid(spec, bands, cfg.points_per_band, cfg.global_points)
-    comb = spectral.response_grid(CombSpec(D=spec.D, n_c=3), bands,
-                                  cfg.points_per_band, cfg.global_points)
+    freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
+    gcf = spectral.response_grid(spec, freqs, bands.contains(freqs))
+    comb = spectral.response_grid(CombSpec(D=spec.D, n_c=3), freqs, bands.contains(freqs))
     with open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(gcf.freqs)), start=1):

@@ -12,7 +12,7 @@ from gcfkit import (
     cascade_derivative_magnitudes,
     design_wordlengths,
     folding_bands,
-    in_band_sensitivity,
+    grid_frequencies,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,
@@ -210,15 +210,27 @@ class TestSensitivity:
         np.testing.assert_allclose(res.s_t, total, rtol=2e-4)
 
 
+def default_grid(spec):
+    """spec's default response-grid frequencies and their in-band mask."""
+    bands = folding_bands(spec.D, spec.f_c)
+    freqs = grid_frequencies(bands)
+    return freqs, bands.contains(freqs)
+
+
+def in_band(spec):
+    freqs, mask = default_grid(spec)
+    return freqs[mask]
+
+
 class TestFractionalBits:
     def test_paper_design_point(self):
-        res = in_band_sensitivity(PAPER_SPEC).fraction_bits(PAPER_TOL)
+        res = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC)).fraction_bits(PAPER_TOL)
         assert res.f_n == 7
         fb = folding_bands(16, 1 / 128)
         assert fb.contains(np.array([res.binding_freq]))[0]
 
     def test_halving_chi_adds_one_bit(self):
-        sens = in_band_sensitivity(PAPER_SPEC)
+        sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
         base = sens.fraction_bits(PAPER_TOL).f_n
         halved = sens.fraction_bits(ToleranceSpec.from_y(0.5e-4, 2.0)).f_n
         assert halved == base + 1
@@ -227,11 +239,11 @@ class TestFractionalBits:
         fns = []
         for p_p in range(-1, 4):
             s = spec_for(16, p_p=p_p)
-            fns.append(in_band_sensitivity(s).fraction_bits(PAPER_TOL).f_n)
+            fns.append(sensitivity(s, in_band(s)).fraction_bits(PAPER_TOL).f_n)
         assert fns == sorted(fns)
 
     def test_monotone_in_chi_and_y(self):
-        sens = in_band_sensitivity(PAPER_SPEC)
+        sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
         for chi_lo, chi_hi in ((1e-4, 5e-4), (1e-3, 5e-3)):
             assert (sens.fraction_bits(ToleranceSpec.from_y(chi_lo, 2.0)).f_n
                     >= sens.fraction_bits(ToleranceSpec.from_y(chi_hi, 2.0)).f_n)
@@ -286,19 +298,21 @@ class TestQuantize:
 class TestQuantizationErrorResponse:
     def test_integer_coefficients_are_exact(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
-        err = quantization_error_response(s, 7)
-        np.testing.assert_array_equal(err.delta_h, np.zeros(len(err.freqs)))
+        freqs, _ = default_grid(s)
+        err = quantization_error_response(s, 7, freqs)
+        np.testing.assert_array_equal(err.delta_h, np.zeros(len(freqs)))
 
     def test_fine_quantization_vanishes(self):
-        err = quantization_error_response(PAPER_SPEC, 40)
+        err = quantization_error_response(PAPER_SPEC, 40, default_grid(PAPER_SPEC)[0])
         assert np.max(np.abs(err.delta_h)) <= 1e-10
 
     def test_paper_design_within_tolerance(self):
-        err = quantization_error_response(PAPER_SPEC, 7)
-        assert np.max(np.abs(err.delta_h[err.in_band_mask])) <= 1e-4
+        freqs, mask = default_grid(PAPER_SPEC)
+        err = quantization_error_response(PAPER_SPEC, 7, freqs)
+        assert np.max(np.abs(err.delta_h[mask])) <= 1e-4
 
     def test_sigma_scaling_is_exactly_binary(self):
-        sens = in_band_sensitivity(PAPER_SPEC)
+        sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
         np.testing.assert_array_equal(sens.sigma_dh(6), 2.0 * sens.sigma_dh(7))
         np.testing.assert_array_equal(sens.sigma_dh(0), 2.0 ** 7 * sens.sigma_dh(7))
 
@@ -309,27 +323,27 @@ def mc_rows(spec, f_n, trials, seed, freqs):
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
-        a = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0).coverage()
-        b = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0).coverage()
-        c = monte_carlo_run(PAPER_SPEC, 7, 1000, 12, y=2.0).coverage()
+        a = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
+        b = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
+        c = monte_carlo_run(PAPER_SPEC, 7, 1000, 12, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
         assert a == b
         assert a != c
 
     def test_trials_floor(self):
         with pytest.raises(ParameterError):
-            monte_carlo_run(PAPER_SPEC, 7, 10, 1, y=2.0).coverage()
+            monte_carlo_run(PAPER_SPEC, 7, 10, 1, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
 
     def test_vanishing_interval(self):
-        cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 3, y=1e-6).coverage()
+        cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 3, y=1e-6, freqs=in_band(PAPER_SPEC)).coverage()
         assert cov <= 0.05
 
     def test_model_std_is_upper_bound(self):
-        run = monte_carlo_run(PAPER_SPEC, 7, 1500, 21, y=2.0)
+        run = monte_carlo_run(PAPER_SPEC, 7, 1500, 21, y=2.0, freqs=in_band(PAPER_SPEC))
         assert np.all(run.error_std <= 1.1 * run.sigma_dh + 1e-18)
 
     def test_full_polyphase_coverage_near_gaussian(self):
         s = GcfSpec(D=16, f_c=1 / 128, p_p=3)
-        cov = monte_carlo_run(s, 12, 1000, 8, y=2.0).coverage()
+        cov = monte_carlo_run(s, 12, 1000, 8, y=2.0, freqs=in_band(s)).coverage()
         assert 0.93 <= cov <= 1.0
 
     def test_trial_substreams_independent_of_total(self):
@@ -353,10 +367,10 @@ class TestMonteCarlo:
     def test_memory_does_not_grow_with_trials(self):
         s = GcfSpec.from_oversampling(256, 512, p_p=3)
         trials = 2000
-        nf = len(wordlength.in_band_sensitivity(s).freqs)
+        nf = len(in_band(s))
         tracemalloc.start()
         try:
-            monte_carlo_run(s, 16, trials, 1, y=2.0)
+            monte_carlo_run(s, 16, trials, 1, y=2.0, freqs=in_band(s))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -364,18 +378,18 @@ class TestMonteCarlo:
 
     def test_memory_does_not_grow_with_grid_times_taps(self):
         s = GcfSpec.from_oversampling(256, 512, p_p=7)
-        nf = len(wordlength.in_band_sensitivity(s).freqs)
+        nf = len(in_band(s))
         n_taps = 3 * s.D1 - 2
         tracemalloc.start()
         try:
-            monte_carlo_run(s, 16, 64, 1, y=2.0)
+            monte_carlo_run(s, 16, 64, 1, y=2.0, freqs=in_band(s))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < nf * n_taps * 16 / 4
 
     def test_one_run_gives_std_and_coverage(self):
-        run = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0)
+        run = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC))
         rows = mc_rows(PAPER_SPEC, 7, 1000, 11, run.freqs)
         assert run.trials == 1000
         assert np.max(np.abs(run.error_std - rows.std(axis=0))) <= 1e-12 * np.max(rows.std(axis=0))
@@ -384,7 +398,7 @@ class TestMonteCarlo:
 
 class TestReport:
     def test_report_roundtrip(self, tmp_path):
-        rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, input_width=1)
+        rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, 1, in_band(PAPER_SPEC))
         assert rep.f_n == 7
         assert rep.i_n_k == (4, 7, 10, 13)
         assert rep.case_tag == "full-cascade"
