@@ -18,17 +18,14 @@ from .filters import (
 )
 from .spectral import (
     FoldingBandSet,
-    ResponseGrid,
     comb_response,
     folding_bands,
     gcf_response,
     grid_frequencies,
-    response_grid,
     worst_case_attenuation,
 )
 from .wordlength import (
     ErrorStats,
-    FixedPointFormat,
     FractionalBitsResult,
     MonteCarloRun,
     SensitivityResult,
@@ -45,7 +42,6 @@ from .wordlength import (
 )
 from .sdsim import (
     ModulatorResult,
-    SdConfig,
     SimulationRun,
     decimate_fixed_point,
     export_run,

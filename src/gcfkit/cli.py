@@ -35,16 +35,15 @@ from .spectral import (
     DEFAULT_GLOBAL_POINTS,
     DEFAULT_POINTS_PER_BAND,
     FoldingBandSet,
-    ResponseGrid,
     cascade_response,
+    comb_response,
     folding_bands,
+    gcf_response,
     grid_frequencies,
     grid_to_csv,
-    response_grid,
     worst_case_attenuation,
 )
 from .wordlength import (
-    FixedPointFormat,
     ToleranceSpec,
     cascade_derivative_magnitudes,
     design_wordlengths,
@@ -53,7 +52,7 @@ from .wordlength import (
     quantize_coefficients,
     sensitivity,
 )
-from .sdsim import SdConfig, run_experiment, export_run
+from .sdsim import run_experiment, export_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -117,29 +116,34 @@ class DesignConfig:
 
 def _field_type(f) -> type:
     """Type of a DesignConfig field from its annotation: "float | None" gives float."""
-    return {"int": int, "float": float, "str": str, "bool": bool}[f.type.split(" | ")[0]]
+    return {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
 
 
 def _check_json_value(f, value) -> None:
-    """Reject a JSON value of the wrong type: an int passes for a float, a bool only for a bool."""
+    """Reject a JSON value of the wrong type: an int passes for a float, a bool for nothing."""
     kind = _field_type(f)
     if value is None:
         ok = f.type.endswith(" | None")
-    elif isinstance(value, bool):
-        ok = kind is bool
     else:
-        ok = isinstance(value, kind) or (kind is float and isinstance(value, int))
+        ok = not isinstance(value, bool) and (
+            isinstance(value, kind) or (kind is float and isinstance(value, int)))
     if not ok:
         raise ParameterError(f"config key {f.name!r} expects {f.type}, got {value!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> DesignConfig:
-    """JSON config plus overrides; unknown keys and mistyped values are rejected."""
+    """JSON config plus overrides; unknown keys, mistyped values and a config file
+    that cannot be read as one UTF-8 JSON object are rejected."""
     known = {f.name: f for f in fields(DesignConfig)}
     merged: dict = {}
     if path:
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+            raise ParameterError(f"cannot read config file {path!r}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParameterError(f"config file {path!r} does not hold a JSON object")
         unknown = set(data) - set(known)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -226,14 +230,11 @@ def cmd_response(cfg: DesignConfig) -> int:
     _write_config_echo(cfg, outdir)
     bands, freqs, mask = _grid(cfg, spec)
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
-    grid_to_csv(os.path.join(outdir, "response_exact.csv"), response_grid(spec, freqs, mask))
+    grid_to_csv(os.path.join(outdir, "response_exact.csv"), freqs, gcf_response(spec, freqs), mask)
     err = quantization_error_response(spec, report.f_n, freqs)
-    grid_to_csv(
-        os.path.join(outdir, "response_quantized.csv"),
-        ResponseGrid(freqs=freqs, values=err.quantized, in_band_mask=mask),
-    )
-    comb_grid = response_grid(CombSpec(D=spec.D), freqs, mask)
-    grid_to_csv(os.path.join(outdir, "response_comb.csv"), comb_grid)
+    grid_to_csv(os.path.join(outdir, "response_quantized.csv"), freqs, err.quantized, mask)
+    comb = comb_response(CombSpec(D=spec.D), freqs)
+    grid_to_csv(os.path.join(outdir, "response_comb.csv"), freqs, comb, mask)
     with open(os.path.join(outdir, "bands.csv"), "w") as fh:
         fh.write("k,low,high\n")
         for i, (lo, hi) in enumerate(bands.bands, start=1):
@@ -249,12 +250,11 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
     _, freqs, mask = _grid(cfg, spec)
-    grid = response_grid(spec, freqs, mask)
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     err = quantization_error_response(spec, report.f_n, freqs)
     result = sensitivity(spec, freqs)
     grid_to_csv(
-        os.path.join(outdir, "sensitivity.csv"), grid,
+        os.path.join(outdir, "sensitivity.csv"), freqs, gcf_response(spec, freqs), mask,
         extra={"s_t": result.s_t, "sigma_dh": result.sigma_dh(report.f_n), "delta_h": err.delta_h},
     )
     print(f"S_T grid ({result.case_tag}, {result.n_multipliers} multipliers): "
@@ -341,13 +341,15 @@ def cmd_simulate(cfg: DesignConfig) -> int:
     _write_config_echo(cfg, outdir)
     _, freqs, mask = _grid(cfg, spec)
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
-    fmt = FixedPointFormat(i_n=report.i_n_k, f_n=report.f_n)
-    sd_cfg = SdConfig(
-        fx_ratio=spec.f_c, amplitude=cfg.amplitude,
-        n_samples=cfg.n_samples, seed=cfg.seed, fs=cfg.sample_rate_hz,
-    )
-    run = run_experiment(sd_cfg, spec, fmt, segment=cfg.segment, overlap_fraction=cfg.overlap)
-    export_run(run, outdir)
+    run = run_experiment(spec, report.i_n_k, report.f_n, cfg.amplitude, cfg.n_samples, cfg.seed,
+                         segment=cfg.segment, overlap_fraction=cfg.overlap)
+    provenance = {
+        "config": {"fx_ratio": spec.f_c, "amplitude": cfg.amplitude, "n_samples": cfg.n_samples,
+                   "seed": cfg.seed, "fs": cfg.sample_rate_hz},
+        "spec": spec.as_dict(),
+        "format": {"i_n": list(report.i_n_k), "f_n": report.f_n, "sign_bits": 1},
+    }
+    export_run(run, outdir, provenance)
     edge = spec.f_c * spec.D
     print(f"decimated {len(run.bitstream)} -> {len(run.decimated)} samples; "
           f"useful band edge {edge:.4f}; overloads {run.overload_count}")
@@ -359,18 +361,17 @@ def cmd_compare(cfg: DesignConfig) -> int:
     outdir = cfg.output_dir
     _write_config_echo(cfg, outdir)
     bands, freqs, mask = _grid(cfg, spec)
-    gcf = response_grid(spec, freqs, mask)
-    comb = response_grid(CombSpec(D=spec.D), freqs, mask)
-    gcf_mag, comb_mag = gcf.magnitude, comb.magnitude
+    gcf_mag = np.abs(gcf_response(spec, freqs))
+    comb_mag = np.abs(comb_response(CombSpec(D=spec.D), freqs))
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
-        for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(gcf.freqs)), start=1):
+        for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(freqs)), start=1):
             att_g = -20 * np.log10(max(np.max(gcf_mag[m]), 1e-15))
             att_c = -20 * np.log10(max(np.max(comb_mag[m]), 1e-15))
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
-    worst_g = worst_case_attenuation(gcf)
-    worst_c = worst_case_attenuation(comb)
+    worst_g = worst_case_attenuation(gcf_mag[mask])
+    worst_c = worst_case_attenuation(comb_mag[mask])
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "
           f"improvement {worst_g - worst_c:.2f} dB")
     return EXIT_OK
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
     except StageOverflowError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParameterError, FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
+    except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

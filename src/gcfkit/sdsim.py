@@ -4,22 +4,21 @@ fixed-point GCF cascade, Welch spectra.
 The modulator is the standard double-integrator feedback loop with a 2-level
 quantizer (both feedback taps unity), giving (1 - z^-1)**2 noise shaping.
 All processing runs in normalized frequency; a physical sampling rate is
-carried as metadata only.  Every stage walks the signal in blocks of
-_SAMPLE_BLOCK samples, so only the test signal (8 B/sample) and the int8
-bitstream (1 B/sample) span the whole run.
+never used here (`gcfkit simulate` records it in config.json only).  Every
+stage walks the signal in blocks of _SAMPLE_BLOCK samples, so only the test
+signal (8 B/sample) and the int8 bitstream (1 B/sample) span the whole run.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, StageOverflowError
 from .filters import GcfSpec, normalization_gain, stage_coefficients, write_columns
-from .wordlength import FixedPointFormat, quantize_coefficients
+from .wordlength import quantize_coefficients
 
 # 2-level quantizer with +/-1 output: inputs beyond +/-2 exceed the
 # no-overload range (quantization error magnitude > 1).
@@ -32,33 +31,6 @@ _SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
-class SdConfig:
-    """Test-signal and run parameters for the decimation experiment."""
-
-    fx_ratio: float
-    amplitude: float = 0.5
-    n_samples: int = 2 ** 18
-    seed: int = 12345
-    fs: float | None = None  # Hz, axis labels only
-
-    def __post_init__(self):
-        if not 0.0 < self.fx_ratio < 0.5:
-            raise ParameterError(f"fx_ratio must be in (0, 0.5), got {self.fx_ratio}")
-        if not 0.0 <= self.amplitude <= 0.8:
-            raise ParameterError(
-                f"amplitude must be in [0, 0.8] (overload guard), got {self.amplitude}"
-            )
-        if self.n_samples < 1:
-            raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
-
-    def as_dict(self) -> dict:
-        return {
-            "fx_ratio": self.fx_ratio, "amplitude": self.amplitude,
-            "n_samples": self.n_samples, "seed": self.seed, "fs": self.fs,
-        }
-
-
-@dataclass(frozen=True)
 class ModulatorResult:
     """Bitstream (+/-1) and the count of quantizer overload events."""
 
@@ -68,11 +40,8 @@ class ModulatorResult:
 
 @dataclass(frozen=True)
 class SimulationRun:
-    """One experiment with full provenance; deterministic given config."""
+    """One experiment's signals and spectra; deterministic given its inputs."""
 
-    config: SdConfig
-    spec: dict
-    fmt: FixedPointFormat
     bitstream: np.ndarray
     decimated: np.ndarray
     psd_in: tuple[np.ndarray, np.ndarray]
@@ -80,26 +49,31 @@ class SimulationRun:
     overload_count: int
 
 
-def generate_bandlimited_signal(cfg: SdConfig) -> np.ndarray:
-    """Band-limited Gaussian test signal, peak-scaled to cfg.amplitude.
+def generate_bandlimited_signal(f_c: float, amplitude: float, n_samples: int, seed: int) -> np.ndarray:
+    """Band-limited Gaussian test signal of n_samples, peak-scaled to amplitude.
 
-    White noise shaped by a Hann windowed-sinc low-pass with cutoff
-    fx_ratio (1025 taps); deterministic given cfg.seed.
+    White noise shaped by a Hann windowed-sinc low-pass with cutoff f_c
+    (1025 taps); deterministic given seed.  amplitude must lie in [0, 0.8],
+    where the modulator does not overload.
     """
-    rng = np.random.default_rng(cfg.seed)
+    if not 0.0 <= amplitude <= 0.8:
+        raise ParameterError(f"amplitude must be in [0, 0.8] (overload guard), got {amplitude}")
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    rng = np.random.default_rng(seed)
     k = np.arange(GENERATOR_TAPS) - (GENERATOR_TAPS - 1) / 2.0
-    taps = 2.0 * cfg.fx_ratio * np.sinc(2.0 * cfg.fx_ratio * k) * np.hanning(GENERATOR_TAPS)
-    x = np.empty(cfg.n_samples)
+    taps = 2.0 * f_c * np.sinc(2.0 * f_c * k) * np.hanning(GENERATOR_TAPS)
+    x = np.empty(n_samples)
     # the noise is drawn in blocks from one stream; each block's "valid"
     # convolution starts on the last GENERATOR_TAPS - 1 draws of the one before
     white = rng.standard_normal(GENERATOR_TAPS - 1)
-    for start in range(0, cfg.n_samples, _SAMPLE_BLOCK):
-        stop = min(start + _SAMPLE_BLOCK, cfg.n_samples)
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, n_samples)
         white = np.concatenate((white[-(GENERATOR_TAPS - 1):], rng.standard_normal(stop - start)))
         x[start:stop] = np.convolve(white, taps, mode="valid")
     peak = max(float(x.max()), -float(x.min()))
     if peak > 0.0:
-        x *= cfg.amplitude / peak
+        x *= amplitude / peak
     else:
         x.fill(0.0)
     return x
@@ -137,39 +111,40 @@ def sd_modulate(x) -> ModulatorResult:
     return ModulatorResult(bits=bits, overload_count=overload)
 
 
-def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.ndarray:
+def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: int) -> np.ndarray:
     """Decimate through the p-stage fixed-point cascade (each stage by 2).
 
     Every stage applies 1 + r_k (z^-1 + z^-2) + z^-3 at its own rate with
-    r_k rounded to fmt.f_n fraction bits, accumulates exactly in integers
+    r_k rounded to f_n fraction bits, accumulates exactly in integers
     (fraction bits grow by f_n per stage, no truncation), checks the result
-    against the sized integer width, and keeps the even samples.  The final
-    output is scaled by h_o in floating point.  The input runs through in
+    against its sized integer width i_n[k], and keeps the even samples.  The
+    final output is scaled by h_o in floating point.  The input runs through in
     blocks, each stage carrying its last 3 inputs across them; an overflow
     names the lowest stage that overflows anywhere in the signal, with that
     stage's peak over the whole signal.  An input sample with
-    |x| >= 2**fmt.i_n[0] does not fit stage 0's register and raises
+    |x| >= 2**i_n[0] does not fit stage 0's register and raises
     StageOverflowError for stage 0.
     """
     if spec.p_p != -1:
         raise ParameterError("fixed-point decimation expects the cascaded form (p_p = -1)")
-    if len(fmt.i_n) != spec.p:
-        raise ParameterError(f"fmt.i_n must size all {spec.p} stages, got {len(fmt.i_n)}")
+    if len(i_n) != spec.p:
+        raise ParameterError(f"i_n must size all {spec.p} stages, got {len(i_n)}")
+    if f_n < 0 or any(b < 0 for b in i_n):
+        raise ParameterError("bit counts must be non-negative")
     x = np.asarray(bitstream)
     if not np.issubdtype(x.dtype, np.integer):
         raise ParameterError("bitstream must be integer-valued")
     n_in = len(x)
-    f_n = fmt.f_n
     # int64 headroom: worst register needs i_n[-1] + p*f_n bits
-    if fmt.i_n[-1] + spec.p * f_n > 62:
+    if i_n[-1] + spec.p * f_n > 62:
         raise ParameterError("register widths exceed 64-bit integer arithmetic")
     # an input that does not fit stage 0's register would wrap in the shifts below
     peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
-    if peak_in >= 1 << fmt.i_n[0]:
-        raise StageOverflowError(0, float(peak_in), float(1 << fmt.i_n[0]))
+    if peak_in >= 1 << i_n[0]:
+        raise StageOverflowError(0, float(peak_in), float(1 << i_n[0]))
     r_q = quantize_coefficients(np.asarray(stage_coefficients(spec)), f_n)
     r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
-    limits = [1 << (fmt.i_n[k] + (k + 1) * f_n) for k in range(spec.p)]
+    limits = [1 << (i_n[k] + (k + 1) * f_n) for k in range(spec.p)]
     peaks = [0] * spec.p
     history = [np.zeros(3, np.int64)] * spec.p  # each stage's last 3 inputs
     # lowest stage that has overflowed so far: its peak stays over the limit, so every
@@ -196,7 +171,7 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, fmt: FixedPointFormat) -> np.
             v = v[: len(out) - o]
             out[o:o + len(v)] = v.astype(float) * (2.0 ** -(spec.p * f_n)) * h_o
     if over < spec.p:
-        raise StageOverflowError(over, peaks[over] / 2.0 ** ((over + 1) * f_n), float(1 << fmt.i_n[over]))
+        raise StageOverflowError(over, peaks[over] / 2.0 ** ((over + 1) * f_n), float(1 << i_n[over]))
     return out
 
 
@@ -233,26 +208,24 @@ def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
 
 
 def run_experiment(
-    cfg: SdConfig,
     spec: GcfSpec,
-    fmt: FixedPointFormat,
+    i_n: tuple[int, ...],
+    f_n: int,
+    amplitude: float,
+    n_samples: int,
+    seed: int,
     segment: int = 4096,
     overlap_fraction: float = 0.5,
 ) -> SimulationRun:
-    """Generate, modulate, decimate and measure both spectra."""
-    if not math.isclose(cfg.fx_ratio, spec.f_c, rel_tol=1e-9):
-        raise ParameterError(
-            f"config fx_ratio {cfg.fx_ratio} must equal the filter f_c {spec.f_c}"
-        )
-    if cfg.n_samples // spec.D < 2:
-        raise ParameterError(f"n_samples {cfg.n_samples} gives fewer than 2 output samples at D={spec.D}")
-    x = generate_bandlimited_signal(cfg)
+    """Generate a test signal band-limited to spec.f_c, modulate, decimate and measure both spectra."""
+    if n_samples // spec.D < 2:
+        raise ParameterError(f"n_samples {n_samples} gives fewer than 2 output samples at D={spec.D}")
+    x = generate_bandlimited_signal(spec.f_c, amplitude, n_samples, seed)
     mod = sd_modulate(x)
-    decimated = decimate_fixed_point(mod.bits, spec, fmt)
+    decimated = decimate_fixed_point(mod.bits, spec, i_n, f_n)
     psd_in = welch_psd(mod.bits, segment, overlap_fraction)
     psd_out = welch_psd(decimated, min(segment, len(decimated)), overlap_fraction)
     return SimulationRun(
-        config=cfg, spec=spec.as_dict(), fmt=fmt,
         bitstream=mod.bits, decimated=decimated,
         psd_in=psd_in, psd_out=psd_out,
         overload_count=mod.overload_count,
@@ -265,22 +238,17 @@ def _psd_to_csv(path, freqs, power):
                          "power_dB": 10.0 * np.log10(np.maximum(power, floor))})
 
 
-def export_run(run: SimulationRun, outdir) -> None:
+def export_run(run: SimulationRun, outdir, provenance: dict) -> None:
     """Write the run directory: config.json, bitstream.bin, CSV artifacts.
 
+    config.json holds provenance followed by the run's overload_count.
     bitstream.bin holds one byte per sample, 0x00 for -1 and 0x01 for +1.
     """
     import os
 
     os.makedirs(outdir, exist_ok=True)
-    provenance = {
-        "config": run.config.as_dict(),
-        "spec": run.spec,
-        "format": {"i_n": list(run.fmt.i_n), "f_n": run.fmt.f_n, "sign_bits": 1},
-        "overload_count": run.overload_count,
-    }
     with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(provenance, fh, indent=2)
+        json.dump({**provenance, "overload_count": run.overload_count}, fh, indent=2)
         fh.write("\n")
     (run.bitstream > 0).astype(np.uint8).tofile(os.path.join(outdir, "bitstream.bin"))
     write_columns(os.path.join(outdir, "decimated.csv"),

@@ -41,8 +41,6 @@ _REASSEMBLY_BLOCK = 64
 class FoldingBandSet:
     """Closed intervals [k/D - f_c, k/D + f_c] that alias onto baseband."""
 
-    D: int
-    f_c: float
     bands: tuple[tuple[float, float], ...]
 
     EDGE_EPS = 1e-12  # so that grid points at k/D +/- f_c count as in-band
@@ -59,19 +57,6 @@ class FoldingBandSet:
         for band in self.band_masks(freqs):
             mask |= band
         return mask
-
-
-@dataclass(frozen=True)
-class ResponseGrid:
-    """Sampled complex response with folding-band membership flags."""
-
-    freqs: np.ndarray
-    values: np.ndarray
-    in_band_mask: np.ndarray
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
 
 
 def folding_bands(D: int, f_c: float) -> FoldingBandSet:
@@ -93,7 +78,7 @@ def folding_bands(D: int, f_c: float) -> FoldingBandSet:
     bands = tuple(
         (k / D - f_c, min(k / D + f_c, 0.5)) for k in range(1, k_m + 1)
     )
-    return FoldingBandSet(D=D, f_c=f_c, bands=bands)
+    return FoldingBandSet(bands=bands)
 
 
 def _sinc_ratio(f: np.ndarray, D: int) -> np.ndarray:
@@ -201,21 +186,19 @@ def _polyphase_response(f: np.ndarray, h_p: np.ndarray, D1: int) -> np.ndarray:
     return out
 
 
-def gcf_response(spec: GcfSpec, f, normalized: bool = False) -> complex | np.ndarray:
-    """Complex GCF response H_P * H_N at f (cycles/sample).
+def gcf_response(spec: GcfSpec, f) -> complex | np.ndarray:
+    """Complex GCF response h_o * H_P * H_N at f (cycles/sample), unity DC gain.
 
     The cascade part uses the closed-form stage product; the polyphase part
     is evaluated from the reassembled branches of h_p (blocked over frequencies,
     threaded, and bit-identical to the per-branch loop; see
-    _polyphase_response).  With normalized set the result is scaled by h_o
-    (unity DC gain).
+    _polyphase_response).
     """
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     out = cascade_response(f_arr, spec.cascade_stages, stage_coefficients(spec))
     if spec.D1 > 1:
         out = out * _polyphase_response(f_arr, polyphase_impulse(spec), spec.D1)
-    if normalized:
-        out = out * normalization_gain(spec)
+    out = out * normalization_gain(spec)
     return out if np.ndim(f) else complex(out[0])
 
 
@@ -241,43 +224,33 @@ def grid_frequencies(
     return np.unique(np.concatenate(pieces))
 
 
-def response_grid(spec_or_comb, freqs: np.ndarray, in_band_mask: np.ndarray) -> ResponseGrid:
-    """Unit-DC-gain response of a GCF or comb at freqs, with their in-band flags."""
-    if isinstance(spec_or_comb, CombSpec):
-        values = comb_response(spec_or_comb, freqs)
-    elif isinstance(spec_or_comb, GcfSpec):
-        values = gcf_response(spec_or_comb, freqs, normalized=True)
-    else:
-        raise ParameterError(f"expected GcfSpec or CombSpec, got {type(spec_or_comb)!r}")
-    return ResponseGrid(freqs=freqs, values=np.asarray(values), in_band_mask=in_band_mask)
-
-
-def worst_case_attenuation(grid: ResponseGrid) -> float:
+def worst_case_attenuation(in_band_magnitude) -> float:
     """-20 log10 of the largest in-band magnitude, capped for exact zeros.
 
-    The grid must be normalized (DC gain 1) for the result to be an
-    attenuation relative to the passband.
+    The magnitudes must be of a unit-DC-gain response for the result to be
+    an attenuation relative to the passband.
     """
-    if not np.any(grid.in_band_mask):
+    if not np.size(in_band_magnitude):
         raise ParameterError("grid has no in-band points")
-    peak = float(np.max(grid.magnitude[grid.in_band_mask]))
+    peak = float(np.max(in_band_magnitude))
     if peak <= 10.0 ** (-ATTENUATION_CAP_DB / 20.0):
         return ATTENUATION_CAP_DB
     return -20.0 * np.log10(peak)
 
 
-def grid_to_csv(path, grid: ResponseGrid, extra: dict | None = None) -> None:
+def grid_to_csv(path, freqs, values, in_band_mask, extra: dict | None = None) -> None:
     """CSV export: freq, re, im, magnitude, magnitude_dB, in_band [, extras].
 
-    This is the plot-data format for the response figures; extra maps column
-    names to arrays aligned with the grid.
+    This is the plot-data format for the response figures: values is the
+    complex response at freqs, in_band_mask their folding-band flags, and
+    extra maps column names to arrays aligned with freqs.
     """
-    mag = grid.magnitude
+    mag = np.abs(values)
     floor = 10.0 ** (-ATTENUATION_CAP_DB / 20.0)
     columns = {
-        "freq": grid.freqs, "re": grid.values.real, "im": grid.values.imag,
+        "freq": freqs, "re": values.real, "im": values.imag,
         "magnitude": mag, "magnitude_dB": 20.0 * np.log10(np.maximum(mag, floor)),
-        "in_band": grid.in_band_mask.astype(int),
+        "in_band": in_band_mask.astype(int),
     }
     columns.update({name: np.asarray(col, dtype=float) for name, col in (extra or {}).items()})
     write_columns(path, columns)

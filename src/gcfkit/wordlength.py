@@ -140,18 +140,6 @@ class SensitivityResult:
 
 
 @dataclass(frozen=True)
-class FixedPointFormat:
-    """Integer / fraction bit allocation behind one sign bit; i_n is per cascade stage."""
-
-    i_n: tuple[int, ...]
-    f_n: int
-
-    def __post_init__(self):
-        if self.f_n < 0 or any(b < 0 for b in self.i_n):
-            raise ParameterError("bit counts must be non-negative")
-
-
-@dataclass(frozen=True)
 class ErrorStats:
     """Realized quantization error of the rounded multipliers."""
 
@@ -407,7 +395,6 @@ class MonteCarloRun:
     freqs: np.ndarray
     error_std: np.ndarray  # per-frequency empirical std of d|H|
     sigma_dh: np.ndarray
-    y: float
     trials: int
     covered: int  # (trial, in-band point) pairs with |d|H|| <= y * sigma_dh
 
@@ -452,7 +439,7 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
         error_std[lo:hi] = np.sqrt(m2 / count)
     return MonteCarloRun(
         freqs=sens.freqs, error_std=error_std, sigma_dh=sigma_dh,
-        y=y, trials=trials, covered=covered,
+        trials=trials, covered=covered,
     )
 
 

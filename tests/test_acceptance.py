@@ -26,28 +26,27 @@ import pytest
 
 from gcfkit import (
     CombSpec,
-    FixedPointFormat,
     GcfSpec,
     StageOverflowError,
     ToleranceSpec,
     cascade_derivative_magnitudes,
     comb_coefficients,
+    comb_response,
     decimate_fixed_point,
     design_wordlengths,
     expand_full_polynomial,
     folding_bands,
+    gcf_response,
     grid_frequencies,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,
-    response_grid,
     run_experiment,
     sd_modulate,
     sensitivity,
     stage_coefficients,
     welch_psd,
     worst_case_attenuation,
-    SdConfig,
 )
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 64)  # D=16, D1=1, f_c=1/128
@@ -295,9 +294,9 @@ def test_criterion_7_quantized_fidelity():
 def test_criterion_8_gcf_vs_comb():
     bands = folding_bands(16, 1 / 128)
     freqs = grid_frequencies(bands)
-    mask = bands.contains(freqs)
-    att_gcf = worst_case_attenuation(response_grid(PAPER_SPEC, freqs, mask))
-    att_comb = worst_case_attenuation(response_grid(CombSpec(16, 3), freqs, mask))
+    in_band_freqs = freqs[bands.contains(freqs)]
+    att_gcf = worst_case_attenuation(np.abs(gcf_response(PAPER_SPEC, in_band_freqs)))
+    att_comb = worst_case_attenuation(np.abs(comb_response(CombSpec(16, 3), in_band_freqs)))
     gain = att_gcf - att_comb
     ok = abs(gain - 8.0) <= 2.0
     detail = (f"worst-case folding-band attenuation: comb {att_comb:.2f} dB, "
@@ -322,7 +321,7 @@ def test_criterion_9_dynamic_range():
     rng = np.random.default_rng(SEED)
     for D in (2, 4, 8):
         spec = GcfSpec.from_oversampling(D, 4 * D)
-        fmt = FixedPointFormat(i_n=integer_bits(spec, 1)[1], f_n=7)
+        i_n = integer_bits(spec, 1)[1]
         h = expand_full_polynomial(spec)
         n = 512
         sign_matched = np.sign(h[::-1]).astype(np.int64)
@@ -335,7 +334,7 @@ def test_criterion_9_dynamic_range():
         ]
         for x in patterns:
             try:
-                decimate_fixed_point(x, spec, fmt)
+                decimate_fixed_point(x, spec, i_n, 7)
             except StageOverflowError as exc:
                 overflow_ok = False
                 print(f"  overflow at D={D}: {exc}")
@@ -366,9 +365,8 @@ def test_criterion_10_sigma_delta_experiment():
 
     # (b) paper experiment: band edge and in-band vs out-of-band power
     spec = GcfSpec.from_oversampling(16, 128)  # f_c = 1/256
-    fmt = FixedPointFormat(i_n=integer_bits(spec, 1)[1], f_n=7)
-    cfg = SdConfig(fx_ratio=1 / 256, amplitude=0.5, n_samples=n, seed=SEED)
-    run = run_experiment(cfg, spec, fmt)
+    i_n = integer_bits(spec, 1)[1]
+    run = run_experiment(spec, i_n, 7, 0.5, n, SEED)
     edge = spec.f_c * spec.D
     edge_ok = abs(edge - 0.063) <= 1e-3
     fo, po = run.psd_out
@@ -383,7 +381,7 @@ def test_criterion_10_sigma_delta_experiment():
     rng = np.random.default_rng(SEED)
     pedestal = 0.5 + 1e-5 * rng.standard_normal(n)
     bits_dc = sd_modulate(pedestal).bits
-    dec_dc = decimate_fixed_point(bits_dc.astype(np.int64), spec, fmt)
+    dec_dc = decimate_fixed_point(bits_dc.astype(np.int64), spec, i_n, 7)
     fb, pb = welch_psd(bits_dc.astype(float), segment=4096)
     fd, pd = welch_psd(dec_dc, segment=1024)
     floor_bits = float(np.median(pb[(fb >= 0.1) & (fb <= 0.4)]))

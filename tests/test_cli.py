@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import gcfkit
-from gcfkit import StageOverflowError, expand_full_polynomial
+from gcfkit import (
+    GcfSpec,
+    StageOverflowError,
+    ToleranceSpec,
+    design_wordlengths,
+    expand_full_polynomial,
+    folding_bands,
+    grid_frequencies,
+)
 from gcfkit.cli import main
 
 
@@ -192,6 +200,24 @@ class TestSimulate:
         assert prov["format"]["f_n"] >= 1
         assert "band edge" in capsys.readouterr().out
 
+    def test_config_json_records_the_run(self, tmp_path):
+        cfg = write_config(tmp_path, oversampling_ratio=128, n_samples=2 ** 12, segment=256, seed=77)
+        assert main(["simulate", "--config", str(cfg), "--sample-rate-hz", "48000"]) == 0
+        prov = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert list(prov) == ["config", "spec", "format", "overload_count"]
+        assert list(prov["config"]) == ["fx_ratio", "amplitude", "n_samples", "seed", "fs"]
+        assert list(prov["spec"]) == ["D", "D1", "D2", "p", "p_p", "q", "f_c", "alpha", "rho"]
+        assert list(prov["format"]) == ["i_n", "f_n", "sign_bits"]
+        spec = GcfSpec.from_oversampling(16, 128)
+        assert prov["config"] == {"fx_ratio": spec.f_c, "amplitude": 0.5, "n_samples": 2 ** 12,
+                                  "seed": 77, "fs": 48000.0}
+        assert prov["spec"] == spec.as_dict()
+        bands = folding_bands(spec.D, spec.f_c)
+        freqs = grid_frequencies(bands)
+        report = design_wordlengths(spec, ToleranceSpec.from_y(1e-4, 2.0), 1, freqs[bands.contains(freqs)])
+        assert prov["format"] == {"i_n": list(report.i_n_k), "f_n": report.f_n, "sign_bits": 1}
+        assert isinstance(prov["overload_count"], int)
+
     def test_seed_repeat_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -226,6 +252,18 @@ class TestSimulate:
         assert "stage 2" in capsys.readouterr().err
         assert (tmp_path / "out" / "resolved_config.json").exists()
 
+    def test_type_error_in_a_command_propagates(self, tmp_path, monkeypatch):
+        # an internal bug is a traceback, not a config error
+        import gcfkit.cli as cli_mod
+
+        def wrong_arity(*args, **kwargs):
+            raise TypeError("wrong_arity() takes 2 positional arguments but 3 were given")
+
+        monkeypatch.setattr(cli_mod, "export_run", wrong_arity)
+        cfg = write_config(tmp_path, oversampling_ratio=128, n_samples=2 ** 12, segment=256)
+        with pytest.raises(TypeError, match="wrong_arity"):
+            main(["simulate", "--config", str(cfg)])
+
     @pytest.mark.parametrize("segment", ["0", "-5", "1"])
     def test_short_segment_is_config_error(self, tmp_path, capsys, segment):
         cfg = write_config(tmp_path, oversampling_ratio=128, n_samples=2 ** 12)
@@ -246,12 +284,31 @@ class TestCompare:
         assert improvement == pytest.approx(8.4, abs=0.5)
 
 
+# Contents of a --config file that is not one readable UTF-8 JSON object.
+BAD_CONFIG_FILES = {
+    "missing": None, "directory": None, "bad-json": b"{", "not-utf8": b'{"chi": "\xff"}',
+    "list": b"[]", "string": b'"x"', "number": b"5", "null": b"null",
+}
+
+
 class TestConfigErrors:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"decimation_factor": 16, "bogus": 1}))
         assert main(["design", "--config", str(path)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", list(BAD_CONFIG_FILES))
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "missing":
+            path.write_bytes(BAD_CONFIG_FILES[kind])
+        assert main(["design", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(path) in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_bandwidth(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,11 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from gcfkit import (
-    FixedPointFormat,
     GcfSpec,
     ParameterError,
-    SdConfig,
     StageOverflowError,
     decimate_fixed_point,
     expand_full_polynomial,
@@ -22,45 +22,37 @@ from gcfkit import (
 from gcfkit import sdsim
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 128)  # simulation setup: f_c = 1/256
-
-
-def paper_format(f_n=7):
-    return FixedPointFormat(i_n=integer_bits(PAPER_SPEC, 1)[1], f_n=f_n)
-
-
-class TestSdConfig:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            SdConfig(fx_ratio=0.0)
-        with pytest.raises(ParameterError):
-            SdConfig(fx_ratio=1 / 256, amplitude=0.9)
-
-    def test_zero_amplitude_allowed(self):
-        assert SdConfig(fx_ratio=1 / 256, amplitude=0.0).amplitude == 0.0
+PAPER_I_N = integer_bits(PAPER_SPEC, 1)[1]
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("amplitude,n_samples,message", [
+        (0.9, 64, "amplitude"), (-0.1, 64, "amplitude"), (float("nan"), 64, "amplitude"),
+        (0.5, 0, "n_samples"), (0.5, -1, "n_samples"),
+    ])
+    def test_validation(self, amplitude, n_samples, message):
+        with pytest.raises(ParameterError, match=message):
+            generate_bandlimited_signal(1 / 256, amplitude, n_samples, 0)
+
     def test_deterministic(self):
-        cfg = SdConfig(fx_ratio=1 / 256, n_samples=4096, seed=7)
         np.testing.assert_array_equal(
-            generate_bandlimited_signal(cfg), generate_bandlimited_signal(cfg)
+            generate_bandlimited_signal(1 / 256, 0.5, 4096, 7),
+            generate_bandlimited_signal(1 / 256, 0.5, 4096, 7),
         )
 
     def test_zero_amplitude_is_silent(self):
-        cfg = SdConfig(fx_ratio=1 / 256, amplitude=0.0, n_samples=2048)
-        assert np.all(generate_bandlimited_signal(cfg) == 0.0)
+        assert np.all(generate_bandlimited_signal(1 / 256, 0.0, 2048, 12345) == 0.0)
 
     def test_peak_scaling(self):
-        cfg = SdConfig(fx_ratio=1 / 256, amplitude=0.5, n_samples=8192, seed=3)
-        x = generate_bandlimited_signal(cfg)
+        x = generate_bandlimited_signal(1 / 256, 0.5, 8192, 3)
         assert np.max(np.abs(x)) == pytest.approx(0.5)
 
     def test_out_of_band_rejection(self):
-        cfg = SdConfig(fx_ratio=1 / 256, amplitude=0.5, n_samples=2 ** 16, seed=42)
-        x = generate_bandlimited_signal(cfg)
+        f_c = 1 / 256
+        x = generate_bandlimited_signal(f_c, 0.5, 2 ** 16, 42)
         f, psd = welch_psd(x, segment=4096)
-        in_band = psd[f <= cfg.fx_ratio].mean()
-        out_band = psd[f > 2 * cfg.fx_ratio].mean()
+        in_band = psd[f <= f_c].mean()
+        out_band = psd[f > 2 * f_c].mean()
         assert 10 * np.log10(in_band / out_band) >= 60.0
 
 
@@ -113,7 +105,7 @@ class TestModulator:
 
 class TestFixedPointDecimator:
     def test_dc_gain(self):
-        out = decimate_fixed_point(np.ones(2048, dtype=np.int64), PAPER_SPEC, paper_format())
+        out = decimate_fixed_point(np.ones(2048, dtype=np.int64), PAPER_SPEC, PAPER_I_N, 7)
         steady = out[len(out) // 2:]
         np.testing.assert_allclose(steady, 1.0, atol=2.0 ** -7)
 
@@ -121,29 +113,36 @@ class TestFixedPointDecimator:
         s = GcfSpec(D=16, f_c=1 / 256, q=0.0)
         x = np.zeros(256, dtype=np.int64)
         x[0] = 1
-        out = decimate_fixed_point(x, s, paper_format())
+        out = decimate_fixed_point(x, s, PAPER_I_N, 7)
         h = expand_full_polynomial(s)
         expected = h[::16] / h.sum()
         np.testing.assert_allclose(out[: len(expected)], expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [64, 100, 163])
     def test_output_length(self, n):
-        out = decimate_fixed_point(np.ones(n, dtype=np.int64), PAPER_SPEC, paper_format())
+        out = decimate_fixed_point(np.ones(n, dtype=np.int64), PAPER_SPEC, PAPER_I_N, 7)
         assert len(out) == n // 16
 
     def test_requires_cascade_form(self):
         s = GcfSpec(D=16, f_c=1 / 256, p_p=1)
         with pytest.raises(ParameterError):
-            decimate_fixed_point(np.ones(64, dtype=np.int64), s, paper_format())
+            decimate_fixed_point(np.ones(64, dtype=np.int64), s, PAPER_I_N, 7)
 
     def test_rejects_float_input(self):
         with pytest.raises(ParameterError):
-            decimate_fixed_point(np.ones(64), PAPER_SPEC, paper_format())
+            decimate_fixed_point(np.ones(64), PAPER_SPEC, PAPER_I_N, 7)
+
+    @pytest.mark.parametrize("i_n,f_n,message", [
+        ((4, 7, 10), 7, "all 4 stages"), ((4, 7, 10, 13), -1, "non-negative"),
+        ((4, -1, 10, 13), 7, "non-negative"),
+    ])
+    def test_rejects_bad_bit_counts(self, i_n, f_n, message):
+        with pytest.raises(ParameterError, match=message):
+            decimate_fixed_point(np.ones(64, dtype=np.int64), PAPER_SPEC, i_n, f_n)
 
     def test_overflow_names_stage(self):
-        fmt = FixedPointFormat(i_n=(1, 1, 1, 1), f_n=7)
         with pytest.raises(StageOverflowError) as err:
-            decimate_fixed_point(np.ones(512, dtype=np.int64), PAPER_SPEC, fmt)
+            decimate_fixed_point(np.ones(512, dtype=np.int64), PAPER_SPEC, (1, 1, 1, 1), 7)
         assert err.value.stage == 0
         assert "stage 0" in str(err.value)
 
@@ -151,20 +150,17 @@ class TestFixedPointDecimator:
         # +/-2**58 wraps int64 in the stage shifts; it must not come out as zeros
         x = np.where(np.arange(256) % 2 == 0, 2 ** 58, -2 ** 58).astype(np.int64)
         with pytest.raises(StageOverflowError) as err:
-            decimate_fixed_point(x, PAPER_SPEC, paper_format())
+            decimate_fixed_point(x, PAPER_SPEC, PAPER_I_N, 7)
         assert err.value.stage == 0
         assert err.value.value == 2.0 ** 58
 
     def test_widths_beyond_int64_rejected(self):
-        fmt = FixedPointFormat(i_n=integer_bits(PAPER_SPEC, 1)[1], f_n=20)
         with pytest.raises(ParameterError):
-            decimate_fixed_point(np.ones(64, dtype=np.int64), PAPER_SPEC, fmt)
+            decimate_fixed_point(np.ones(64, dtype=np.int64), PAPER_SPEC, PAPER_I_N, 20)
 
     def test_tracks_floating_point_reference(self):
-        bits = sd_modulate(generate_bandlimited_signal(
-            SdConfig(fx_ratio=1 / 256, n_samples=2 ** 14, seed=9)
-        )).bits
-        out = decimate_fixed_point(bits.astype(np.int64), PAPER_SPEC, paper_format())
+        bits = sd_modulate(generate_bandlimited_signal(1 / 256, 0.5, 2 ** 14, 9)).bits
+        out = decimate_fixed_point(bits.astype(np.int64), PAPER_SPEC, PAPER_I_N, 7)
         r = np.asarray(stage_coefficients(PAPER_SPEC))
         v = bits.astype(float)
         for r_k in r:
@@ -228,8 +224,7 @@ class TestWelch:
 
 class TestExperiment:
     def make_run(self, n=2 ** 14, seed=5, amplitude=0.5):
-        cfg = SdConfig(fx_ratio=1 / 256, amplitude=amplitude, n_samples=n, seed=seed)
-        return run_experiment(cfg, PAPER_SPEC, paper_format(), segment=1024)
+        return run_experiment(PAPER_SPEC, PAPER_I_N, 7, amplitude, n, seed, segment=1024)
 
     def test_deterministic(self):
         a = self.make_run()
@@ -240,18 +235,12 @@ class TestExperiment:
 
     def test_output_length_invariant(self):
         run = self.make_run()
-        assert len(run.decimated) == run.config.n_samples // 16
+        assert len(run.decimated) == 2 ** 14 // 16
         assert set(np.unique(run.bitstream)) <= {-1, 1}
 
-    def test_config_mismatch_rejected(self):
-        cfg = SdConfig(fx_ratio=1 / 128, n_samples=4096)
-        with pytest.raises(ParameterError):
-            run_experiment(cfg, PAPER_SPEC, paper_format())
-
     def test_too_few_output_samples_rejected(self):
-        cfg = SdConfig(fx_ratio=1 / 256, n_samples=31)
         with pytest.raises(ParameterError, match="fewer than 2 output samples"):
-            run_experiment(cfg, PAPER_SPEC, paper_format(), segment=2)
+            run_experiment(PAPER_SPEC, PAPER_I_N, 7, 0.5, 31, 12345, segment=2)
 
     def test_silent_input(self):
         run = self.make_run(amplitude=0.0)
@@ -261,9 +250,11 @@ class TestExperiment:
     def test_export_layout(self, tmp_path):
         run = self.make_run()
         outdir = tmp_path / "run"
-        export_run(run, outdir)
+        export_run(run, outdir, {"spec": {"D": 16}})
         names = {p.name for p in outdir.iterdir()}
         assert names == {"config.json", "bitstream.bin", "decimated.csv", "psd_in.csv", "psd_out.csv"}
+        config = json.loads((outdir / "config.json").read_text())
+        assert config == {"spec": {"D": 16}, "overload_count": run.overload_count}
         raw = np.fromfile(outdir / "bitstream.bin", dtype=np.uint8)
         assert set(np.unique(raw)) <= {0, 1}
         np.testing.assert_array_equal(raw.astype(np.int16) * 2 - 1, run.bitstream)
@@ -272,8 +263,8 @@ class TestExperiment:
 
     def test_export_is_reproducible(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        export_run(self.make_run(), d1)
-        export_run(self.make_run(), d2)
+        export_run(self.make_run(), d1, {})
+        export_run(self.make_run(), d2, {})
         for name in ("bitstream.bin", "decimated.csv", "psd_in.csv", "psd_out.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -281,27 +272,26 @@ class TestExperiment:
 # Frozen oracles: the experiment's stages as written when each one held the
 # whole signal at once.  The modulator's oracle is old_sd_modulate above.
 
-def whole_signal_generator(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    white = rng.standard_normal(cfg.n_samples + sdsim.GENERATOR_TAPS - 1)
+def whole_signal_generator(f_c, amplitude, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    white = rng.standard_normal(n_samples + sdsim.GENERATOR_TAPS - 1)
     k = np.arange(sdsim.GENERATOR_TAPS) - (sdsim.GENERATOR_TAPS - 1) / 2.0
-    taps = 2.0 * cfg.fx_ratio * np.sinc(2.0 * cfg.fx_ratio * k) * np.hanning(sdsim.GENERATOR_TAPS)
+    taps = 2.0 * f_c * np.sinc(2.0 * f_c * k) * np.hanning(sdsim.GENERATOR_TAPS)
     x = np.convolve(white, taps, mode="valid")
     peak = float(np.max(np.abs(x)))
     if peak > 0.0:
-        x = x * (cfg.amplitude / peak)
+        x = x * (amplitude / peak)
     else:
         x = np.zeros_like(x)
     return x
 
 
-def whole_signal_decimator(bitstream, spec, fmt):
+def whole_signal_decimator(bitstream, spec, i_n, f_n):
     x = np.asarray(bitstream)
     n_in = len(x)
-    f_n = fmt.f_n
     peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
-    if peak_in >= 1 << fmt.i_n[0]:
-        raise StageOverflowError(0, float(peak_in), float(1 << fmt.i_n[0]))
+    if peak_in >= 1 << i_n[0]:
+        raise StageOverflowError(0, float(peak_in), float(1 << i_n[0]))
     r_q = quantize_coefficients(np.asarray(stage_coefficients(spec)), f_n)
     r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
     v = x.astype(np.int64)
@@ -313,9 +303,9 @@ def whole_signal_decimator(bitstream, spec, fmt):
         v = (v << f_n) + r_int[k] * (x1 + x2) + (x3 << f_n)
         shift += f_n
         peak = int(np.max(np.abs(v))) if len(v) else 0
-        limit = 1 << (fmt.i_n[k] + shift)
+        limit = 1 << (i_n[k] + shift)
         if peak >= limit:
-            raise StageOverflowError(k, peak / 2.0 ** shift, float(1 << fmt.i_n[k]))
+            raise StageOverflowError(k, peak / 2.0 ** shift, float(1 << i_n[k]))
         v = v[::2]
     h_o = normalization_gain(spec)
     out = v.astype(float) * (2.0 ** -shift) * h_o
@@ -344,12 +334,12 @@ class TestBlockedMatchesWholeSignal:
     @pytest.mark.parametrize("n", [1, 999, 10007])
     @pytest.mark.parametrize("amplitude", [0.0, 0.5])
     def test_generator(self, sample_block, n, amplitude):
-        cfg = SdConfig(fx_ratio=1 / 256, amplitude=amplitude, n_samples=n, seed=11)
-        assert np.array_equal(generate_bandlimited_signal(cfg), whole_signal_generator(cfg))
+        args = (1 / 256, amplitude, n, 11)
+        assert np.array_equal(generate_bandlimited_signal(*args), whole_signal_generator(*args))
 
     @pytest.mark.parametrize("gain", [1.0, 3.0])  # 3.0 overloads the quantizer
     def test_modulator(self, sample_block, gain):
-        x = gain * whole_signal_generator(SdConfig(fx_ratio=1 / 256, n_samples=10007, seed=4))
+        x = gain * whole_signal_generator(1 / 256, 0.5, 10007, 4)
         res = sd_modulate(x)
         bits, overload = old_sd_modulate(x)
         assert res.bits.dtype == np.int8
@@ -362,16 +352,16 @@ class TestBlockedMatchesWholeSignal:
     @pytest.mark.parametrize("n", [64, 1001, 10007])
     def test_decimator(self, sample_block, D, n):
         spec = GcfSpec.from_oversampling(D, 2 * D)
-        fmt = FixedPointFormat(i_n=integer_bits(spec, 1)[1], f_n=7)
+        i_n = integer_bits(spec, 1)[1]
         bits = np.where(np.random.default_rng(n + D).random(n) < 0.5, -1, 1).astype(np.int8)
-        assert np.array_equal(decimate_fixed_point(bits, spec, fmt), whole_signal_decimator(bits, spec, fmt))
+        assert np.array_equal(decimate_fixed_point(bits, spec, i_n, 7),
+                              whole_signal_decimator(bits, spec, i_n, 7))
 
     def test_experiment(self, sample_block):
-        cfg = SdConfig(fx_ratio=1 / 256, n_samples=10007, seed=5)
-        run = run_experiment(cfg, PAPER_SPEC, paper_format(), segment=1001, overlap_fraction=0.9)
-        x = whole_signal_generator(cfg)
+        run = run_experiment(PAPER_SPEC, PAPER_I_N, 7, 0.5, 10007, 5, segment=1001, overlap_fraction=0.9)
+        x = whole_signal_generator(1 / 256, 0.5, 10007, 5)
         bits, overload = old_sd_modulate(x)
-        decimated = whole_signal_decimator(bits, PAPER_SPEC, paper_format())
+        decimated = whole_signal_decimator(bits, PAPER_SPEC, PAPER_I_N, 7)
         assert np.array_equal(run.bitstream, bits)
         assert run.overload_count == overload
         assert np.array_equal(run.decimated, decimated)
@@ -406,16 +396,15 @@ def test_welch_segment_chunks_match_whole_signal(segment, overlap):
 ])
 def test_overflow_names_lowest_stage_over_all_blocks(monkeypatch, i_n, burst_start, lowest):
     monkeypatch.setattr(sdsim, "_SAMPLE_BLOCK", 1000)
-    fmt = FixedPointFormat(i_n=i_n, f_n=7)
     x = np.where(np.random.default_rng(3).random(3000) < 0.5, -1, 1).astype(np.int8)
     x[burst_start:burst_start + 8] = 7
     with pytest.raises(StageOverflowError) as first_block:
-        whole_signal_decimator(x[:992], PAPER_SPEC, fmt)
+        whole_signal_decimator(x[:992], PAPER_SPEC, i_n, 7)
     assert first_block.value.stage == 2
     with pytest.raises(StageOverflowError) as want:
-        whole_signal_decimator(x, PAPER_SPEC, fmt)
+        whole_signal_decimator(x, PAPER_SPEC, i_n, 7)
     with pytest.raises(StageOverflowError) as got:
-        decimate_fixed_point(x, PAPER_SPEC, fmt)
+        decimate_fixed_point(x, PAPER_SPEC, i_n, 7)
     assert want.value.stage == lowest
     assert (got.value.stage, got.value.value, got.value.limit) == (
         want.value.stage, want.value.value, want.value.limit)

@@ -8,16 +8,14 @@ from gcfkit import (
     GcfSpec,
     OverlappingBandsError,
     ParameterError,
-    ResponseGrid,
     comb_response,
     expand_full_polynomial,
     folding_bands,
     gcf_response,
     grid_frequencies,
-    response_grid,
     worst_case_attenuation,
 )
-from gcfkit.filters import polyphase_impulse
+from gcfkit.filters import normalization_gain, polyphase_impulse
 from gcfkit.spectral import ATTENUATION_CAP_DB, _REASSEMBLY_BLOCK, _polyphase_response, grid_to_csv
 
 
@@ -25,10 +23,10 @@ def spec_for(D, p_p=-1, q=0.79):
     return GcfSpec.from_oversampling(D, 4 * D, p_p=p_p, q=q)
 
 
-def grid_of(spec_or_comb, fb, *grid):
-    """response_grid of spec_or_comb on the grid_frequencies(fb, *grid)."""
-    freqs = grid_frequencies(fb, *grid)
-    return response_grid(spec_or_comb, freqs, fb.contains(freqs))
+def in_band_magnitude(response, spec_or_comb, fb):
+    """|response(spec_or_comb, f)| at the in-band points f of grid_frequencies(fb)."""
+    freqs = grid_frequencies(fb)
+    return np.abs(response(spec_or_comb, freqs[fb.contains(freqs)]))
 
 
 class TestFoldingBands:
@@ -85,16 +83,16 @@ class TestCombResponse:
 class TestGcfResponse:
     def test_normalized_dc(self):
         for p_p in (-1, 1, 3):
-            assert gcf_response(spec_for(16, p_p=p_p), 0.0, normalized=True) == pytest.approx(1.0, abs=1e-12)
+            assert gcf_response(spec_for(16, p_p=p_p), 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_comb_degeneration_zero(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
-        assert abs(gcf_response(s, 1 / 16, normalized=True)) <= 1e-14
+        assert abs(gcf_response(s, 1 / 16)) <= 1e-14
 
     def test_rotated_zero_location(self):
         s = spec_for(16)
         f_zero = 1 / 16 - s.alpha / (2 * math.pi)
-        assert abs(gcf_response(s, f_zero, normalized=True)) <= 1e-10
+        assert abs(gcf_response(s, f_zero)) <= 1e-10
 
     @pytest.mark.parametrize("p_p", [-1, 0, 2, 3])
     def test_agrees_with_expanded_polynomial(self, p_p):
@@ -103,6 +101,7 @@ class TestGcfResponse:
         rng = np.random.default_rng(42)
         f = rng.uniform(0.0, 0.5, 200)
         direct = np.array([np.sum(poly * np.exp(-2j * np.pi * fi * np.arange(len(poly)))) for fi in f])
+        direct *= normalization_gain(s)
         got = gcf_response(s, f)
         np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-10 * np.max(np.abs(direct)))
 
@@ -156,33 +155,32 @@ class TestResponseGrid:
     def test_construction_contract(self):
         s = spec_for(16)
         fb = folding_bands(s.D, s.f_c)
-        grid = grid_of(s, fb, 65, 4096)
-        assert len(grid.freqs) >= 4096
-        assert np.all(np.diff(grid.freqs) > 0)
+        freqs = grid_frequencies(fb, 65, 4096)
+        assert len(freqs) >= 4096
+        assert np.all(np.diff(freqs) > 0)
         for lo, hi in fb.bands:
-            inside = (grid.freqs >= lo) & (grid.freqs <= hi)
+            inside = (freqs >= lo) & (freqs <= hi)
             assert inside.sum() >= 65
-            assert np.any(np.isclose(grid.freqs, lo))
-            assert np.any(np.isclose(grid.freqs, hi))
-            assert np.any(np.isclose(grid.freqs, (lo + hi) / 2))
-        assert np.array_equal(grid.in_band_mask, fb.contains(grid.freqs))
+            assert np.any(np.isclose(freqs, lo))
+            assert np.any(np.isclose(freqs, hi))
+            assert np.any(np.isclose(freqs, (lo + hi) / 2))
 
     def test_comb_grid_same_freqs(self):
+        # both responses come back aligned with the grid they are given
         s = spec_for(16)
-        fb = folding_bands(s.D, s.f_c)
-        g1 = grid_of(s, fb)
-        g2 = grid_of(CombSpec(16, 3), fb)
-        np.testing.assert_array_equal(g1.freqs, g2.freqs)
+        freqs = grid_frequencies(folding_bands(s.D, s.f_c))
+        assert gcf_response(s, freqs).shape == comb_response(CombSpec(16, 3), freqs).shape == freqs.shape
 
     def test_folding_centres_are_zeros_for_comb_case(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
         fb = folding_bands(s.D, s.f_c)
-        grid = grid_of(s, fb)
+        freqs = grid_frequencies(fb)
+        magnitude = np.abs(gcf_response(s, freqs))
         for k in range(1, len(fb.bands) + 1):
             # k/D, not the interval midpoint: the last band is clipped at Nyquist
-            idx = np.argmin(np.abs(grid.freqs - k / 16))
-            assert grid.freqs[idx] == pytest.approx(k / 16, abs=1e-12)
-            assert grid.magnitude[idx] <= 1e-13
+            idx = np.argmin(np.abs(freqs - k / 16))
+            assert freqs[idx] == pytest.approx(k / 16, abs=1e-12)
+            assert magnitude[idx] <= 1e-13
 
     def test_rejects_sparse_bands(self):
         s = spec_for(16)
@@ -194,47 +192,39 @@ class TestWorstCaseAttenuation:
     def test_comb_reference_value(self):
         # independent oracle: |comb| is largest at the innermost band edge
         comb = CombSpec(16, 3)
-        fb = folding_bands(16, 1 / 128)
-        grid = grid_of(comb, fb)
+        mag = in_band_magnitude(comb_response, comb, folding_bands(16, 1 / 128))
         f_edge = 1 / 16 - 1 / 128
         ratio = math.sin(math.pi * f_edge * 16) / (16 * math.sin(math.pi * f_edge))
         expected = -20 * math.log10(abs(ratio) ** 3)
-        assert worst_case_attenuation(grid) == pytest.approx(expected, abs=1e-9)
-        assert worst_case_attenuation(grid) == pytest.approx(51.25, abs=0.1)
+        assert worst_case_attenuation(mag) == pytest.approx(expected, abs=1e-9)
+        assert worst_case_attenuation(mag) == pytest.approx(51.25, abs=0.1)
 
     def test_gcf_improvement_about_8db(self):
         s = spec_for(16)  # rho = 64
         fb = folding_bands(16, 1 / 128)
-        att_gcf = worst_case_attenuation(grid_of(s, fb))
-        att_comb = worst_case_attenuation(grid_of(CombSpec(16, 3), fb))
+        att_gcf = worst_case_attenuation(in_band_magnitude(gcf_response, s, fb))
+        att_comb = worst_case_attenuation(in_band_magnitude(comb_response, CombSpec(16, 3), fb))
         assert att_gcf - att_comb == pytest.approx(8.0, abs=2.0)
 
     def test_zero_band_capped(self):
-        grid = ResponseGrid(
-            freqs=np.array([0.0, 0.25]),
-            values=np.array([1.0 + 0j, 0.0 + 0j]),
-            in_band_mask=np.array([False, True]),
-        )
-        assert worst_case_attenuation(grid) == ATTENUATION_CAP_DB
+        assert worst_case_attenuation(np.array([0.0])) == ATTENUATION_CAP_DB
 
     def test_empty_mask_rejected(self):
-        grid = ResponseGrid(
-            freqs=np.array([0.0]), values=np.array([1.0 + 0j]), in_band_mask=np.array([False])
-        )
         with pytest.raises(ParameterError):
-            worst_case_attenuation(grid)
+            worst_case_attenuation(np.array([]))
 
 
 class TestGridCsv:
     def test_schema_and_extras(self, tmp_path):
         s = spec_for(8)
         fb = folding_bands(s.D, s.f_c)
-        grid = grid_of(s, fb, 5, 32)
+        freqs = grid_frequencies(fb, 5, 32)
         path = tmp_path / "grid.csv"
-        grid_to_csv(path, grid, extra={"s_t": np.arange(len(grid.freqs), dtype=float)})
+        grid_to_csv(path, freqs, gcf_response(s, freqs), fb.contains(freqs),
+                    extra={"s_t": np.arange(len(freqs), dtype=float)})
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "freq,re,im,magnitude,magnitude_dB,in_band,s_t"
-        assert len(lines) == len(grid.freqs) + 1
+        assert len(lines) == len(freqs) + 1
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[3]) == pytest.approx(1.0)  # normalized DC

@@ -307,7 +307,7 @@ def test_gcf_response_matches_old(D, pp, rho):
     if spec.D1 > 1:
         old = old * spectral._polyphase_response(freqs, polyphase_impulse(spec), spec.D1)
     old = old * normalization_gain(spec)
-    new = gcf_response(spec, freqs, normalized=True)
+    new = gcf_response(spec, freqs)
     assert np.max(np.abs(new.real - old.real)) <= 1e-12 * np.max(np.abs(old.real))
     assert np.max(np.abs(new.imag - old.imag)) <= 1e-12 * np.max(np.abs(old.imag))
 
@@ -386,12 +386,13 @@ def old_cmd_sensitivity_csv(cfg, path):
     spec = cfg.spec()
     bands = folding_bands(spec.D, spec.f_c)
     freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
-    grid = spectral.response_grid(spec, freqs, bands.contains(freqs))
-    result = sensitivity(spec, grid.freqs)
-    sigma_dh = sensitivity(spec, grid.freqs).sigma_dh
-    f_n = wordlength.design_wordlengths(spec, cfg.tolerance(), cfg.input_width, freqs[grid.in_band_mask]).f_n
-    err = quantization_error_response(spec, f_n, grid.freqs)
-    spectral.grid_to_csv(path, grid, extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": err.delta_h})
+    mask = bands.contains(freqs)
+    result = sensitivity(spec, freqs)
+    sigma_dh = sensitivity(spec, freqs).sigma_dh
+    f_n = wordlength.design_wordlengths(spec, cfg.tolerance(), cfg.input_width, freqs[mask]).f_n
+    err = quantization_error_response(spec, f_n, freqs)
+    spectral.grid_to_csv(path, freqs, gcf_response(spec, freqs), mask,
+                         extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": err.delta_h})
 
 
 @pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256)], ids=["D16-pp-1", "D64-pp1"])
@@ -429,13 +430,13 @@ def old_comparison_csv(cfg, path):
     spec = cfg.spec()
     bands = folding_bands(spec.D, spec.f_c)
     freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
-    gcf = spectral.response_grid(spec, freqs, bands.contains(freqs))
-    comb = spectral.response_grid(CombSpec(D=spec.D, n_c=3), freqs, bands.contains(freqs))
+    gcf = gcf_response(spec, freqs)
+    comb = spectral.comb_response(CombSpec(D=spec.D, n_c=3), freqs)
     with open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
-        for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(gcf.freqs)), start=1):
-            att_g = -20 * np.log10(max(np.max(gcf.magnitude[m]), 1e-15))
-            att_c = -20 * np.log10(max(np.max(comb.magnitude[m]), 1e-15))
+        for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(freqs)), start=1):
+            att_g = -20 * np.log10(max(np.max(np.abs(gcf)[m]), 1e-15))
+            att_c = -20 * np.log10(max(np.max(np.abs(comb)[m]), 1e-15))
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
 
