@@ -2,15 +2,12 @@
 
 from .errors import (
     InternalError,
-    OverlappingBandsError,
     ParameterError,
     StageOverflowError,
 )
 from .filters import (
-    CombSpec,
     GcfSpec,
     comb_coefficients,
-    compute_alpha,
     expand_full_polynomial,
     normalization_gain,
     polyphase_impulse,
@@ -25,8 +22,6 @@ from .spectral import (
     worst_case_attenuation,
 )
 from .wordlength import (
-    ErrorStats,
-    FractionalBitsResult,
     MonteCarloRun,
     SensitivityResult,
     ToleranceSpec,

@@ -17,13 +17,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ParameterError, StageOverflowError
 from .filters import (
-    CombSpec,
     GcfSpec,
     coefficients_to_csv,
     coefficients_to_json,
@@ -170,7 +169,7 @@ def _grid(cfg: DesignConfig, spec: GcfSpec):
 
     Each command builds it once; its responses and its sizing all use it.
     """
-    bands = folding_bands(spec.D, spec.f_c)
+    bands = folding_bands(spec)
     freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
     return bands, freqs, bands.contains(freqs)
 
@@ -186,11 +185,11 @@ def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
     with open(path, "w") as fh:
         fh.write("D,D1,pp_split,chi,y,f_n\n")
         for pp in range(-1, base.p):
-            spec = GcfSpec(D=base.D, f_c=base.f_c, p_p=pp, q=base.q, rho=base.rho)
+            spec = replace(base, p_p=pp)
             sens = sensitivity(spec, in_band)
             for chi in SWEEP_CHIS:
                 for y in SWEEP_YS:
-                    f_n = sens.fraction_bits(ToleranceSpec.from_y(chi, y)).f_n
+                    f_n, _ = sens.fraction_bits(ToleranceSpec.from_y(chi, y))
                     fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 
 
@@ -231,15 +230,14 @@ def cmd_response(cfg: DesignConfig) -> int:
     bands, freqs, mask = _grid(cfg, spec)
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), freqs, gcf_response(spec, freqs), mask)
-    err = quantization_error_response(spec, report.f_n, freqs)
-    grid_to_csv(os.path.join(outdir, "response_quantized.csv"), freqs, err.quantized, mask)
-    comb = comb_response(CombSpec(D=spec.D), freqs)
-    grid_to_csv(os.path.join(outdir, "response_comb.csv"), freqs, comb, mask)
+    quantized, delta_h = quantization_error_response(spec, report.f_n, freqs)
+    grid_to_csv(os.path.join(outdir, "response_quantized.csv"), freqs, quantized, mask)
+    grid_to_csv(os.path.join(outdir, "response_comb.csv"), freqs, comb_response(spec, freqs), mask)
     with open(os.path.join(outdir, "bands.csv"), "w") as fh:
         fh.write("k,low,high\n")
         for i, (lo, hi) in enumerate(bands.bands, start=1):
             fh.write(f"{i},{lo!r},{hi!r}\n")
-    max_dev = float(np.max(np.abs(err.delta_h[mask])))
+    max_dev = float(np.max(np.abs(delta_h[mask])))
     print(f"max in-band |d|H|| at F_n={report.f_n}: {max_dev:.3e} (chi = {tol.chi:g})")
     return EXIT_OK
 
@@ -251,11 +249,11 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
     _write_config_echo(cfg, outdir)
     _, freqs, mask = _grid(cfg, spec)
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
-    err = quantization_error_response(spec, report.f_n, freqs)
+    _, delta_h = quantization_error_response(spec, report.f_n, freqs)
     result = sensitivity(spec, freqs)
     grid_to_csv(
         os.path.join(outdir, "sensitivity.csv"), freqs, gcf_response(spec, freqs), mask,
-        extra={"s_t": result.s_t, "sigma_dh": result.sigma_dh(report.f_n), "delta_h": err.delta_h},
+        extra={"s_t": result.s_t, "sigma_dh": result.sigma_dh(report.f_n), "delta_h": delta_h},
     )
     print(f"S_T grid ({result.case_tag}, {result.n_multipliers} multipliers): "
           f"in-band max {np.max(result.s_t[mask]):.6g}, F_n {report.f_n}")
@@ -263,17 +261,17 @@ def cmd_sensitivity(cfg: DesignConfig) -> int:
 
 
 def _check_split_invariance(spec: GcfSpec) -> tuple[bool, str]:
-    ref = expand_full_polynomial(GcfSpec(D=spec.D, f_c=spec.f_c, p_p=-1, q=spec.q))
+    ref = expand_full_polynomial(replace(spec, p_p=-1))
     scale = np.max(np.abs(ref))
     worst = 0.0
     for pp in range(0, spec.p):
-        other = expand_full_polynomial(GcfSpec(D=spec.D, f_c=spec.f_c, p_p=pp, q=spec.q))
+        other = expand_full_polynomial(replace(spec, p_p=pp))
         worst = max(worst, float(np.max(np.abs(other - ref)) / scale))
     return worst <= 1e-10, f"split_invariance: max rel diff {worst:.3e} (tol 1e-10)"
 
 
 def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
-    caspec = spec if spec.p_p == -1 else GcfSpec(D=spec.D, f_c=spec.f_c, p_p=-1, q=spec.q)
+    caspec = replace(spec, p_p=-1)
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(0.01, 0.49, size=50)
     analytic = cascade_derivative_magnitudes(caspec, freqs)
@@ -362,12 +360,12 @@ def cmd_compare(cfg: DesignConfig) -> int:
     _write_config_echo(cfg, outdir)
     bands, freqs, mask = _grid(cfg, spec)
     gcf_mag = np.abs(gcf_response(spec, freqs))
-    comb_mag = np.abs(comb_response(CombSpec(D=spec.D), freqs))
+    comb_mag = np.abs(comb_response(spec, freqs))
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(freqs)), start=1):
-            att_g = -20 * np.log10(max(np.max(gcf_mag[m]), 1e-15))
-            att_c = -20 * np.log10(max(np.max(comb_mag[m]), 1e-15))
+            att_g = worst_case_attenuation(gcf_mag[m])
+            att_c = worst_case_attenuation(comb_mag[m])
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
     worst_g = worst_case_attenuation(gcf_mag[mask])

@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A user-supplied parameter is out of range or inconsistent."""
 
 
-class OverlappingBandsError(ParameterError):
-    """Folding bands overlap (f_c >= 1/(2D)); the design is unusable."""
-
-
 class StageOverflowError(ArithmeticError):
     """A fixed-point stage register exceeded its sized integer width."""
 

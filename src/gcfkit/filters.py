@@ -28,19 +28,6 @@ DEFAULT_Q = 0.79
 _REALNESS_TOL = 1e-12
 
 
-def compute_alpha(q: float, f_c: float) -> float:
-    """Zero rotation in radians: alpha = q * 2*pi * f_c.
-
-    q in [0, 1] places the rotated zeros at the fraction q of the folding
-    half-band; f_c is the normalized signal bandwidth in cycles/sample.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"q must be in [0, 1], got {q}")
-    if not 0.0 < f_c < 0.5:
-        raise ParameterError(f"f_c must be in (0, 0.5), got {f_c}")
-    return q * 2.0 * math.pi * f_c
-
-
 @dataclass(frozen=True)
 class GcfSpec:
     """Complete parameterization of one 3rd-order GCF design instance.
@@ -71,10 +58,13 @@ class GcfSpec:
             raise ParameterError(
                 f"f_c must satisfy 0 < f_c < 1/(2D) = {1.0 / (2 * self.D)}, got {self.f_c}"
             )
+        # q in [0, 1] places the rotated zeros at the fraction q of the folding half-band
+        if not 0.0 <= self.q <= 1.0:
+            raise ParameterError(f"q must be in [0, 1], got {self.q}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "D1", 2 ** (self.p_p + 1))
         object.__setattr__(self, "D2", 2 ** (p - self.p_p - 1))
-        object.__setattr__(self, "alpha", compute_alpha(self.q, self.f_c))
+        object.__setattr__(self, "alpha", self.q * 2.0 * math.pi * self.f_c)
 
     @classmethod
     def from_oversampling(cls, D: int, rho: float, p_p: int = -1, q: float = DEFAULT_Q) -> "GcfSpec":
@@ -93,23 +83,6 @@ class GcfSpec:
             "D": self.D, "D1": self.D1, "D2": self.D2, "p": self.p, "p_p": self.p_p,
             "q": self.q, "f_c": self.f_c, "alpha": self.alpha, "rho": self.rho,
         }
-
-
-@dataclass(frozen=True)
-class CombSpec:
-    """Classical comb reference filter ((1/D)(1-z^-D)/(1-z^-1))**n_c."""
-
-    D: int
-    n_c: int = 3
-
-    def __post_init__(self):
-        if self.D < 2:
-            raise ParameterError(f"comb D must be >= 2, got {self.D}")
-        if self.n_c < 1:
-            raise ParameterError(f"comb order must be >= 1, got {self.n_c}")
-
-    def as_dict(self) -> dict:
-        return {"D": self.D, "n_c": self.n_c}
 
 
 def stage_multiplier(alpha: float, k: int) -> float:
@@ -202,11 +175,11 @@ def normalization_gain(spec: GcfSpec) -> float:
     return 1.0 / total
 
 
-def comb_coefficients(comb: CombSpec) -> np.ndarray:
-    """Unnormalized impulse response of the classical comb (integer taps)."""
+def comb_coefficients(D: int) -> np.ndarray:
+    """Unnormalized impulse response of the third-order comb of D (integer taps)."""
     poly = np.ones(1)
-    for _ in range(comb.n_c):
-        poly = np.convolve(poly, np.ones(comb.D))
+    for _ in range(3):
+        poly = np.convolve(poly, np.ones(D))
     return poly
 
 

@@ -175,6 +175,16 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: in
     return out
 
 
+def _check_welch_args(segment: int, n_samples: int, overlap_fraction: float) -> None:
+    """Reject a Welch segment or overlap that a signal of n_samples cannot use."""
+    if segment < 2:
+        raise ParameterError(f"segment must be >= 2 samples, got {segment}")
+    if segment > n_samples:
+        raise ParameterError(f"segment {segment} longer than signal ({n_samples} samples)")
+    if not 0.0 <= overlap_fraction <= 0.9:
+        raise ParameterError(f"overlap_fraction must be in [0, 0.9], got {overlap_fraction}")
+
+
 def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
     """One-sided Welch PSD normalized so sum(psd) * df equals the variance.
 
@@ -185,12 +195,7 @@ def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
     are averaged.  Returns (frequencies in cycles/sample, psd).
     """
     x = np.asarray(x)
-    if segment < 2:
-        raise ParameterError(f"segment must be >= 2 samples, got {segment}")
-    if segment > len(x):
-        raise ParameterError(f"segment {segment} longer than signal ({len(x)} samples)")
-    if not 0.0 <= overlap_fraction <= 0.9:
-        raise ParameterError(f"overlap_fraction must be in [0, 0.9], got {overlap_fraction}")
+    _check_welch_args(segment, len(x), overlap_fraction)
     step = segment - int(segment * overlap_fraction)
     segs = np.lib.stride_tricks.sliding_window_view(x, segment)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
@@ -217,9 +222,13 @@ def run_experiment(
     segment: int = 4096,
     overlap_fraction: float = 0.5,
 ) -> SimulationRun:
-    """Generate a test signal band-limited to spec.f_c, modulate, decimate and measure both spectra."""
+    """Generate a test signal band-limited to spec.f_c, modulate, decimate and measure both spectra.
+
+    The output count and the Welch arguments are checked before any work.
+    """
     if n_samples // spec.D < 2:
         raise ParameterError(f"n_samples {n_samples} gives fewer than 2 output samples at D={spec.D}")
+    _check_welch_args(segment, n_samples, overlap_fraction)
     x = generate_bandlimited_signal(spec.f_c, amplitude, n_samples, seed)
     mod = sd_modulate(x)
     decimated = decimate_fixed_point(mod.bits, spec, i_n, f_n)

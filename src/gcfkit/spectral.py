@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverlappingBandsError, ParameterError
-from .filters import (
-    CombSpec, GcfSpec, normalization_gain, polyphase_impulse, stage_coefficients, write_columns,
-)
+from .errors import ParameterError
+from .filters import GcfSpec, normalization_gain, polyphase_impulse, stage_coefficients, write_columns
 
 # dB value reported for exact zeros so plots stay finite
 ATTENUATION_CAP_DB = 300.0
@@ -59,26 +57,14 @@ class FoldingBandSet:
         return mask
 
 
-def folding_bands(D: int, f_c: float) -> FoldingBandSet:
-    """Folding bands for decimation by D with signal half-width f_c.
+def folding_bands(spec: GcfSpec) -> FoldingBandSet:
+    """Folding bands k/D -/+ f_c, k = 1 .. D/2, of the design spec.
 
-    k_M = floor(D/2) for even D, floor((D-1)/2) for odd D; band points are
-    clipped to [0, 1/2].  f_c >= 1/(2D) makes adjacent bands touch baseband
-    or each other, which is unusable for design.
+    Band points are clipped to [0, 1/2].  GcfSpec holds f_c below 1/(2D),
+    so the bands neither overlap nor touch baseband.
     """
-    if D < 2:
-        raise ParameterError(f"D must be >= 2, got {D}")
-    if not 0.0 < f_c:
-        raise ParameterError(f"f_c must be positive, got {f_c}")
-    if f_c >= 1.0 / (2 * D):
-        raise OverlappingBandsError(
-            f"f_c = {f_c} >= 1/(2D) = {1.0 / (2 * D)}: folding bands overlap"
-        )
-    k_m = D // 2 if D % 2 == 0 else (D - 1) // 2
-    bands = tuple(
-        (k / D - f_c, min(k / D + f_c, 0.5)) for k in range(1, k_m + 1)
-    )
-    return FoldingBandSet(bands=bands)
+    D, f_c = spec.D, spec.f_c
+    return FoldingBandSet(bands=tuple((k / D - f_c, min(k / D + f_c, 0.5)) for k in range(1, D // 2 + 1)))
 
 
 def _sinc_ratio(f: np.ndarray, D: int) -> np.ndarray:
@@ -87,13 +73,10 @@ def _sinc_ratio(f: np.ndarray, D: int) -> np.ndarray:
     return np.sinc(D * f) / np.sinc(f)
 
 
-def comb_response(comb: CombSpec, f) -> complex | np.ndarray:
-    """Complex response of the classical comb, unity gain at DC."""
+def comb_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
+    """Complex response at the frequencies f of the third-order comb of spec.D, unity gain at DC."""
     f = np.asarray(f, dtype=float)
-    mag = _sinc_ratio(f, comb.D)
-    phase = np.exp(-1j * np.pi * f * (comb.D - 1))
-    out = (mag * phase) ** comb.n_c
-    return out if out.ndim else complex(out)
+    return (_sinc_ratio(f, spec.D) * np.exp(-1j * np.pi * f * (spec.D - 1))) ** 3
 
 
 def stage_bracket(w: np.ndarray, k: int, r_k) -> np.ndarray:
@@ -186,7 +169,7 @@ def _polyphase_response(f: np.ndarray, h_p: np.ndarray, D1: int) -> np.ndarray:
     return out
 
 
-def gcf_response(spec: GcfSpec, f) -> complex | np.ndarray:
+def gcf_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
     """Complex GCF response h_o * H_P * H_N at f (cycles/sample), unity DC gain.
 
     The cascade part uses the closed-form stage product; the polyphase part
@@ -194,12 +177,10 @@ def gcf_response(spec: GcfSpec, f) -> complex | np.ndarray:
     threaded, and bit-identical to the per-branch loop; see
     _polyphase_response).
     """
-    f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    out = cascade_response(f_arr, spec.cascade_stages, stage_coefficients(spec))
+    out = cascade_response(f, spec.cascade_stages, stage_coefficients(spec))
     if spec.D1 > 1:
-        out = out * _polyphase_response(f_arr, polyphase_impulse(spec), spec.D1)
-    out = out * normalization_gain(spec)
-    return out if np.ndim(f) else complex(out[0])
+        out = out * _polyphase_response(f, polyphase_impulse(spec), spec.D1)
+    return out * normalization_gain(spec)
 
 
 def grid_frequencies(

@@ -98,12 +98,6 @@ class ToleranceSpec:
 
 
 @dataclass(frozen=True)
-class FractionalBitsResult:
-    f_n: int
-    binding_freq: float
-
-
-@dataclass(frozen=True)
 class SensitivityResult:
     """S_T samples over a frequency grid."""
 
@@ -116,8 +110,8 @@ class SensitivityResult:
         """Model std of d|H| with f_n fraction bits: 2**-f_n / sqrt(12) * sqrt(S_T)."""
         return (2.0 ** -f_n / math.sqrt(12.0)) * np.sqrt(self.s_t)
 
-    def fraction_bits(self, tol: ToleranceSpec) -> FractionalBitsResult:
-        """Fraction bits needed to hold y * sigma_dh <= chi over these frequencies.
+    def fraction_bits(self, tol: ToleranceSpec) -> tuple[int, float]:
+        """(F_n, binding_freq): fraction bits holding y * sigma_dh <= chi over these frequencies.
 
         F_n = max(0, ceil(-log2(sqrt(12) * min chi / (y sqrt(S_T))))): a
         tolerance that integer multipliers already meet needs no fraction
@@ -136,15 +130,7 @@ class SensitivityResult:
         if not bound >= 2.0 ** -1023:  # 2**F_n must stay a finite double
             raise ParameterError(f"chi = {tol.chi:g} needs more than 1023 fraction bits; give a larger chi")
         f_n = 0 if bound >= 1.0 else math.ceil(-math.log2(bound))
-        return FractionalBitsResult(f_n=f_n, binding_freq=float(self.freqs[idx]))
-
-
-@dataclass(frozen=True)
-class ErrorStats:
-    """Realized quantization error of the rounded multipliers."""
-
-    quantized: np.ndarray  # complex response with rounded multipliers, unit DC gain
-    delta_h: np.ndarray
+        return f_n, float(self.freqs[idx])
 
 
 @dataclass(frozen=True)
@@ -296,12 +282,12 @@ def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarra
     return cascade_response(freqs, spec.cascade_stages, r, start=bank)
 
 
-def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> ErrorStats:
-    """Realized magnitude distortion d|H| = |H_q| - |H| at freqs for rounded multipliers.
+def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(quantized, delta_h) at freqs for rounded multipliers: H_q and d|H| = |H_q| - |H|.
 
     Exact and quantized responses are each self-normalized to unit DC gain
-    before the magnitudes are compared.  The model std it is set against is
-    SensitivityResult.sigma_dh.
+    (H_q is returned so) before the magnitudes are compared.  The model std
+    d|H| is set against is SensitivityResult.sigma_dh.
     """
     taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, f_n)
     exact = _response_from_multipliers(spec, freqs, taps, r)
@@ -309,7 +295,7 @@ def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> E
     dc_exact = taps.sum() * stage_dc_gain(r)
     dc_quant = taps_q.sum() * stage_dc_gain(r_q)
     delta = np.abs(quant) / dc_quant - np.abs(exact) / dc_exact
-    return ErrorStats(quantized=quant / dc_quant, delta_h=delta)
+    return quant / dc_quant, delta
 
 
 # Trials per block of the Monte Carlo responses: the complex temporaries of
@@ -450,11 +436,11 @@ def design_wordlengths(spec: GcfSpec, tol: ToleranceSpec, input_width: int, freq
     quantized filter no DC gain to normalize by, and is rejected.
     """
     sens = sensitivity(spec, freqs)
-    fres = sens.fraction_bits(tol)
-    _, _, taps_q, _ = _quantized_multiplier_sets(spec, fres.f_n)
+    f_n, binding_freq = sens.fraction_bits(tol)
+    _, _, taps_q, _ = _quantized_multiplier_sets(spec, f_n)
     if taps_q.sum() == 0.0:
         raise ParameterError(
-            f"chi = {tol.chi:g} sizes F_n = {fres.f_n}, at which the polyphase taps round to a "
+            f"chi = {tol.chi:g} sizes F_n = {f_n}, at which the polyphase taps round to a "
             "zero DC gain; give a smaller chi"
         )
     g, i_n = integer_bits(spec, input_width)
@@ -462,10 +448,10 @@ def design_wordlengths(spec: GcfSpec, tol: ToleranceSpec, input_width: int, freq
         spec=spec.as_dict(),
         tolerance=tol.as_dict(),
         input_width=input_width,
-        f_n=fres.f_n,
+        f_n=f_n,
         g_k=g,
         i_n_k=i_n,
-        binding_freq=fres.binding_freq,
+        binding_freq=binding_freq,
         case_tag=sens.case_tag,
         n_multipliers=sens.n_multipliers,
     )

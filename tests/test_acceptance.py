@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from gcfkit import (
-    CombSpec,
     GcfSpec,
     StageOverflowError,
     ToleranceSpec,
@@ -56,7 +55,7 @@ SEED = 20240917
 
 def in_band(spec):
     """The in-band frequencies of spec's default response grid."""
-    bands = folding_bands(spec.D, spec.f_c)
+    bands = folding_bands(spec)
     freqs = grid_frequencies(bands)
     return freqs[bands.contains(freqs)]
 
@@ -100,7 +99,7 @@ def fn_table():
             for chi in SWEEP_CHIS:
                 for y in (2.0, 1.63):
                     tol = ToleranceSpec.from_y(chi, y)
-                    table[(D, pp, chi, y)] = sensitivity(spec, freqs).fraction_bits(tol).f_n
+                    table[(D, pp, chi, y)] = sensitivity(spec, freqs).fraction_bits(tol)[0]
     return table, time.perf_counter() - t0
 
 
@@ -172,7 +171,7 @@ def test_criterion_4_comb_degeneration():
     for D in (2, 4, 8, 16):
         spec = GcfSpec(D=D, f_c=1 / (8 * D), q=0.0)
         got = expand_full_polynomial(spec)
-        ref = comb_coefficients(CombSpec(D=D, n_c=3))
+        ref = comb_coefficients(D)
         ok &= np.array_equal(np.rint(got), ref) and np.max(np.abs(got - ref)) < 1e-9
     detail = "expanded polynomial equals integer comb^3 coefficients for D in {2,4,8,16}"
     report(4, ok, detail)
@@ -278,7 +277,7 @@ def test_criterion_6_model_upper_bound_holds():
 def test_criterion_7_quantized_fidelity():
     freqs = in_band(PAPER_SPEC)
     rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, 1, freqs)
-    in_band_dh = np.abs(quantization_error_response(PAPER_SPEC, rep.f_n, freqs).delta_h)
+    in_band_dh = np.abs(quantization_error_response(PAPER_SPEC, rep.f_n, freqs)[1])
     worst = float(np.max(in_band_dh))
     exceed_frac = float(np.mean(in_band_dh > PAPER_TOL.chi))
     ok = worst <= PAPER_TOL.chi or exceed_frac < 0.05
@@ -292,11 +291,11 @@ def test_criterion_7_quantized_fidelity():
 # 8. GCF vs comb rejection
 # --------------------------------------------------------------------------
 def test_criterion_8_gcf_vs_comb():
-    bands = folding_bands(16, 1 / 128)
+    bands = folding_bands(PAPER_SPEC)
     freqs = grid_frequencies(bands)
     in_band_freqs = freqs[bands.contains(freqs)]
     att_gcf = worst_case_attenuation(np.abs(gcf_response(PAPER_SPEC, in_band_freqs)))
-    att_comb = worst_case_attenuation(np.abs(comb_response(CombSpec(16, 3), in_band_freqs)))
+    att_comb = worst_case_attenuation(np.abs(comb_response(PAPER_SPEC, in_band_freqs)))
     gain = att_gcf - att_comb
     ok = abs(gain - 8.0) <= 2.0
     detail = (f"worst-case folding-band attenuation: comb {att_comb:.2f} dB, "

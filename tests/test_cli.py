@@ -212,7 +212,7 @@ class TestSimulate:
         assert prov["config"] == {"fx_ratio": spec.f_c, "amplitude": 0.5, "n_samples": 2 ** 12,
                                   "seed": 77, "fs": 48000.0}
         assert prov["spec"] == spec.as_dict()
-        bands = folding_bands(spec.D, spec.f_c)
+        bands = folding_bands(spec)
         freqs = grid_frequencies(bands)
         report = design_wordlengths(spec, ToleranceSpec.from_y(1e-4, 2.0), 1, freqs[bands.contains(freqs)])
         assert prov["format"] == {"i_n": list(report.i_n_k), "f_n": report.f_n, "sign_bits": 1}
@@ -270,6 +270,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--segment", segment]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "segment" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--segment", "1"], ["--segment", "8192"], ["--overlap", "0.95"],
+    ], ids=["segment-1", "segment-over-n", "overlap-0.95"])
+    def test_bad_welch_argument_rejected_before_generating(self, tmp_path, monkeypatch, capsys, args):
+        import gcfkit.sdsim as sdsim_mod
+
+        def generator_ran(*a, **k):
+            raise AssertionError("the test signal was generated before the Welch arguments were checked")
+
+        monkeypatch.setattr(sdsim_mod, "generate_bandlimited_signal", generator_ran)
+        cfg = write_config(tmp_path, oversampling_ratio=128, n_samples=2 ** 12)
+        assert main(["simulate", "--config", str(cfg), *args]) == 2
+        assert capsys.readouterr().err.startswith("config error")
 
 
 class TestCompare:

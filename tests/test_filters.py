@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from gcfkit import (
-    CombSpec,
     GcfSpec,
     ParameterError,
     comb_coefficients,
-    compute_alpha,
     expand_full_polynomial,
     normalization_gain,
     polyphase_impulse,
@@ -25,19 +23,20 @@ def spec_for(D, p_p=-1, q=0.79, rho_factor=4):
 class TestAlpha:
     def test_paper_setup_value(self):
         # 0.79 * 2*pi/128 = 0.79*pi/64 = 0.0387790...
-        assert compute_alpha(0.79, 1 / 128) == pytest.approx(0.79 * math.pi / 64, rel=1e-12)
-        assert compute_alpha(0.79, 1 / 128) == pytest.approx(0.038779, abs=1e-6)
+        assert GcfSpec(D=16, f_c=1 / 128, q=0.79).alpha == pytest.approx(0.79 * math.pi / 64, rel=1e-12)
+        assert GcfSpec(D=16, f_c=1 / 128, q=0.79).alpha == pytest.approx(0.038779, abs=1e-6)
 
     def test_zero_rotation(self):
-        assert compute_alpha(0.0, 0.123) == 0.0
+        assert GcfSpec(D=2, f_c=0.123, q=0.0).alpha == 0.0
 
     def test_linear_in_bandwidth(self):
-        assert compute_alpha(0.79, 1 / 256) == pytest.approx(compute_alpha(0.79, 1 / 128) / 2, rel=1e-12)
+        half = GcfSpec(D=16, f_c=1 / 256, q=0.79).alpha
+        assert half == pytest.approx(GcfSpec(D=16, f_c=1 / 128, q=0.79).alpha / 2, rel=1e-12)
 
     @pytest.mark.parametrize("q,f_c", [(-0.1, 0.01), (1.1, 0.01), (0.5, 0.0), (0.5, 0.5)])
     def test_out_of_range(self, q, f_c):
         with pytest.raises(ParameterError):
-            compute_alpha(q, f_c)
+            GcfSpec(D=2, f_c=f_c, q=q)
 
 
 class TestGcfSpec:
@@ -45,7 +44,7 @@ class TestGcfSpec:
         s = GcfSpec(D=16, f_c=1 / 128, p_p=1)
         assert (s.p, s.D1, s.D2) == (4, 4, 4)
         assert s.D == s.D1 * s.D2
-        assert s.alpha == compute_alpha(s.q, s.f_c)
+        assert s.alpha == s.q * 2.0 * math.pi * s.f_c
         assert 0 <= s.alpha < math.pi / s.D
 
     @pytest.mark.parametrize("D", [3, 6, 1, 0])
@@ -170,7 +169,7 @@ class TestExpandedPolynomial:
     def test_comb_degeneration_exact(self, D):
         s = GcfSpec(D=D, f_c=1 / (16 * D), q=0.0)
         got = expand_full_polynomial(s)
-        ref = comb_coefficients(CombSpec(D=D, n_c=3))
+        ref = comb_coefficients(D)
         assert len(got) == 3 * (D - 1) + 1
         np.testing.assert_array_equal(np.round(got), ref)
         np.testing.assert_allclose(got, ref, atol=1e-9)

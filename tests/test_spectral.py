@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from gcfkit import (
-    CombSpec,
     GcfSpec,
-    OverlappingBandsError,
     ParameterError,
+    comb_coefficients,
     comb_response,
     expand_full_polynomial,
     folding_bands,
@@ -23,76 +22,78 @@ def spec_for(D, p_p=-1, q=0.79):
     return GcfSpec.from_oversampling(D, 4 * D, p_p=p_p, q=q)
 
 
-def in_band_magnitude(response, spec_or_comb, fb):
-    """|response(spec_or_comb, f)| at the in-band points f of grid_frequencies(fb)."""
+PAPER_SPEC = GcfSpec(D=16, f_c=1 / 128)
+
+
+def in_band_magnitude(response, spec, fb):
+    """|response(spec, f)| at the in-band points f of grid_frequencies(fb)."""
     freqs = grid_frequencies(fb)
-    return np.abs(response(spec_or_comb, freqs[fb.contains(freqs)]))
+    return np.abs(response(spec, freqs[fb.contains(freqs)]))
 
 
 class TestFoldingBands:
     def test_paper_bands(self):
-        fb = folding_bands(16, 1 / 128)
+        fb = folding_bands(PAPER_SPEC)
         assert len(fb.bands) == 8
         for k, (lo, hi) in enumerate(fb.bands, start=1):
             assert lo == pytest.approx(k / 16 - 1 / 128)
             assert hi == pytest.approx(min(k / 16 + 1 / 128, 0.5))
 
-    def test_odd_decimation(self):
-        assert len(folding_bands(5, 0.01).bands) == 2
-
     def test_nyquist_clipping(self):
-        fb = folding_bands(2, 0.01)
+        fb = folding_bands(GcfSpec(D=2, f_c=0.01))
         assert len(fb.bands) == 1
         assert fb.bands[0] == pytest.approx((0.49, 0.5))
 
-    def test_overlap_rejected(self):
-        with pytest.raises(OverlappingBandsError):
-            folding_bands(16, 1 / 32)
-
     @pytest.mark.parametrize("D", range(2, 65))
     def test_band_count_parity_rule(self, D):
-        fb = folding_bands(D, 1 / (4 * D))
-        expected = D // 2 if D % 2 == 0 else (D - 1) // 2
-        assert len(fb.bands) == expected
+        # a design's D is a power of two, with D/2 folding bands; no other D makes a design
+        if D & (D - 1):
+            with pytest.raises(ParameterError):
+                GcfSpec(D=D, f_c=1 / (4 * D))
+            return
+        assert len(folding_bands(GcfSpec(D=D, f_c=1 / (4 * D))).bands) == D // 2
 
     def test_disjoint_bands(self):
-        fb = folding_bands(8, 1 / 64)
+        fb = folding_bands(GcfSpec(D=8, f_c=1 / 64))
         for (lo1, hi1), (lo2, hi2) in zip(fb.bands, fb.bands[1:]):
             assert hi1 < lo2
 
 
 class TestCombResponse:
     def test_dc_gain(self):
-        assert comb_response(CombSpec(16, 3), 0.0) == pytest.approx(1.0)
+        assert comb_response(PAPER_SPEC, np.array([0.0]))[0] == pytest.approx(1.0)
 
     def test_zero_at_folding_center(self):
-        assert abs(comb_response(CombSpec(16, 3), 1 / 16)) == pytest.approx(0.0, abs=1e-15)
+        assert abs(comb_response(PAPER_SPEC, np.array([1 / 16]))[0]) == pytest.approx(0.0, abs=1e-15)
 
-    def test_first_order_half_band(self):
-        # closed form sin(pi f D)/(D sin(pi f)) at D=2, f=1/4
-        assert abs(comb_response(CombSpec(2, 1), 0.25)) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    @pytest.mark.parametrize("D", [2 ** p for p in range(1, 7)])
+    def test_matches_comb_coefficients_dtft(self, D):
+        # the taps' DTFT over their DC gain D**3 is the unit-DC third-order comb of D
+        f = np.random.default_rng(D).uniform(0.0, 0.5, 50)
+        taps = comb_coefficients(D)
+        direct = np.exp(-2j * np.pi * np.outer(f, np.arange(len(taps)))) @ taps / D ** 3
+        np.testing.assert_allclose(comb_response(GcfSpec(D=D, f_c=1 / (4 * D)), f), direct, rtol=0, atol=1e-12)
 
     def test_conjugate_symmetry(self):
-        comb = CombSpec(16, 3)
         f = np.linspace(0.01, 0.49, 17)
         np.testing.assert_allclose(
-            comb_response(comb, -f), np.conj(comb_response(comb, f)), rtol=1e-12
+            comb_response(PAPER_SPEC, -f), np.conj(comb_response(PAPER_SPEC, f)), rtol=1e-12
         )
 
 
 class TestGcfResponse:
     def test_normalized_dc(self):
         for p_p in (-1, 1, 3):
-            assert gcf_response(spec_for(16, p_p=p_p), 0.0) == pytest.approx(1.0, abs=1e-12)
+            assert gcf_response(spec_for(16, p_p=p_p), np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_comb_degeneration_zero(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
-        assert abs(gcf_response(s, 1 / 16)) <= 1e-14
+        assert abs(gcf_response(s, np.array([1 / 16]))[0]) <= 1e-14
 
     def test_rotated_zero_location(self):
         s = spec_for(16)
         f_zero = 1 / 16 - s.alpha / (2 * math.pi)
-        assert abs(gcf_response(s, f_zero)) <= 1e-10
+        assert abs(gcf_response(s, np.array([f_zero]))[0]) <= 1e-10
 
     @pytest.mark.parametrize("p_p", [-1, 0, 2, 3])
     def test_agrees_with_expanded_polynomial(self, p_p):
@@ -154,7 +155,7 @@ class TestPolyphaseReassembly:
 class TestResponseGrid:
     def test_construction_contract(self):
         s = spec_for(16)
-        fb = folding_bands(s.D, s.f_c)
+        fb = folding_bands(s)
         freqs = grid_frequencies(fb, 65, 4096)
         assert len(freqs) >= 4096
         assert np.all(np.diff(freqs) > 0)
@@ -168,12 +169,12 @@ class TestResponseGrid:
     def test_comb_grid_same_freqs(self):
         # both responses come back aligned with the grid they are given
         s = spec_for(16)
-        freqs = grid_frequencies(folding_bands(s.D, s.f_c))
-        assert gcf_response(s, freqs).shape == comb_response(CombSpec(16, 3), freqs).shape == freqs.shape
+        freqs = grid_frequencies(folding_bands(s))
+        assert gcf_response(s, freqs).shape == comb_response(s, freqs).shape == freqs.shape
 
     def test_folding_centres_are_zeros_for_comb_case(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
-        fb = folding_bands(s.D, s.f_c)
+        fb = folding_bands(s)
         freqs = grid_frequencies(fb)
         magnitude = np.abs(gcf_response(s, freqs))
         for k in range(1, len(fb.bands) + 1):
@@ -185,14 +186,13 @@ class TestResponseGrid:
     def test_rejects_sparse_bands(self):
         s = spec_for(16)
         with pytest.raises(ParameterError):
-            grid_frequencies(folding_bands(s.D, s.f_c), points_per_band=1)
+            grid_frequencies(folding_bands(s), points_per_band=1)
 
 
 class TestWorstCaseAttenuation:
     def test_comb_reference_value(self):
         # independent oracle: |comb| is largest at the innermost band edge
-        comb = CombSpec(16, 3)
-        mag = in_band_magnitude(comb_response, comb, folding_bands(16, 1 / 128))
+        mag = in_band_magnitude(comb_response, PAPER_SPEC, folding_bands(PAPER_SPEC))
         f_edge = 1 / 16 - 1 / 128
         ratio = math.sin(math.pi * f_edge * 16) / (16 * math.sin(math.pi * f_edge))
         expected = -20 * math.log10(abs(ratio) ** 3)
@@ -201,9 +201,9 @@ class TestWorstCaseAttenuation:
 
     def test_gcf_improvement_about_8db(self):
         s = spec_for(16)  # rho = 64
-        fb = folding_bands(16, 1 / 128)
+        fb = folding_bands(PAPER_SPEC)
         att_gcf = worst_case_attenuation(in_band_magnitude(gcf_response, s, fb))
-        att_comb = worst_case_attenuation(in_band_magnitude(comb_response, CombSpec(16, 3), fb))
+        att_comb = worst_case_attenuation(in_band_magnitude(comb_response, PAPER_SPEC, fb))
         assert att_gcf - att_comb == pytest.approx(8.0, abs=2.0)
 
     def test_zero_band_capped(self):
@@ -217,7 +217,7 @@ class TestWorstCaseAttenuation:
 class TestGridCsv:
     def test_schema_and_extras(self, tmp_path):
         s = spec_for(8)
-        fb = folding_bands(s.D, s.f_c)
+        fb = folding_bands(s)
         freqs = grid_frequencies(fb, 5, 32)
         path = tmp_path / "grid.csv"
         grid_to_csv(path, freqs, gcf_response(s, freqs), fb.contains(freqs),

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from gcfkit import CombSpec, GcfSpec, ToleranceSpec, gcf_response, sensitivity, stage_coefficients
+from gcfkit import GcfSpec, ToleranceSpec, gcf_response, sensitivity, stage_coefficients
 from gcfkit import cli, spectral, wordlength
 from gcfkit.filters import normalization_gain, polyphase_impulse, stage_dc_gain, stage_multiplier, write_columns
 from gcfkit.spectral import (
@@ -142,7 +142,7 @@ def spec_of(D, pp, rho):
 
 
 def in_band_freqs(spec, points_per_band=17, global_points=512):
-    bands = folding_bands(spec.D, spec.f_c)
+    bands = folding_bands(spec)
     freqs = grid_frequencies(bands, points_per_band, global_points)
     return freqs, freqs[bands.contains(freqs)]
 
@@ -205,9 +205,9 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
     quant = old_response_from_multipliers(spec, freqs, taps_q, r_q)
     dc_exact = taps.sum() * np.prod(2.0 + 2.0 * r)
     dc_quant = taps_q.sum() * np.prod(2.0 + 2.0 * r_q)
-    err = quantization_error_response(spec, f_n, freqs=freqs)
-    assert np.array_equal(err.quantized, quant / dc_quant)
-    assert np.array_equal(err.delta_h, np.abs(quant) / dc_quant - np.abs(exact) / dc_exact)
+    quantized, delta_h = quantization_error_response(spec, f_n, freqs=freqs)
+    assert np.array_equal(quantized, quant / dc_quant)
+    assert np.array_equal(delta_h, np.abs(quant) / dc_quant - np.abs(exact) / dc_exact)
 
 
 @pytest.mark.parametrize("trials", [65, 70])  # a last block of one trial, and of six
@@ -329,7 +329,7 @@ def test_one_pass_sensitivity_matches_three_cases(D, normalized):
 @pytest.mark.parametrize("rho_per_D", [2, 4])
 @pytest.mark.parametrize("D", [16, 32, 64, 256, 1024])
 def test_one_pass_sensitivity_sizes_as_three_cases(D, rho_per_D):
-    bands = folding_bands(D, 1.0 / (2 * rho_per_D * D))
+    bands = folding_bands(spec_of(D, -1, rho_per_D * D))
     freqs = grid_frequencies(bands)
     freqs = freqs[bands.contains(freqs)]
     for pp in range(-1, D.bit_length() - 1):
@@ -343,7 +343,7 @@ def test_one_pass_sensitivity_sizes_as_three_cases(D, rho_per_D):
 
 
 def old_fractional_bits(spec, tol, points_per_band, global_points):
-    bands = folding_bands(spec.D, spec.f_c)
+    bands = folding_bands(spec)
     freqs = grid_frequencies(bands, points_per_band, global_points)
     mask = bands.contains(freqs)
     st = sensitivity(spec, freqs[mask]).s_t
@@ -384,15 +384,15 @@ def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid):
 def old_cmd_sensitivity_csv(cfg, path):
     """sensitivity.csv as written with its own S_T evaluation for each column."""
     spec = cfg.spec()
-    bands = folding_bands(spec.D, spec.f_c)
+    bands = folding_bands(spec)
     freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
     mask = bands.contains(freqs)
     result = sensitivity(spec, freqs)
     sigma_dh = sensitivity(spec, freqs).sigma_dh
     f_n = wordlength.design_wordlengths(spec, cfg.tolerance(), cfg.input_width, freqs[mask]).f_n
-    err = quantization_error_response(spec, f_n, freqs)
+    _, delta_h = quantization_error_response(spec, f_n, freqs)
     spectral.grid_to_csv(path, freqs, gcf_response(spec, freqs), mask,
-                         extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": err.delta_h})
+                         extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": delta_h})
 
 
 @pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256)], ids=["D16-pp-1", "D64-pp1"])
@@ -428,10 +428,10 @@ def test_write_columns_matches_csv_writer(tmp_path):
 def old_comparison_csv(cfg, path):
     """comparison.csv as written with the grid magnitudes recomputed per band."""
     spec = cfg.spec()
-    bands = folding_bands(spec.D, spec.f_c)
+    bands = folding_bands(spec)
     freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
     gcf = gcf_response(spec, freqs)
-    comb = spectral.comb_response(CombSpec(D=spec.D, n_c=3), freqs)
+    comb = spectral.comb_response(spec, freqs)
     with open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(freqs)), start=1):

@@ -212,7 +212,7 @@ class TestSensitivity:
 
 def default_grid(spec):
     """spec's default response-grid frequencies and their in-band mask."""
-    bands = folding_bands(spec.D, spec.f_c)
+    bands = folding_bands(spec)
     freqs = grid_frequencies(bands)
     return freqs, bands.contains(freqs)
 
@@ -224,31 +224,31 @@ def in_band(spec):
 
 class TestFractionalBits:
     def test_paper_design_point(self):
-        res = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC)).fraction_bits(PAPER_TOL)
-        assert res.f_n == 7
-        fb = folding_bands(16, 1 / 128)
-        assert fb.contains(np.array([res.binding_freq]))[0]
+        f_n, binding_freq = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC)).fraction_bits(PAPER_TOL)
+        assert f_n == 7
+        fb = folding_bands(PAPER_SPEC)
+        assert fb.contains(np.array([binding_freq]))[0]
 
     def test_halving_chi_adds_one_bit(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
-        base = sens.fraction_bits(PAPER_TOL).f_n
-        halved = sens.fraction_bits(ToleranceSpec.from_y(0.5e-4, 2.0)).f_n
+        base, _ = sens.fraction_bits(PAPER_TOL)
+        halved, _ = sens.fraction_bits(ToleranceSpec.from_y(0.5e-4, 2.0))
         assert halved == base + 1
 
     def test_non_decreasing_in_polyphase_share(self):
         fns = []
         for p_p in range(-1, 4):
             s = spec_for(16, p_p=p_p)
-            fns.append(sensitivity(s, in_band(s)).fraction_bits(PAPER_TOL).f_n)
+            fns.append(sensitivity(s, in_band(s)).fraction_bits(PAPER_TOL)[0])
         assert fns == sorted(fns)
 
     def test_monotone_in_chi_and_y(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
         for chi_lo, chi_hi in ((1e-4, 5e-4), (1e-3, 5e-3)):
-            assert (sens.fraction_bits(ToleranceSpec.from_y(chi_lo, 2.0)).f_n
-                    >= sens.fraction_bits(ToleranceSpec.from_y(chi_hi, 2.0)).f_n)
-        assert (sens.fraction_bits(ToleranceSpec.from_y(1e-4, 2.0)).f_n
-                >= sens.fraction_bits(ToleranceSpec.from_y(1e-4, 1.63)).f_n)
+            assert (sens.fraction_bits(ToleranceSpec.from_y(chi_lo, 2.0))[0]
+                    >= sens.fraction_bits(ToleranceSpec.from_y(chi_hi, 2.0))[0])
+        assert (sens.fraction_bits(ToleranceSpec.from_y(1e-4, 2.0))[0]
+                >= sens.fraction_bits(ToleranceSpec.from_y(1e-4, 1.63))[0])
 
 
 class TestIntegerBits:
@@ -299,17 +299,17 @@ class TestQuantizationErrorResponse:
     def test_integer_coefficients_are_exact(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
         freqs, _ = default_grid(s)
-        err = quantization_error_response(s, 7, freqs)
-        np.testing.assert_array_equal(err.delta_h, np.zeros(len(freqs)))
+        _, delta_h = quantization_error_response(s, 7, freqs)
+        np.testing.assert_array_equal(delta_h, np.zeros(len(freqs)))
 
     def test_fine_quantization_vanishes(self):
-        err = quantization_error_response(PAPER_SPEC, 40, default_grid(PAPER_SPEC)[0])
-        assert np.max(np.abs(err.delta_h)) <= 1e-10
+        _, delta_h = quantization_error_response(PAPER_SPEC, 40, default_grid(PAPER_SPEC)[0])
+        assert np.max(np.abs(delta_h)) <= 1e-10
 
     def test_paper_design_within_tolerance(self):
         freqs, mask = default_grid(PAPER_SPEC)
-        err = quantization_error_response(PAPER_SPEC, 7, freqs)
-        assert np.max(np.abs(err.delta_h[mask])) <= 1e-4
+        _, delta_h = quantization_error_response(PAPER_SPEC, 7, freqs)
+        assert np.max(np.abs(delta_h[mask])) <= 1e-4
 
     def test_sigma_scaling_is_exactly_binary(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
