@@ -33,7 +33,6 @@ from .wordlength import (
     quantization_error_response,
     quantize_coefficients,
     sensitivity,
-    y_from_p,
 )
 from .sdsim import (
     ModulatorResult,

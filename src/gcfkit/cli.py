@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ParameterError, StageOverflowError
 from .filters import (
+    DEFAULT_Q,
     GcfSpec,
     coefficients_to_csv,
     coefficients_to_json,
@@ -43,6 +44,7 @@ from .spectral import (
     worst_case_attenuation,
 )
 from .wordlength import (
+    DEFAULT_Y,
     ToleranceSpec,
     cascade_derivative_magnitudes,
     design_wordlengths,
@@ -65,11 +67,10 @@ class DesignConfig:
 
     decimation_factor: int = 16
     pp_split: int = -1
-    q: float = 0.79
+    q: float = DEFAULT_Q
     oversampling_ratio: float | None = None  # f_c = 1/(2 rho)
     chi: float = 1e-4
-    prob: float | None = None
-    y: float | None = None
+    y: float = DEFAULT_Y
     input_width: int = 1
     points_per_band: int = DEFAULT_POINTS_PER_BAND
     global_points: int = DEFAULT_GLOBAL_POINTS
@@ -103,11 +104,7 @@ class DesignConfig:
         return GcfSpec.from_oversampling(self.decimation_factor, self.oversampling_ratio, self.pp_split, self.q)
 
     def tolerance(self) -> ToleranceSpec:
-        if self.y is not None and self.prob is not None:
-            raise ParameterError("give either prob or y, not both")
-        if self.y is not None:
-            return ToleranceSpec.from_y(self.chi, self.y)
-        return ToleranceSpec.from_prob(self.chi, self.prob if self.prob is not None else 0.95)
+        return ToleranceSpec(self.chi, self.y)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -189,7 +186,7 @@ def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
             sens = sensitivity(spec, in_band)
             for chi in SWEEP_CHIS:
                 for y in SWEEP_YS:
-                    f_n, _ = sens.fraction_bits(ToleranceSpec.from_y(chi, y))
+                    f_n, _ = sens.fraction_bits(ToleranceSpec(chi, y))
                     fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 
 
@@ -301,7 +298,7 @@ def _check_mc(
     run = monte_carlo_run(spec, f_n, trials, seed, tol.y, freqs[bands.contains(freqs)])
     ok_std = bool(np.all(run.error_std <= 1.1 * run.sigma_dh + 1e-18))
     cov = run.coverage()
-    floor = math.erf(tol.y / math.sqrt(2.0)) - 0.03
+    floor = tol.prob - 0.03
     ok_cov = cov >= floor
     msg = (f"mc_model: std bound {'ok' if ok_std else 'VIOLATED'}, "
            f"coverage {cov:.4f} >= {floor:.4f} {'ok' if ok_cov else 'VIOLATED'}")

@@ -68,9 +68,9 @@ class GcfSpec:
 
     @classmethod
     def from_oversampling(cls, D: int, rho: float, p_p: int = -1, q: float = DEFAULT_Q) -> "GcfSpec":
-        """Build a spec from the converter oversampling ratio (f_c = 1/(2 rho))."""
-        if rho <= 0:
-            raise ParameterError(f"rho must be positive, got {rho}")
+        """Build a spec from the converter oversampling ratio rho > D (f_c = 1/(2 rho))."""
+        if not (math.isfinite(rho) and rho > D):
+            raise ParameterError(f"oversampling ratio must be finite and above D = {D}, got {rho}")
         return cls(D=D, f_c=1.0 / (2.0 * rho), p_p=p_p, q=q, rho=rho)
 
     @property

@@ -111,6 +111,19 @@ def sd_modulate(x) -> ModulatorResult:
     return ModulatorResult(bits=bits, overload_count=overload)
 
 
+def _check_decimator_args(spec: GcfSpec, i_n: tuple[int, ...], f_n: int) -> None:
+    """Reject a split or register sizing that the fixed-point decimator cannot run."""
+    if spec.p_p != -1:
+        raise ParameterError("fixed-point decimation expects the cascaded form (p_p = -1)")
+    if len(i_n) != spec.p:
+        raise ParameterError(f"i_n must size all {spec.p} stages, got {len(i_n)}")
+    if f_n < 0 or any(b < 0 for b in i_n):
+        raise ParameterError("bit counts must be non-negative")
+    # int64 headroom: worst register needs i_n[-1] + p*f_n bits
+    if i_n[-1] + spec.p * f_n > 62:
+        raise ParameterError("register widths exceed 64-bit integer arithmetic")
+
+
 def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: int) -> np.ndarray:
     """Decimate through the p-stage fixed-point cascade (each stage by 2).
 
@@ -125,19 +138,11 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: in
     |x| >= 2**i_n[0] does not fit stage 0's register and raises
     StageOverflowError for stage 0.
     """
-    if spec.p_p != -1:
-        raise ParameterError("fixed-point decimation expects the cascaded form (p_p = -1)")
-    if len(i_n) != spec.p:
-        raise ParameterError(f"i_n must size all {spec.p} stages, got {len(i_n)}")
-    if f_n < 0 or any(b < 0 for b in i_n):
-        raise ParameterError("bit counts must be non-negative")
+    _check_decimator_args(spec, i_n, f_n)
     x = np.asarray(bitstream)
     if not np.issubdtype(x.dtype, np.integer):
         raise ParameterError("bitstream must be integer-valued")
     n_in = len(x)
-    # int64 headroom: worst register needs i_n[-1] + p*f_n bits
-    if i_n[-1] + spec.p * f_n > 62:
-        raise ParameterError("register widths exceed 64-bit integer arithmetic")
     # an input that does not fit stage 0's register would wrap in the shifts below
     peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
     if peak_in >= 1 << i_n[0]:
@@ -224,11 +229,13 @@ def run_experiment(
 ) -> SimulationRun:
     """Generate a test signal band-limited to spec.f_c, modulate, decimate and measure both spectra.
 
-    The output count and the Welch arguments are checked before any work.
+    The output count, the Welch arguments and the decimator's split and
+    register sizes are checked before any work.
     """
     if n_samples // spec.D < 2:
         raise ParameterError(f"n_samples {n_samples} gives fewer than 2 output samples at D={spec.D}")
     _check_welch_args(segment, n_samples, overlap_fraction)
+    _check_decimator_args(spec, i_n, f_n)
     x = generate_bandlimited_signal(spec.f_c, amplitude, n_samples, seed)
     mod = sd_modulate(x)
     decimated = decimate_fixed_point(mod.bits, spec, i_n, f_n)

@@ -94,15 +94,6 @@ def stage_derivative(w: np.ndarray, k: int) -> np.ndarray:
     return 2.0 * np.cos((2.0 ** (k - 1)) * w)
 
 
-def stage_brackets(f, stage_ks, r) -> np.ndarray:
-    """stage_bracket of every stage at frequencies f, one row per stage."""
-    w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    out = np.empty((len(r), len(w)))
-    for row, (k, r_k) in enumerate(zip(stage_ks, r)):
-        out[row] = stage_bracket(w, k, r_k)
-    return out
-
-
 def cascade_response(f, stage_ks, r, start=None) -> np.ndarray:
     """start (default ones) times the stage factors 2 e^{-j3*2^{k-1}w} (cos3x + r_k cosx).
 

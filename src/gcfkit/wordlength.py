@@ -11,6 +11,9 @@ folding bands with Gaussian multiplier y gives the fractional size
 
     F_n = max(0, ceil(-log2(sqrt(12) * min_FB chi / (y * sqrt(S_T))))).
 
+The coverage of that bound, prob = erf(y / sqrt(2)), is derived from y;
+it is never given on its own.
+
 Sensitivity convention: each filter section is referenced to its own DC gain
 and the residual normalizer is treated as exact (not quantized).  Under this
 convention the stored polyphase branch taps are the unit-DC-scaled values
@@ -41,57 +44,36 @@ import numpy as np
 
 from .errors import InternalError, ParameterError
 from .filters import GcfSpec, polyphase_impulse, stage_coefficients, stage_dc_gain, stage_multiplier
-from .spectral import cascade_response, stage_bracket, stage_brackets, stage_derivative
+from .spectral import cascade_response, stage_bracket, stage_derivative
 
 
-def y_from_p(prob: float) -> float:
-    """Gaussian multiplier y with coverage prob: prob = erf(y / sqrt(2)).
-
-    Taken from the lower tail, y = -Phi^-1((1 - prob) / 2), which is the
-    same by symmetry; the upper-tail argument (1 + prob) / 2 rounds to 1
-    when prob is within 1.1e-16 of 1.
-    """
-    from statistics import NormalDist  # imports decimal and fractions; only prob needs it
-
-    if not 0.0 < prob < 1.0:
-        raise ParameterError(f"prob must be in (0, 1), got {prob}")
-    return -NormalDist().inv_cdf((1.0 - prob) / 2.0)
+# y of the default coverage 0.95: erf(DEFAULT_Y / sqrt(2)) is 0.95 exactly.
+DEFAULT_Y = 1.9599639845400536
 
 
 @dataclass(frozen=True)
 class ToleranceSpec:
-    """Magnitude-error bound chi over the folding bands with coverage prob.
+    """Magnitude-error bound chi over the folding bands at Gaussian multiplier y.
 
-    Build with from_prob (y derived by inverting prob = erf(y / sqrt(2)))
-    or from_y (exact coverage derived from a rounded working value such as
-    y = 2 or y = 1.63).
+    The coverage prob = erf(y / sqrt(2)) is derived from y, so a rounded
+    working value such as y = 2 or y = 1.63 keeps its exact coverage.
     """
 
     chi: float
-    prob: float
     y: float
 
     def __post_init__(self):
         if not (math.isfinite(self.chi) and self.chi > 0.0):
             raise ParameterError(f"chi must be positive and finite, got {self.chi}")
-        if not 0.0 < self.prob < 1.0:
-            raise ParameterError(f"prob must be in (0, 1), got {self.prob}")
         if not (math.isfinite(self.y) and self.y > 0.0):
             raise ParameterError(f"y must be positive and finite, got {self.y}")
+        if not 0.0 < self.prob < 1.0:
+            raise ParameterError(f"y = {self.y:g} is out of range: erf(y / sqrt(2)) = {self.prob} is not in (0, 1)")
 
-    @classmethod
-    def from_prob(cls, chi: float, prob: float) -> "ToleranceSpec":
-        y = y_from_p(prob)
-        if not y > 0.0:
-            raise ParameterError(f"prob = {prob:g} is too close to 0: its y rounds to 0")
-        return cls(chi=chi, prob=prob, y=y)
-
-    @classmethod
-    def from_y(cls, chi: float, y: float) -> "ToleranceSpec":
-        prob = math.erf(y / math.sqrt(2.0))
-        if not 0.0 < prob < 1.0:
-            raise ParameterError(f"y = {y:g} is out of range: erf(y / sqrt(2)) = {prob} is not in (0, 1)")
-        return cls(chi=chi, prob=prob, y=y)
+    @property
+    def prob(self) -> float:
+        """Coverage of the bound: erf(y / sqrt(2))."""
+        return math.erf(self.y / math.sqrt(2.0))
 
     def as_dict(self) -> dict:
         return {"chi": self.chi, "prob": self.prob, "y": self.y}
@@ -189,11 +171,10 @@ def cascade_derivative_magnitudes(spec: GcfSpec, freqs) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float)
     w = 2.0 * np.pi * freqs
     ks = list(spec.cascade_stages)
-    r = np.asarray(stage_coefficients(spec))
-    brackets = stage_brackets(freqs, ks, r)
-    out = np.empty_like(brackets)
+    brackets = [stage_bracket(w, k, r_k) for k, r_k in zip(ks, stage_coefficients(spec))]
+    out = np.empty((len(ks), len(w)))
     for u, k in enumerate(ks):
-        others = np.prod(np.delete(brackets, u, axis=0), axis=0) if len(ks) > 1 else 1.0
+        others = np.prod(brackets[:u] + brackets[u + 1:], axis=0)  # 1.0 for a single stage
         out[u] = np.abs(stage_derivative(w, k) * others)
     return out
 
@@ -357,7 +338,8 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
     E = np.exp(-1j * np.outer(w, n))
     hp0 = E @ taps
     dc = taps.sum() * stage_dc_gain(r)
-    base = np.abs(hp0) * np.abs(np.prod(stage_brackets(freqs, ks, r), axis=0)) / dc
+    brackets = [stage_bracket(w, k, r_k) for k, r_k in zip(ks, r)]
+    base = np.abs(hp0) * np.abs(np.prod(brackets, axis=0)) / dc
 
     def delta_h(block):
         # the temporaries of a block are freed before it is yielded

@@ -49,7 +49,7 @@ from gcfkit import (
 )
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 64)  # D=16, D1=1, f_c=1/128
-PAPER_TOL = ToleranceSpec.from_y(1e-4, 2.0)
+PAPER_TOL = ToleranceSpec(1e-4, 2.0)
 SEED = 20240917
 
 
@@ -98,7 +98,7 @@ def fn_table():
             freqs = in_band(spec)
             for chi in SWEEP_CHIS:
                 for y in (2.0, 1.63):
-                    tol = ToleranceSpec.from_y(chi, y)
+                    tol = ToleranceSpec(chi, y)
                     table[(D, pp, chi, y)] = sensitivity(spec, freqs).fraction_bits(tol)[0]
     return table, time.perf_counter() - t0
 

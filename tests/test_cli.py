@@ -18,6 +18,7 @@ from gcfkit import (
     grid_frequencies,
 )
 from gcfkit.cli import main
+from gcfkit.wordlength import DEFAULT_Y
 
 
 def write_config(tmp_path, **extra):
@@ -51,6 +52,17 @@ class TestDesign:
         assert "F_n" in capsys.readouterr().out
         resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
         assert resolved["chi"] == 1e-4
+
+    def test_default_coverage_is_given_as_y(self, tmp_path):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        del data["y"]
+        cfg.write_text(json.dumps(data))
+        assert main(["design", "--config", str(cfg)]) == 0
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        assert "prob" not in resolved and resolved["y"] == DEFAULT_Y
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["tolerance"] == {"chi": 1e-4, "prob": 0.95, "y": DEFAULT_Y}
 
     def test_zero_rotation_quantizes_exactly(self, tmp_path):
         cfg = write_config(tmp_path, q=0.0)
@@ -214,7 +226,7 @@ class TestSimulate:
         assert prov["spec"] == spec.as_dict()
         bands = folding_bands(spec)
         freqs = grid_frequencies(bands)
-        report = design_wordlengths(spec, ToleranceSpec.from_y(1e-4, 2.0), 1, freqs[bands.contains(freqs)])
+        report = design_wordlengths(spec, ToleranceSpec(1e-4, 2.0), 1, freqs[bands.contains(freqs)])
         assert prov["format"] == {"i_n": list(report.i_n_k), "f_n": report.f_n, "sign_bits": 1}
         assert isinstance(prov["overload_count"], int)
 
@@ -285,6 +297,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), *args]) == 2
         assert capsys.readouterr().err.startswith("config error")
 
+    def test_bank_split_rejected_before_generating(self, tmp_path, monkeypatch, capsys):
+        import gcfkit.sdsim as sdsim_mod
+
+        def generator_ran(*a, **k):
+            raise AssertionError("the test signal was generated before the decimator arguments were checked")
+
+        monkeypatch.setattr(sdsim_mod, "generate_bandlimited_signal", generator_ran)
+        cfg = write_config(tmp_path, n_samples=2 ** 20)
+        assert main(["simulate", "--config", str(cfg), "--pp-split", "2"]) == 2
+        assert "expects the cascaded form" in capsys.readouterr().err
+        assert files_in(tmp_path / "out") == ["resolved_config.json"]
+
 
 class TestCompare:
     def test_table(self, tmp_path, capsys):
@@ -332,19 +356,33 @@ class TestConfigErrors:
     def test_overlapping_bands(self, tmp_path, capsys):
         cfg = write_config(tmp_path, oversampling_ratio=10)
         assert main(["design", "--config", str(cfg)]) == 2
+        assert "oversampling ratio must be finite and above D = 16, got 10" in capsys.readouterr().err
 
-    def test_both_prob_and_y(self, tmp_path):
-        cfg = write_config(tmp_path, prob=0.95)
-        assert main(["design", "--config", str(cfg)]) == 2
+    @pytest.mark.parametrize("rho", ["nan", "inf", "16", "-1", "0"])
+    def test_bad_oversampling_ratio_is_named(self, tmp_path, capsys, rho):
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), "--oversampling-ratio", rho]) == 2
+        err = capsys.readouterr().err
+        assert f"oversampling ratio must be finite and above D = 16, got {float(rho)}" in err, err
+        assert "f_c" not in err
+        assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
+
+    def test_prob_flag_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--config", str(cfg), "--prob", "0.95"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prob" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--chi", "nan"), ("--chi", "inf"), ("--y", "nan"), ("--points-per-band", "1"),
         ("--seed", "-1"), ("--global-points", "-1"), ("--trials", "999"), ("--sample-rate-hz", "-5"),
         ("--sample-rate-hz", "0"), ("--sample-rate-hz", "inf"), ("--input-width", "0"),
-        ("--chi", "1e-310"), ("--y", "9"), ("--prob", "1e-17"),
+        ("--chi", "1e-310"), ("--y", "9"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, flag, value):
-        cfg = write_config(tmp_path, **({"y": None} if flag == "--prob" else {}))
+        cfg = write_config(tmp_path)
         assert main(["design", "--config", str(cfg), flag, value]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
@@ -377,7 +415,7 @@ class TestConfigErrors:
         assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
 
     @pytest.mark.parametrize("key,value", [
-        ("signal_bandwidth", 1 / 128), ("normalized", True), ("comb_order", 3),
+        ("signal_bandwidth", 1 / 128), ("normalized", True), ("comb_order", 3), ("prob", 0.95),
     ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})
@@ -406,7 +444,7 @@ class TestConfigErrors:
 
 COMMON_OPTIONS = [
     "--config", "--decimation-factor", "--pp-split", "--q",
-    "--oversampling-ratio", "--chi", "--prob", "--y", "--input-width", "--points-per-band",
+    "--oversampling-ratio", "--chi", "--y", "--input-width", "--points-per-band",
     "--global-points", "--seed", "--trials", "--n-samples", "--amplitude",
     "--sample-rate-hz", "--segment", "--overlap", "--output-dir",
 ]

@@ -27,12 +27,12 @@ from gcfkit import cli  # noqa: E402
 POWERS = [2, 4, 8, 16, 32, 64]
 
 
-def in_range(D, n_samples, tolerance):
+def in_range(D, n_samples):
     """Strategies of in-range flag values, None for a flag left out.
 
     They depend on D, so that most configs get past the checks into the
     computation, and include the extremes (chi down to 1e-300, y down to
-    1e-320, 2**64 as seed).  tolerance names the one of y and prob that is given, if any.
+    1e-320, 2**64 as seed).
     """
     p = D.bit_length() - 1
     return {
@@ -41,8 +41,7 @@ def in_range(D, n_samples, tolerance):
         "q": st.none() | st.floats(0.0, 1.0),
         "oversampling_ratio": st.floats(D, 100.0 * D, exclude_min=True),
         "chi": st.none() | st.floats(1e-300, 10.0),
-        "prob": st.floats(1e-3, 0.999999) if tolerance == "prob" else st.none(),
-        "y": st.floats(1e-320, 8.0) if tolerance == "y" else st.none(),
+        "y": st.none() | st.floats(1e-320, 8.0),
         "input_width": st.none() | st.integers(1, 4),
         "points_per_band": st.integers(2, 33),
         "global_points": st.integers(0, 512),
@@ -57,11 +56,7 @@ def in_range(D, n_samples, tolerance):
 
 
 def out_of_range(D, n_samples):
-    """Strategies of flag values that make some subcommand a config error.
-
-    prob 0.95 and y 2.0 are in range, and out of range only next to the
-    other one.
-    """
+    """Strategies of flag values that make some subcommand a config error."""
     p = D.bit_length() - 1
     return {
         "decimation_factor": st.sampled_from([-1, 0, 1, 3, 48]),
@@ -69,8 +64,7 @@ def out_of_range(D, n_samples):
         "q": st.sampled_from([-0.1, 1.5, math.nan, math.inf]),
         "oversampling_ratio": st.sampled_from([None, 0.0, -1.0, math.nan, math.inf, D / 2, float(D)]),
         "chi": st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-310, 5e-324]),
-        "prob": st.sampled_from([0.0, 1.0, 1e-17, math.nan, 0.95]),
-        "y": st.sampled_from([0.0, -1.0, 9.0, math.nan, math.inf, 2.0]),
+        "y": st.sampled_from([0.0, -1.0, 9.0, math.nan, math.inf]),
         "input_width": st.sampled_from([-1, 0]),
         "points_per_band": st.sampled_from([-1, 0, 1]),
         "global_points": st.just(-1),
@@ -89,7 +83,7 @@ def configs(draw):
     """Flag values of every field: in range, but for at most two fields that are not."""
     D = draw(st.sampled_from(POWERS))
     n_samples = draw(st.integers(2 * D, 2 ** 14))
-    valid = in_range(D, n_samples, draw(st.sampled_from(["y", "prob", "neither"])))
+    valid = in_range(D, n_samples)
     broken = out_of_range(D, n_samples)
     bad = draw(st.sets(st.sampled_from(sorted(valid)), max_size=2))
     return {name: draw(broken[name] if name in bad else valid[name]) for name in valid}
@@ -97,7 +91,7 @@ def configs(draw):
 
 def test_every_field_but_output_dir_is_drawn():
     names = {f.name for f in fields(cli.DesignConfig)} - {"output_dir"}
-    assert set(in_range(16, 64, "y")) == set(out_of_range(16, 64)) == names
+    assert set(in_range(16, 64)) == set(out_of_range(16, 64)) == names
 
 
 def json_numbers(value):

@@ -242,6 +242,19 @@ class TestExperiment:
         with pytest.raises(ParameterError, match="fewer than 2 output samples"):
             run_experiment(PAPER_SPEC, PAPER_I_N, 7, 0.5, 31, 12345, segment=2)
 
+    @pytest.mark.parametrize("spec,f_n,message", [
+        (GcfSpec.from_oversampling(16, 128, p_p=1), 7, "cascaded form"),
+        # i_n[-1] + p * f_n = 13 + 4 * 20 bits do not fit int64
+        (PAPER_SPEC, 20, "64-bit"),
+    ], ids=["pp1", "fn20"])
+    def test_decimator_args_checked_before_generating(self, monkeypatch, spec, f_n, message):
+        def generator_ran(*a, **k):
+            raise AssertionError("the test signal was generated before the decimator arguments were checked")
+
+        monkeypatch.setattr(sdsim, "generate_bandlimited_signal", generator_ran)
+        with pytest.raises(ParameterError, match=message):
+            run_experiment(spec, PAPER_I_N, f_n, 0.5, 2 ** 14, 5, segment=1024)
+
     def test_silent_input(self):
         run = self.make_run(amplitude=0.0)
         # residual limit-cycle leakage only

@@ -22,7 +22,6 @@ from gcfkit.spectral import (
     folding_bands,
     grid_frequencies,
     stage_bracket,
-    stage_brackets,
 )
 from gcfkit.wordlength import (
     _mc_delta_h,
@@ -151,12 +150,15 @@ def in_band_freqs(spec, points_per_band=17, global_points=512):
 def test_stage_brackets_match_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
+    w = 2.0 * np.pi * freqs
     r = np.asarray(stage_coefficients(spec))
     ks = list(spec.cascade_stages)
-    assert np.array_equal(stage_brackets(freqs, ks, r), old_stage_brackets(freqs, ks, r))
     bank_ks = range(spec.p_p + 1)
     r_bank = np.array([stage_multiplier(spec.alpha, k) for k in bank_ks])
-    assert np.array_equal(stage_brackets(freqs, bank_ks, r_bank), old_stage_brackets(freqs, bank_ks, r_bank))
+    for stage_ks, rv in ((ks, r), (bank_ks, r_bank)):
+        old = old_stage_brackets(freqs, stage_ks, rv)
+        for row, (k, r_k) in enumerate(zip(stage_ks, rv)):
+            assert np.array_equal(stage_bracket(w, k, r_k), old[row])
 
 
 def test_stage_bracket_accepts_columns():
@@ -338,7 +340,7 @@ def test_one_pass_sensitivity_sizes_as_three_cases(D, rho_per_D):
         old = wordlength.SensitivityResult(freqs, old_sensitivity(spec, freqs, True), new.case_tag, new.n_multipliers)
         for chi in cli.SWEEP_CHIS:
             for y in cli.SWEEP_YS:
-                tol = ToleranceSpec.from_y(chi, y)
+                tol = ToleranceSpec(chi, y)
                 assert new.fraction_bits(tol) == old.fraction_bits(tol)
 
 
@@ -363,7 +365,7 @@ def old_fn_sweep(cfg, path):
             for chi in cli.SWEEP_CHIS:
                 for y in cli.SWEEP_YS:
                     f_n = old_fractional_bits(
-                        spec, ToleranceSpec.from_y(chi, y), cfg.points_per_band, cfg.global_points,
+                        spec, ToleranceSpec(chi, y), cfg.points_per_band, cfg.global_points,
                     )
                     fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 

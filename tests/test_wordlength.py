@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from gcfkit import (
     quantize_coefficients,
     sensitivity,
     stage_coefficients,
-    y_from_p,
 )
 from gcfkit import wordlength
 from gcfkit.filters import polyphase_impulse, stage_dc_gain
@@ -37,60 +37,41 @@ def spec_for(D, p_p=-1, q=0.79, rho_factor=4):
 
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 64)  # D=16, D1=1, f_c = 1/128
-PAPER_TOL = ToleranceSpec.from_y(1e-4, 2.0)
-
-
-class TestYFromP:
-    def test_one_sigma(self):
-        assert y_from_p(0.6827) == pytest.approx(1.0, abs=1e-3)
-
-    def test_95(self):
-        assert y_from_p(0.95) == pytest.approx(1.95996, abs=1e-5)
-
-    def test_90(self):
-        assert y_from_p(0.90) == pytest.approx(1.64485, abs=1e-5)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
-    def test_domain(self, p):
-        with pytest.raises(ParameterError):
-            y_from_p(p)
-
-    def test_roundtrip(self):
-        for y in (0.5, 1.0, 2.0, 3.1):
-            assert y_from_p(math.erf(y / math.sqrt(2))) == pytest.approx(y, abs=1e-9)
-
-    def test_prob_next_to_one(self):
-        # (1 + prob) / 2 rounds to 1 here; erfc(y / sqrt(2)) = 1.1e-16 at y = 8.29
-        assert y_from_p(math.nextafter(1.0, 0.0)) == pytest.approx(8.2924, abs=1e-3)
+PAPER_TOL = ToleranceSpec(1e-4, 2.0)
 
 
 class TestToleranceSpec:
-    def test_from_prob_derives_y(self):
-        tol = ToleranceSpec.from_prob(1e-4, 0.95)
-        assert tol.y == pytest.approx(1.95996, abs=1e-5)
-        assert math.erf(tol.y / math.sqrt(2)) == pytest.approx(tol.prob, abs=1e-10)
+    def test_default_y_is_the_95_percent_point(self):
+        assert wordlength.DEFAULT_Y == statistics.NormalDist().inv_cdf(0.975)
+        assert math.erf(wordlength.DEFAULT_Y / math.sqrt(2)) == 0.95
+        assert ToleranceSpec(1e-4, wordlength.DEFAULT_Y).prob == 0.95
+
+    @pytest.mark.parametrize("y", [1e-320, 0.5, 1.0, 1.63, 2.0, 3.1, 8.0])
+    def test_prob_is_derived_from_y(self, y):
+        tol = ToleranceSpec(1e-4, y)
+        assert tol.prob == math.erf(y / math.sqrt(2))
+        assert tol.as_dict() == {"chi": 1e-4, "prob": tol.prob, "y": y}
 
     def test_from_y_keeps_rounded_value(self):
-        tol = ToleranceSpec.from_y(1e-3, 1.63)
+        tol = ToleranceSpec(1e-3, 1.63)
         assert tol.y == 1.63
         assert tol.prob == pytest.approx(0.8968, abs=1e-4)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            ToleranceSpec.from_y(-1.0, 2.0)
-        with pytest.raises(ParameterError):
-            ToleranceSpec.from_prob(1e-4, 1.2)
+            ToleranceSpec(-1.0, 2.0)
+        with pytest.raises(ParameterError, match="y must be positive"):
+            ToleranceSpec(1e-4, 0.0)
+        # erf(9 / sqrt(2)) rounds to 1
+        with pytest.raises(ParameterError, match=r"y = 9 is out of range"):
+            ToleranceSpec(1e-4, 9.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ParameterError):
-            ToleranceSpec.from_y(bad, 2.0)
+            ToleranceSpec(bad, 2.0)
         with pytest.raises(ParameterError):
-            ToleranceSpec.from_y(1e-4, bad)
-        with pytest.raises(ParameterError):
-            ToleranceSpec.from_prob(1e-4, bad)
-        with pytest.raises(ParameterError):
-            ToleranceSpec(chi=1e-4, prob=0.95, y=bad)
+            ToleranceSpec(1e-4, bad)
 
 
 class TestSensitivity:
@@ -232,7 +213,7 @@ class TestFractionalBits:
     def test_halving_chi_adds_one_bit(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
         base, _ = sens.fraction_bits(PAPER_TOL)
-        halved, _ = sens.fraction_bits(ToleranceSpec.from_y(0.5e-4, 2.0))
+        halved, _ = sens.fraction_bits(ToleranceSpec(0.5e-4, 2.0))
         assert halved == base + 1
 
     def test_non_decreasing_in_polyphase_share(self):
@@ -245,10 +226,10 @@ class TestFractionalBits:
     def test_monotone_in_chi_and_y(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
         for chi_lo, chi_hi in ((1e-4, 5e-4), (1e-3, 5e-3)):
-            assert (sens.fraction_bits(ToleranceSpec.from_y(chi_lo, 2.0))[0]
-                    >= sens.fraction_bits(ToleranceSpec.from_y(chi_hi, 2.0))[0])
-        assert (sens.fraction_bits(ToleranceSpec.from_y(1e-4, 2.0))[0]
-                >= sens.fraction_bits(ToleranceSpec.from_y(1e-4, 1.63))[0])
+            assert (sens.fraction_bits(ToleranceSpec(chi_lo, 2.0))[0]
+                    >= sens.fraction_bits(ToleranceSpec(chi_hi, 2.0))[0])
+        assert (sens.fraction_bits(ToleranceSpec(1e-4, 2.0))[0]
+                >= sens.fraction_bits(ToleranceSpec(1e-4, 1.63))[0])
 
 
 class TestIntegerBits:
