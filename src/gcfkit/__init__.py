@@ -7,7 +7,6 @@ from .errors import (
 )
 from .filters import (
     GcfSpec,
-    comb_coefficients,
     expand_full_polynomial,
     normalization_gain,
     polyphase_impulse,

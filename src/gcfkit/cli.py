@@ -2,9 +2,12 @@
 
 Subcommands: design | response | sensitivity | validate | simulate | compare.
 Every command reads an optional JSON config file plus flag overrides (flags
-mirror config keys), writes CSV/JSON artifacts into the output directory and
-embeds the resolved config for provenance.  Figure data is emitted as CSV
-only; plotting is left to external tools.
+mirror config keys).  main resolves the run once, for every command: it
+builds the design and the tolerance (so a bad value is a config error
+before any file is written), writes the resolved config to the output
+directory for provenance and builds the response grid.  The command then
+writes its own CSV/JSON artifacts.  Figure data is emitted as CSV only;
+plotting is left to external tools.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 runtime
 numeric error.
@@ -30,6 +33,7 @@ from .filters import (
     expand_full_polynomial,
     polyphase_impulse,
     stage_coefficients,
+    write_json,
 )
 from .spectral import (
     DEFAULT_GLOBAL_POINTS,
@@ -97,6 +101,9 @@ class DesignConfig:
         fs = self.sample_rate_hz
         if fs is not None and not (math.isfinite(fs) and fs > 0):
             raise ParameterError(f"sample_rate_hz must be positive and finite, got {fs}")
+        for name in ("amplitude", "overlap"):  # their ranges are checked where simulate uses them
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
     def spec(self) -> GcfSpec:
         if self.oversampling_ratio is None:
@@ -150,13 +157,6 @@ def load_config(path: str | None, overrides: dict) -> DesignConfig:
     return DesignConfig(**merged)
 
 
-def _write_config_echo(cfg: DesignConfig, outdir: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "resolved_config.json"), "w") as fh:
-        json.dump(cfg.as_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 SWEEP_CHIS = (5e-3, 1e-3, 1e-4)
 SWEEP_YS = (2.0, 1.63)
 
@@ -164,7 +164,7 @@ SWEEP_YS = (2.0, 1.63)
 def _grid(cfg: DesignConfig, spec: GcfSpec):
     """(folding bands, grid frequencies, in-band mask) of spec on the config's grid.
 
-    Each command builds it once; its responses and its sizing all use it.
+    main builds it once per run; the command's responses and sizing all use it.
     """
     bands = folding_bands(spec)
     freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
@@ -190,21 +190,19 @@ def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
                     fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 
 
-def cmd_design(cfg: DesignConfig, sweep_splits: bool = False) -> int:
-    spec = cfg.spec()
-    tol = cfg.tolerance()
+def cmd_design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
+               freqs: np.ndarray, mask: np.ndarray, sweep_splits: bool = False) -> int:
     outdir = cfg.output_dir
-    _write_config_echo(cfg, outdir)
-    _, freqs, mask = _grid(cfg, spec)
     in_band = freqs[mask]
     report = design_wordlengths(spec, tol, cfg.input_width, in_band)
     if sweep_splits:
         _write_fn_sweep(spec, in_band, outdir)
-    report.to_json(os.path.join(outdir, "report.json"))
+    write_json(os.path.join(outdir, "report.json"), report.as_dict())
     r = np.asarray(stage_coefficients(spec))
+    r_q = quantize_coefficients(r, report.f_n)
     h_p = polyphase_impulse(spec)
     coefficients_to_csv(os.path.join(outdir, "cascade_exact.csv"), r)
-    coefficients_to_csv(os.path.join(outdir, "cascade_quantized.csv"), quantize_coefficients(r, report.f_n))
+    coefficients_to_csv(os.path.join(outdir, "cascade_quantized.csv"), r_q)
     coefficients_to_csv(os.path.join(outdir, "bank_exact.csv"), h_p)
     coefficients_to_csv(
         os.path.join(outdir, "bank_quantized.csv"),
@@ -212,19 +210,16 @@ def cmd_design(cfg: DesignConfig, sweep_splits: bool = False) -> int:
     )
     coefficients_to_json(
         os.path.join(outdir, "coefficients.json"), spec,
-        cascade=r, cascade_quantized=quantize_coefficients(r, report.f_n),
+        cascade=r, cascade_quantized=r_q,
         bank=h_p, expanded=expand_full_polynomial(spec),
     )
     print(report.table())
     return EXIT_OK
 
 
-def cmd_response(cfg: DesignConfig) -> int:
-    spec = cfg.spec()
-    tol = cfg.tolerance()
+def cmd_response(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
+                 freqs: np.ndarray, mask: np.ndarray) -> int:
     outdir = cfg.output_dir
-    _write_config_echo(cfg, outdir)
-    bands, freqs, mask = _grid(cfg, spec)
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), freqs, gcf_response(spec, freqs), mask)
     quantized, delta_h = quantization_error_response(spec, report.f_n, freqs)
@@ -239,17 +234,13 @@ def cmd_response(cfg: DesignConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sensitivity(cfg: DesignConfig) -> int:
-    spec = cfg.spec()
-    tol = cfg.tolerance()
-    outdir = cfg.output_dir
-    _write_config_echo(cfg, outdir)
-    _, freqs, mask = _grid(cfg, spec)
+def cmd_sensitivity(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
+                    freqs: np.ndarray, mask: np.ndarray) -> int:
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     _, delta_h = quantization_error_response(spec, report.f_n, freqs)
     result = sensitivity(spec, freqs)
     grid_to_csv(
-        os.path.join(outdir, "sensitivity.csv"), freqs, gcf_response(spec, freqs), mask,
+        os.path.join(cfg.output_dir, "sensitivity.csv"), freqs, gcf_response(spec, freqs), mask,
         extra={"s_t": result.s_t, "sigma_dh": result.sigma_dh(report.f_n), "delta_h": delta_h},
     )
     print(f"S_T grid ({result.case_tag}, {result.n_multipliers} multipliers): "
@@ -305,12 +296,8 @@ def _check_mc(
     return ok_std and ok_cov, msg
 
 
-def cmd_validate(cfg: DesignConfig) -> int:
-    spec = cfg.spec()
-    tol = cfg.tolerance()
-    outdir = cfg.output_dir
-    _write_config_echo(cfg, outdir)
-    bands, freqs, mask = _grid(cfg, spec)
+def cmd_validate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
+                 freqs: np.ndarray, mask: np.ndarray) -> int:
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     checks = {}
     ok1, msg1 = _check_split_invariance(spec)
@@ -321,20 +308,14 @@ def cmd_validate(cfg: DesignConfig) -> int:
     checks["mc_model"] = {"pass": ok3, "detail": msg3}
     all_ok = all(c["pass"] for c in checks.values())
     payload = {"pass": all_ok, "checks": checks, "f_n": report.f_n}
-    with open(os.path.join(outdir, "validate.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.output_dir, "validate.json"), payload)
     for name, c in checks.items():
         print(("PASS " if c["pass"] else "FAIL ") + c["detail"])
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
-def cmd_simulate(cfg: DesignConfig) -> int:
-    spec = cfg.spec()
-    tol = cfg.tolerance()
-    outdir = cfg.output_dir
-    _write_config_echo(cfg, outdir)
-    _, freqs, mask = _grid(cfg, spec)
+def cmd_simulate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
+                 freqs: np.ndarray, mask: np.ndarray) -> int:
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     run = run_experiment(spec, report.i_n_k, report.f_n, cfg.amplitude, cfg.n_samples, cfg.seed,
                          segment=cfg.segment, overlap_fraction=cfg.overlap)
@@ -344,21 +325,18 @@ def cmd_simulate(cfg: DesignConfig) -> int:
         "spec": spec.as_dict(),
         "format": {"i_n": list(report.i_n_k), "f_n": report.f_n, "sign_bits": 1},
     }
-    export_run(run, outdir, provenance)
+    export_run(run, cfg.output_dir, provenance)
     edge = spec.f_c * spec.D
     print(f"decimated {len(run.bitstream)} -> {len(run.decimated)} samples; "
           f"useful band edge {edge:.4f}; overloads {run.overload_count}")
     return EXIT_OK
 
 
-def cmd_compare(cfg: DesignConfig) -> int:
-    spec = cfg.spec()
-    outdir = cfg.output_dir
-    _write_config_echo(cfg, outdir)
-    bands, freqs, mask = _grid(cfg, spec)
+def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
+                freqs: np.ndarray, mask: np.ndarray) -> int:
     gcf_mag = np.abs(gcf_response(spec, freqs))
     comb_mag = np.abs(comb_response(spec, freqs))
-    with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
+    with open(os.path.join(cfg.output_dir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(freqs)), start=1):
             att_g = worst_case_attenuation(gcf_mag[m])
@@ -406,7 +384,10 @@ def main(argv=None) -> int:
     switches = {"sweep_splits": overrides.pop("sweep_splits")} if command == "design" else {}
     try:
         cfg = load_config(path, overrides)
-        return handlers[command](cfg, **switches)
+        spec, tol = cfg.spec(), cfg.tolerance()
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        write_json(os.path.join(cfg.output_dir, "resolved_config.json"), cfg.as_dict())
+        return handlers[command](cfg, spec, tol, *_grid(cfg, spec), **switches)
     except StageOverflowError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -175,14 +175,6 @@ def normalization_gain(spec: GcfSpec) -> float:
     return 1.0 / total
 
 
-def comb_coefficients(D: int) -> np.ndarray:
-    """Unnormalized impulse response of the third-order comb of D (integer taps)."""
-    poly = np.ones(1)
-    for _ in range(3):
-        poly = np.convolve(poly, np.ones(D))
-    return poly
-
-
 def write_columns(path, columns: dict) -> None:
     """CSV with a header of column names and one row per index.
 
@@ -196,6 +188,13 @@ def write_columns(path, columns: dict) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
 
 
+def write_json(path, value) -> None:
+    """value as JSON, indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2)
+        fh.write("\n")
+
+
 def coefficients_to_csv(path, values) -> None:
     """One coefficient per line: index,value at full decimal precision."""
     values = np.asarray(values, dtype=float)
@@ -207,6 +206,4 @@ def coefficients_to_json(path, spec: GcfSpec, **arrays) -> None:
     payload = {"spec": spec.as_dict()}
     for name, arr in arrays.items():
         payload[name] = np.asarray(arr, dtype=float).tolist()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)

@@ -11,13 +11,13 @@ signal (8 B/sample) and the int8 bitstream (1 B/sample) span the whole run.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, StageOverflowError
-from .filters import GcfSpec, normalization_gain, stage_coefficients, write_columns
+from .filters import GcfSpec, normalization_gain, stage_coefficients, write_columns, write_json
 from .wordlength import quantize_coefficients
 
 # 2-level quantizer with +/-1 output: inputs beyond +/-2 exceed the
@@ -260,12 +260,8 @@ def export_run(run: SimulationRun, outdir, provenance: dict) -> None:
     config.json holds provenance followed by the run's overload_count.
     bitstream.bin holds one byte per sample, 0x00 for -1 and 0x01 for +1.
     """
-    import os
-
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump({**provenance, "overload_count": run.overload_count}, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "config.json"), {**provenance, "overload_count": run.overload_count})
     (run.bitstream > 0).astype(np.uint8).tofile(os.path.join(outdir, "bitstream.bin"))
     write_columns(os.path.join(outdir, "decimated.csv"),
                   {"index": np.arange(len(run.decimated)), "value": run.decimated})

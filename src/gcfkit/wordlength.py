@@ -36,7 +36,6 @@ g_k = log2(2 + 2 r_k) <= 3 bits, accumulated through the cascade.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -142,11 +141,6 @@ class WordLengthReport:
             "n_multipliers": self.n_multipliers,
             "coefficient_width": 1 + (max(self.i_n_k) if self.i_n_k else 0) + self.f_n,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-            fh.write("\n")
 
     def table(self) -> str:
         lines = [

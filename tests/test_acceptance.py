@@ -29,7 +29,6 @@ from gcfkit import (
     StageOverflowError,
     ToleranceSpec,
     cascade_derivative_magnitudes,
-    comb_coefficients,
     comb_response,
     decimate_fixed_point,
     design_wordlengths,
@@ -51,6 +50,11 @@ from gcfkit import (
 PAPER_SPEC = GcfSpec.from_oversampling(16, 64)  # D=16, D1=1, f_c=1/128
 PAPER_TOL = ToleranceSpec(1e-4, 2.0)
 SEED = 20240917
+
+
+def comb_coefficients(D):
+    """Integer taps of the third-order comb of D: (1 + z^-1 + ... + z^-(D-1))^3."""
+    return np.convolve(np.convolve(np.ones(D), np.ones(D)), np.ones(D))
 
 
 def in_band(spec):

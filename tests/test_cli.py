@@ -406,6 +406,12 @@ class TestConfigErrors:
         # F_n = 1, at which every unit-DC polyphase tap rounds to 0
         ["design", "--pp-split", "1", "--chi", "1", "--y", "2"],
         ["response", "--pp-split", "1", "--chi", "1", "--y", "2"],
+        # compare sizes nothing, but resolves the tolerance like every command
+        ["compare", "--y", "nan", "--chi", "-1"],
+        ["compare", "--chi", "-1"],
+        # simulate alone uses them, but every command rejects a non-finite float
+        ["design", "--amplitude", "nan"],
+        ["design", "--overlap", "inf"],
     ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
     def test_config_error_leaves_only_resolved_config(self, tmp_path, capsys, args):
         cfg = write_config(tmp_path, points_per_band=17, global_points=256)

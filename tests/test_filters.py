@@ -7,13 +7,17 @@ import pytest
 from gcfkit import (
     GcfSpec,
     ParameterError,
-    comb_coefficients,
     expand_full_polynomial,
     normalization_gain,
     polyphase_impulse,
     stage_coefficients,
 )
 from gcfkit.filters import _xt_sequence, coefficients_to_csv, coefficients_to_json
+
+
+def comb_coefficients(D):
+    """Integer taps of the third-order comb of D: (1 + z^-1 + ... + z^-(D-1))^3."""
+    return np.convolve(np.convolve(np.ones(D), np.ones(D)), np.ones(D))
 
 
 def spec_for(D, p_p=-1, q=0.79, rho_factor=4):

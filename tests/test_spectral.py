@@ -6,7 +6,6 @@ import pytest
 from gcfkit import (
     GcfSpec,
     ParameterError,
-    comb_coefficients,
     comb_response,
     expand_full_polynomial,
     folding_bands,
@@ -16,6 +15,11 @@ from gcfkit import (
 )
 from gcfkit.filters import normalization_gain, polyphase_impulse
 from gcfkit.spectral import ATTENUATION_CAP_DB, _REASSEMBLY_BLOCK, _polyphase_response, grid_to_csv
+
+
+def comb_coefficients(D):
+    """Integer taps of the third-order comb of D: (1 + z^-1 + ... + z^-(D-1))^3."""
+    return np.convolve(np.convolve(np.ones(D), np.ones(D)), np.ones(D))
 
 
 def spec_for(D, p_p=-1, q=0.79):

@@ -16,7 +16,14 @@ import pytest
 
 from gcfkit import GcfSpec, ToleranceSpec, gcf_response, sensitivity, stage_coefficients
 from gcfkit import cli, spectral, wordlength
-from gcfkit.filters import normalization_gain, polyphase_impulse, stage_dc_gain, stage_multiplier, write_columns
+from gcfkit.filters import (
+    normalization_gain,
+    polyphase_impulse,
+    stage_dc_gain,
+    stage_multiplier,
+    write_columns,
+    write_json,
+)
 from gcfkit.spectral import (
     cascade_response,
     folding_bands,
@@ -403,7 +410,8 @@ def test_sensitivity_csv_matches_separate_evaluation(tmp_path, D, pp, rho):
         decimation_factor=D, pp_split=pp, oversampling_ratio=rho,
         points_per_band=17, global_points=512, output_dir=str(tmp_path),
     )
-    assert cli.cmd_sensitivity(cfg) == 0
+    write_json(tmp_path / "config.json", cfg.as_dict())
+    assert cli.main(["sensitivity", "--config", str(tmp_path / "config.json")]) == 0
     old_cmd_sensitivity_csv(cfg, tmp_path / "old.csv")
     assert (tmp_path / "sensitivity.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -449,6 +457,7 @@ def test_comparison_csv_matches_per_band_magnitudes(tmp_path, D, pp, rho):
         decimation_factor=D, pp_split=pp, oversampling_ratio=rho,
         points_per_band=17, global_points=512, output_dir=str(tmp_path),
     )
-    assert cli.cmd_compare(cfg) == 0
+    write_json(tmp_path / "config.json", cfg.as_dict())
+    assert cli.main(["compare", "--config", str(tmp_path / "config.json")]) == 0
     old_comparison_csv(cfg, tmp_path / "old.csv")
     assert (tmp_path / "comparison.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -22,7 +22,7 @@ from gcfkit import (
     stage_coefficients,
 )
 from gcfkit import wordlength
-from gcfkit.filters import polyphase_impulse, stage_dc_gain
+from gcfkit.filters import polyphase_impulse, stage_dc_gain, write_json
 from gcfkit.spectral import cascade_response
 from gcfkit.wordlength import (
     _mc_delta_h,
@@ -384,7 +384,7 @@ class TestReport:
         assert rep.i_n_k == (4, 7, 10, 13)
         assert rep.case_tag == "full-cascade"
         path = tmp_path / "report.json"
-        rep.to_json(path)
+        write_json(path, rep.as_dict())
         data = json.loads(path.read_text())
         assert data["f_n"] == 7
         assert data["spec"]["D"] == 16
