@@ -357,6 +357,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + f.name.replace("_", "-"), type=_field_type(f), dest=f.name)
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with each "--flag -value" of a numeric DesignConfig flag joined as "--flag=-value".
+
+    argparse takes a token that starts with "-" as an option's value only
+    when it looks like -1 or -.5, so -1e-3 or -inf would stop at a usage
+    error instead of reaching the config checks that name the value.
+    """
+    numeric = {"--" + f.name.replace("_", "-") for f in fields(DesignConfig) if _field_type(f) is not str}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in numeric and token.startswith("-") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser(commands) -> argparse.ArgumentParser:
     """The gcfkit parser with one subcommand per name in commands."""
     parser = argparse.ArgumentParser(prog="gcfkit", description=__doc__)
@@ -379,6 +396,7 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
         "compare": cmd_compare,
     }
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
     overrides = vars(build_parser(handlers).parse_args(argv))
     command, path = overrides.pop("command"), overrides.pop("config")
     switches = {"sweep_splits": overrides.pop("sweep_splits")} if command == "design" else {}

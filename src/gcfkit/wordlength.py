@@ -239,10 +239,11 @@ def _quantized_multiplier_sets(spec: GcfSpec, f_n: int):
     return taps, r, quantize_coefficients(taps, f_n), quantize_coefficients(r, f_n)
 
 
-# Frequencies per block of the tap DTFT and per tile of the Monte Carlo:
-# their complex temporaries are (block x taps) and (trials block x block),
-# whatever the grid size.  Each DTFT sum is formed on its own, so its result
-# is the same for any block size; for the Monte Carlo see _block_bounds.
+# Frequencies per block of the tap DTFT and per tile of the Monte Carlo,
+# whatever the grid size: the DTFT's complex temporaries are (block x taps),
+# the Monte Carlo's real ones (taps / 2 x tile) and (trial block x tile).
+# Each DTFT sum is formed on its own, so its result is the same for any block
+# size; for the Monte Carlo see _block_bounds.
 _FREQ_BLOCK = 1024
 
 
@@ -273,8 +274,8 @@ def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> t
     return quant / dc_quant, delta
 
 
-# Trials per block of the Monte Carlo responses: the complex temporaries of
-# a block are (block x in-band points of a tile), whatever the number of trials.
+# Trials per block of the Monte Carlo responses: the temporaries of a block
+# are (block x in-band points of a tile), whatever the number of trials.
 _MC_TRIAL_BLOCK = 64
 
 
@@ -282,12 +283,14 @@ def _block_bounds(n: int, size: int, min_last: int) -> list[tuple[int, int]]:
     """(lo, hi) of consecutive blocks of size over range(n).
 
     A last block narrower than min_last joins the one before it.  The Monte
-    Carlo products take their rounding from the BLAS kernel that numpy and
-    OpenBLAS pick for their shape: one row or column goes through gemv, and
-    gemms of a few columns through a small-matrix path.  Trial blocks of two
-    rows or more and frequency tiles of 200 columns or more round as the
-    whole product does, so a trailing block of one trial, and a trailing tile
-    under half a _FREQ_BLOCK, is merged rather than run on its own.
+    Carlo's pair sums are real matrix products, rounded by the BLAS kernel
+    picked for their shape.  One row goes through gemv, which rounds
+    otherwise, so a trailing block of one trial is merged; blocks of two
+    rows or more give the same rows as one block of all trials.  Frequency
+    tiles are padded to a multiple of 16 columns, so that no column goes
+    through an edge kernel, and the rows are the same for any tiling; a
+    trailing tile under half a _FREQ_BLOCK is merged only to spare its
+    per-tile set-up (the pair cosines and the exact sums).
     """
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] < min_last:
@@ -315,39 +318,103 @@ def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
     return draws
 
 
+def _cos_sin_outer(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of theta = outer(x, w) for half-integers x, |x| < 2**19, without rounding theta.
+
+    w = w_hi + w_lo with w_hi its top 33 bits (Veltkamp's split), so x w_hi
+    is exact, and u = x w_lo (|u| < 2e-4) is added by the angle sum with
+    sin u = u - u**3/6 and 1 - cos u = u**2/2 - u**4/24, whose first
+    omitted terms are below 3e-21.  The rounded product x w would move each
+    value by up to |theta| * 1.1e-16.
+    """
+    split = w * (2.0 ** 20 + 1.0)
+    w_hi = split - (split - w)
+    u = np.outer(x, w - w_hi)
+    u2 = u * u
+    sin_u = u * (1.0 - u2 / 6.0)
+    vers_u = u2 * (0.5 - u2 / 24.0)
+    del u, u2
+    cos_t = np.outer(x, w_hi)
+    sin_t = np.sin(cos_t)
+    np.cos(cos_t, out=cos_t)
+    d_cos = cos_t * vers_u
+    d_cos += sin_t * sin_u
+    sin_u *= cos_t  # becomes d_sin = cos sin_u - sin vers_u
+    vers_u *= sin_t
+    sin_u -= vers_u
+    cos_t -= d_cos
+    sin_t += sin_u
+    return cos_t, sin_t
+
+
 def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
     """Yield the d|H| samples of the draws at freqs in row blocks, shape (block, nf).
 
-    A block holds _MC_TRIAL_BLOCK trials; each row is the same for any block
-    size.  The exact response pieces are built for the given freqs only.
+    The bank is linear-phase about c = (L - 1) / 2, and L = 3 D1 - 2 is even
+    when D1 > 1.  With theta_n = w (n - c), which is exactly -theta_{L-1-n}
+    because n - c is a half-integer, the phase-centred tap sum folds into
+    pairs:
+
+        |H_P| = |sum_{n < L/2} (t_n + t_{L-1-n}) cos theta_n
+                 - j (t_n - t_{L-1-n}) sin theta_n|.
+
+    A block of tap errors costs two real products of depth L/2, added to the
+    same sums of the exact taps; the difference term keeps the exact taps'
+    own asymmetry (about 1e-15), so no symmetry is assumed.  The pair
+    cosines (free of the rounding of theta for L < 2**20, see
+    _cos_sin_outer) and the stage cosines are built once for the given
+    freqs, and each stage's factor 2 is taken into the DC divisor, which is
+    exact.  A block holds _MC_TRIAL_BLOCK trials; each row is the same for
+    any block size and any tiling of freqs (see _block_bounds).
     """
-    freqs = np.asarray(freqs, dtype=float)
-    w = 2.0 * np.pi * freqs
+    nf = len(freqs)
+    # zero frequencies up to a multiple of 16 columns: then no column of the
+    # products goes through a BLAS edge kernel, whose rounding differs
+    w = np.zeros(-(-nf // 16) * 16)
+    w[:nf] = 2.0 * np.pi * np.asarray(freqs, dtype=float)
     taps, r, _, _ = _quantized_multiplier_sets(spec, f_n)
     ks = list(spec.cascade_stages)
-    n_r = len(ks)
-    n_taps = draws.shape[1] - n_r  # 0 for the unit tap of D1 = 1
-    # exact response pieces
-    n = np.arange(len(taps))
-    E = np.exp(-1j * np.outer(w, n))
-    hp0 = E @ taps
-    dc = taps.sum() * stage_dc_gain(r)
-    brackets = [stage_bracket(w, k, r_k) for k, r_k in zip(ks, r)]
-    base = np.abs(hp0) * np.abs(np.prod(brackets, axis=0)) / dc
+    n_taps = draws.shape[1] - len(ks)  # 0 for the unit tap of D1 = 1
+    half = n_taps // 2
+    cos_t, sin_t = _cos_sin_outer(np.arange(half) - (n_taps - 1) / 2.0, w)
+    a_re = (taps[:half] + taps[::-1][:half]) @ cos_t
+    a_im = (taps[:half] - taps[::-1][:half]) @ sin_t
+    stage_cos = [(np.cos(3.0 * 2.0 ** (k - 1) * w), np.cos(2.0 ** (k - 1) * w)) for k in ks]
+    dc = taps.sum() * stage_dc_gain(r) / 2.0 ** len(ks)
 
-    def delta_h(block):
-        # the temporaries of a block are freed before it is yielded
-        quant = np.abs((hp0[None, :] + block[:, :n_taps] @ E.T) if n_taps else hp0[None, :])
-        if n_r:
-            r_q = r[None, :] + block[:, n_taps:]
-            amp = np.ones((len(block), len(freqs)))
-            for j, k in enumerate(ks):
-                amp *= stage_bracket(w, k, r_q[:, j:j + 1])
-            quant = quant * np.abs(amp)
-        return quant / dc - base[None, :]
+    bounds = _block_bounds(len(draws), _MC_TRIAL_BLOCK, 2)
+    im_rows = np.empty((max(hi - lo for lo, hi in bounds), len(w)))  # work rows, reused by every block
+    buf_rows = np.empty_like(im_rows)
 
-    for lo, hi in _block_bounds(len(draws), _MC_TRIAL_BLOCK, 2):
-        yield delta_h(draws[lo:hi])
+    def magnitude(block):
+        """|H| / dc at the exact multipliers plus each row of block, shape (rows, nf)."""
+        im, buf = im_rows[:len(block)], buf_rows[:len(block)]
+        if n_taps:
+            errors = block[:, :n_taps]
+            head, tail = errors[:, :half], errors[:, ::-1][:, :half]
+            mag = (head + tail) @ cos_t
+            mag += a_re
+            np.matmul(head - tail, sin_t, out=im)
+            im += a_im
+            mag *= mag
+            im *= im
+            mag += im
+            np.sqrt(mag, out=mag)
+        else:
+            mag = np.ones((len(block), len(w)))
+        for (cos3, cos1), r_q in zip(stage_cos, (r[None, :] + block[:, n_taps:]).T):
+            np.multiply(r_q[:, None], cos1, out=buf)
+            buf += cos3
+            mag *= buf
+        np.abs(mag, out=mag)
+        mag /= dc
+        return mag
+
+    base = magnitude(np.zeros((1, draws.shape[1])))
+    for lo, hi in bounds:
+        delta = magnitude(draws[lo:hi])
+        delta -= base
+        yield delta[:, :nf]
 
 
 @dataclass(frozen=True)

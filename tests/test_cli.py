@@ -389,6 +389,23 @@ class TestConfigErrors:
         assert re.search(rf"\b{flag[2:].replace('-', '_')}\b", err), err
         assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("compare", "--chi", "-1e-3", "chi must be positive and finite, got -0.001"),
+        ("compare", "--q", "-inf", "q must be in [0, 1], got -inf"),
+        ("design", "--y", "-2E0", "y must be positive and finite, got -2.0"),
+        ("design", "--oversampling-ratio", "-6.4e1", "above D = 16, got -64.0"),
+        ("design", "--sample-rate-hz", "-Infinity", "sample_rate_hz must be positive and finite, got -inf"),
+        ("design", "--amplitude", "-inf", "amplitude must be finite, got -inf"),
+        ("simulate", "--overlap", "-5e-1", "overlap_fraction must be in [0, 0.9], got -0.5"),
+    ], ids=["chi", "q", "y", "oversampling-ratio", "sample-rate-hz", "amplitude", "overlap"])
+    def test_spaced_negative_exponent_is_config_error(self, tmp_path, capsys, command, flag, value, message):
+        # argparse alone reads "-1e-3" or "-inf" after a flag as an unknown option
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err, err
+        assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
+
     def test_loose_tolerance_needs_no_fraction_bits(self, tmp_path):
         cfg = write_config(tmp_path)
         # with y = 1e-320, y * sqrt(S_T) underflows to 0 and the bound chi / (y sqrt(S_T)) is inf

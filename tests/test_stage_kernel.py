@@ -5,7 +5,11 @@ written out in spectral, wordlength and cli before the kernel existed, and
 the earlier forms of rewritten outputs: the whole-grid Monte Carlo, the
 csv.writer export and the per-band magnitudes of comparison.csv.  They are
 kept here, frozen, as oracles.  Every quantity that feeds a sized word
-length, a Monte Carlo statistic or an artifact must be bit-identical to them.
+length or an artifact must be bit-identical to them.  So must the Monte
+Carlo's d|H| at D1 = 1; at D1 > 1 its pair-folded kernel may differ from
+old_mc_delta_h at roundoff (within 1e-11 of the largest |d|H|), because
+tests/test_mc_kernel_accuracy.py shows it to be at least as close to a
+40-digit evaluation, in the largest and in the median error.
 """
 
 import csv
@@ -219,23 +223,40 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
     assert np.array_equal(delta_h, np.abs(quant) / dc_quant - np.abs(exact) / dc_exact)
 
 
+def assert_matches_old_mc(spec, rows, old):
+    """Bit-identical at D1 = 1; at D1 > 1, within 1e-11 of the rows' largest |d|H|.
+
+    With a bank, the pair-folded real sums replace the complex tap matrix,
+    which moves d|H| at roundoff; tests/test_mc_kernel_accuracy.py shows the
+    new values to be at least as close to a 40-digit evaluation.
+    """
+    if spec.D1 == 1:
+        assert np.array_equal(rows, old)
+    else:
+        assert np.max(np.abs(rows - old)) <= 1e-11 * np.max(np.abs(old))
+
+
 @pytest.mark.parametrize("trials", [65, 70])  # a last block of one trial, and of six
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
 def test_mc_delta_h_matches_old(D, pp, rho, trials):
     spec = spec_of(D, pp, rho)
     _, fi = in_band_freqs(spec)
     rows = np.vstack(list(_mc_delta_h(spec, 9, _mc_draws(spec, 9, trials, 4), fi)))
-    assert np.array_equal(rows, old_mc_delta_h(spec, 9, trials, 4, fi))
+    assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, fi))
 
 
 @pytest.mark.parametrize("trials,block", [(1000, 37), (1002, 40)])  # a last block of 1, and of 2
 @pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256), (256, 3, 512)], ids=["D16-pp-1", "D64-pp1", "D256-pp3"])
 def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, monkeypatch):
-    monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
     spec = spec_of(D, pp, rho)
+    draws = _mc_draws(spec, 9, trials, 4)
+    monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", trials)
+    one_block = np.vstack(list(_mc_delta_h(spec, 9, draws, in_band_freqs(spec)[1])))
+    monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
     run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, in_band_freqs(spec)[1])
-    rows = np.vstack(list(_mc_delta_h(spec, 9, _mc_draws(spec, 9, trials, 4), run.freqs)))
-    assert np.array_equal(rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
+    rows = np.vstack(list(_mc_delta_h(spec, 9, draws, run.freqs)))
+    assert np.array_equal(rows, one_block)  # trial-block streaming is exact
+    assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
     std = rows.std(axis=0)
     assert np.all(np.abs(run.error_std - std) <= 1e-12 * std)
     assert run.coverage() == np.mean(np.abs(rows) <= 2.0 * run.sigma_dh[None, :])
@@ -284,17 +305,21 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
 
     monkeypatch.setattr(wordlength, "_mc_delta_h", recording)
     join = (nf - 100) // 2  # three tiles, the last of about 100 columns, which joins the second
-    for size in (join, 300, 1024, nf):
+    for size in (nf, join, 300, 1024):
         tiles.clear()
         monkeypatch.setattr(wordlength, "_FREQ_BLOCK", size)
         run = wordlength.monte_carlo_run(spec, 9, 129, 4, 2.0, in_band_freqs(spec, *grid)[1])
+        if size == nf:
+            whole = run.error_std
+            if spec.D1 == 1:
+                assert np.array_equal(whole, std)
+            else:  # the pair-folded kernel moves d|H| at roundoff (see assert_matches_old_mc)
+                assert np.all(np.abs(whole - std) <= 1e-12 * std)
         if size == join:
             assert tiles == [join, nf - join]
         assert sum(tiles) == nf
-        # narrower products go through gemv or OpenBLAS's small-matrix path,
-        # whose rounding is not the whole product's
-        assert min(tiles) >= 200
-        assert np.array_equal(run.error_std, std)
+        assert min(tiles) >= 200  # a narrow last tile joins the one before it
+        assert np.array_equal(run.error_std, whole)  # tiling is exact
         assert run.covered == covered
 
 

@@ -367,7 +367,7 @@ class TestMonteCarlo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < nf * n_taps * 16 / 4
+        assert peak < nf * n_taps * 8 / 4
 
     def test_one_run_gives_std_and_coverage(self):
         run = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC))
