@@ -31,6 +31,7 @@ from .wordlength import (
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
+    rounded_multipliers,
     sensitivity,
 )
 from .sdsim import (

@@ -29,7 +29,6 @@ from .filters import (
     DEFAULT_Q,
     GcfSpec,
     coefficients_to_csv,
-    coefficients_to_json,
     expand_full_polynomial,
     polyphase_impulse,
     stage_coefficients,
@@ -54,7 +53,7 @@ from .wordlength import (
     design_wordlengths,
     monte_carlo_run,
     quantization_error_response,
-    quantize_coefficients,
+    rounded_multipliers,
     sensitivity,
 )
 from .sdsim import run_experiment, export_run
@@ -198,21 +197,15 @@ def cmd_design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fold
     if sweep_splits:
         _write_fn_sweep(spec, in_band, outdir)
     write_json(os.path.join(outdir, "report.json"), report.as_dict())
-    r = np.asarray(stage_coefficients(spec))
-    r_q = quantize_coefficients(r, report.f_n)
+    _, r, taps_q, r_q = rounded_multipliers(spec, report.f_n)
     h_p = polyphase_impulse(spec)
-    coefficients_to_csv(os.path.join(outdir, "cascade_exact.csv"), r)
-    coefficients_to_csv(os.path.join(outdir, "cascade_quantized.csv"), r_q)
-    coefficients_to_csv(os.path.join(outdir, "bank_exact.csv"), h_p)
-    coefficients_to_csv(
-        os.path.join(outdir, "bank_quantized.csv"),
-        quantize_coefficients(h_p / h_p.sum(), report.f_n),
-    )
-    coefficients_to_json(
-        os.path.join(outdir, "coefficients.json"), spec,
-        cascade=r, cascade_quantized=r_q,
-        bank=h_p, expanded=expand_full_polynomial(spec),
-    )
+    for name, values in (("cascade_exact", r), ("cascade_quantized", r_q),
+                         ("bank_exact", h_p), ("bank_quantized", taps_q)):
+        coefficients_to_csv(os.path.join(outdir, name + ".csv"), values)
+    write_json(os.path.join(outdir, "coefficients.json"), {
+        "spec": spec.as_dict(), "cascade": r.tolist(), "cascade_quantized": r_q.tolist(),
+        "bank": h_p.tolist(), "expanded": expand_full_polynomial(spec).tolist(),
+    })
     print(report.table())
     return EXIT_OK
 
@@ -299,13 +292,12 @@ def _check_mc(
 def cmd_validate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
                  freqs: np.ndarray, mask: np.ndarray) -> int:
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
-    checks = {}
-    ok1, msg1 = _check_split_invariance(spec)
-    checks["split_invariance"] = {"pass": ok1, "detail": msg1}
-    ok2, msg2 = _check_sensitivity_fd(spec, cfg.seed)
-    checks["sensitivity_fd"] = {"pass": ok2, "detail": msg2}
-    ok3, msg3 = _check_mc(spec, tol, report.f_n, cfg.trials, cfg.seed, bands)
-    checks["mc_model"] = {"pass": ok3, "detail": msg3}
+    results = {
+        "split_invariance": _check_split_invariance(spec),
+        "sensitivity_fd": _check_sensitivity_fd(spec, cfg.seed),
+        "mc_model": _check_mc(spec, tol, report.f_n, cfg.trials, cfg.seed, bands),
+    }
+    checks = {name: {"pass": ok, "detail": msg} for name, (ok, msg) in results.items()}
     all_ok = all(c["pass"] for c in checks.values())
     payload = {"pass": all_ok, "checks": checks, "f_n": report.f_n}
     write_json(os.path.join(cfg.output_dir, "validate.json"), payload)

@@ -199,11 +199,3 @@ def coefficients_to_csv(path, values) -> None:
     """One coefficient per line: index,value at full decimal precision."""
     values = np.asarray(values, dtype=float)
     write_columns(path, {"index": np.arange(len(values)), "value": values})
-
-
-def coefficients_to_json(path, spec: GcfSpec, **arrays) -> None:
-    """Spec echo plus named coefficient arrays."""
-    payload = {"spec": spec.as_dict()}
-    for name, arr in arrays.items():
-        payload[name] = np.asarray(arr, dtype=float).tolist()
-    write_json(path, payload)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StageOverflowError
-from .filters import GcfSpec, normalization_gain, stage_coefficients, write_columns, write_json
-from .wordlength import quantize_coefficients
+from .filters import GcfSpec, normalization_gain, write_columns, write_json
+from .wordlength import rounded_multipliers
 
 # 2-level quantizer with +/-1 output: inputs beyond +/-2 exceed the
 # no-overload range (quantization error magnitude > 1).
@@ -128,7 +128,8 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: in
     """Decimate through the p-stage fixed-point cascade (each stage by 2).
 
     Every stage applies 1 + r_k (z^-1 + z^-2) + z^-3 at its own rate with
-    r_k rounded to f_n fraction bits, accumulates exactly in integers
+    r_k rounded to f_n fraction bits (the r_q of rounded_multipliers, which
+    design exports as cascade_quantized.csv), accumulates exactly in integers
     (fraction bits grow by f_n per stage, no truncation), checks the result
     against its sized integer width i_n[k], and keeps the even samples.  The
     final output is scaled by h_o in floating point.  The input runs through in
@@ -147,7 +148,7 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: in
     peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
     if peak_in >= 1 << i_n[0]:
         raise StageOverflowError(0, float(peak_in), float(1 << i_n[0]))
-    r_q = quantize_coefficients(np.asarray(stage_coefficients(spec)), f_n)
+    r_q = rounded_multipliers(spec, f_n)[3]
     r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
     limits = [1 << (i_n[k] + (k + 1) * f_n) for k in range(spec.p)]
     peaks = [0] * spec.p

@@ -231,8 +231,15 @@ def quantize_coefficients(values, f_n: int) -> np.ndarray:
     return np.copysign(np.floor(np.abs(v) * scale + 0.5), v) / scale
 
 
-def _quantized_multiplier_sets(spec: GcfSpec, f_n: int):
-    """(exact taps, exact r) and their f_n-bit roundings, taps unit-DC-scaled."""
+def rounded_multipliers(spec: GcfSpec, f_n: int):
+    """(taps, r, taps_q, r_q): the exact multipliers and their f_n-bit roundings.
+
+    The one source of the rounded design: the coefficients that design
+    exports, the quantized responses, the Monte Carlo and the fixed-point
+    decimator all take them from here.  The bank taps are h_p scaled to
+    unit DC gain, the cascade r_k keep their raw values, and rounding is
+    quantize_coefficients'.
+    """
     h_p = polyphase_impulse(spec)
     taps = h_p / h_p.sum()
     r = np.asarray(stage_coefficients(spec))
@@ -243,7 +250,7 @@ def _quantized_multiplier_sets(spec: GcfSpec, f_n: int):
 # whatever the grid size: the DTFT's complex temporaries are (block x taps),
 # the Monte Carlo's real ones (taps / 2 x tile) and (trial block x tile).
 # Each DTFT sum is formed on its own, so its result is the same for any block
-# size; for the Monte Carlo see _block_bounds.
+# size; each Monte Carlo row is the same for any tiling (see _mc_delta_h).
 _FREQ_BLOCK = 1024
 
 
@@ -265,7 +272,7 @@ def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> t
     (H_q is returned so) before the magnitudes are compared.  The model std
     d|H| is set against is SensitivityResult.sigma_dh.
     """
-    taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, f_n)
+    taps, r, taps_q, r_q = rounded_multipliers(spec, f_n)
     exact = _response_from_multipliers(spec, freqs, taps, r)
     quant = _response_from_multipliers(spec, freqs, taps_q, r_q)
     dc_exact = taps.sum() * stage_dc_gain(r)
@@ -277,25 +284,6 @@ def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> t
 # Trials per block of the Monte Carlo responses: the temporaries of a block
 # are (block x in-band points of a tile), whatever the number of trials.
 _MC_TRIAL_BLOCK = 64
-
-
-def _block_bounds(n: int, size: int, min_last: int) -> list[tuple[int, int]]:
-    """(lo, hi) of consecutive blocks of size over range(n).
-
-    A last block narrower than min_last joins the one before it.  The Monte
-    Carlo's pair sums are real matrix products, rounded by the BLAS kernel
-    picked for their shape.  One row goes through gemv, which rounds
-    otherwise, so a trailing block of one trial is merged; blocks of two
-    rows or more give the same rows as one block of all trials.  Frequency
-    tiles are padded to a multiple of 16 columns, so that no column goes
-    through an edge kernel, and the rows are the same for any tiling; a
-    trailing tile under half a _FREQ_BLOCK is merged only to spare its
-    per-tile set-up (the pair cosines and the exact sums).
-    """
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] < min_last:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
 
 
 def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
@@ -364,15 +352,22 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
     cosines (free of the rounding of theta for L < 2**20, see
     _cos_sin_outer) and the stage cosines are built once for the given
     freqs, and each stage's factor 2 is taken into the DC divisor, which is
-    exact.  A block holds _MC_TRIAL_BLOCK trials; each row is the same for
-    any block size and any tiling of freqs (see _block_bounds).
+    exact.  A block holds _MC_TRIAL_BLOCK trials.
+
+    The pair sums are real matrix products, rounded by the BLAS kernel
+    picked for their shape.  A one-row product goes through gemv, which
+    rounds otherwise, so a trailing block of one trial joins the block
+    before it; blocks of two rows or more give the same rows as one block of
+    all trials.  The frequencies are padded to a multiple of 16 columns, so
+    that no column goes through an edge kernel, and each row is the same
+    for any tiling of freqs.
     """
     nf = len(freqs)
     # zero frequencies up to a multiple of 16 columns: then no column of the
     # products goes through a BLAS edge kernel, whose rounding differs
     w = np.zeros(-(-nf // 16) * 16)
     w[:nf] = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    taps, r, _, _ = _quantized_multiplier_sets(spec, f_n)
+    taps, r, _, _ = rounded_multipliers(spec, f_n)
     ks = list(spec.cascade_stages)
     n_taps = draws.shape[1] - len(ks)  # 0 for the unit tap of D1 = 1
     half = n_taps // 2
@@ -382,8 +377,9 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
     stage_cos = [(np.cos(3.0 * 2.0 ** (k - 1) * w), np.cos(2.0 ** (k - 1) * w)) for k in ks]
     dc = taps.sum() * stage_dc_gain(r) / 2.0 ** len(ks)
 
-    bounds = _block_bounds(len(draws), _MC_TRIAL_BLOCK, 2)
-    im_rows = np.empty((max(hi - lo for lo, hi in bounds), len(w)))  # work rows, reused by every block
+    stops = [*range(_MC_TRIAL_BLOCK, len(draws) - 1, _MC_TRIAL_BLOCK), len(draws)]
+    blocks = [draws[lo:hi] for lo, hi in zip([0, *stops], stops)]
+    im_rows = np.empty((max(map(len, blocks)), len(w)))  # work rows, reused by every block
     buf_rows = np.empty_like(im_rows)
 
     def magnitude(block):
@@ -411,8 +407,8 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
         return mag
 
     base = magnitude(np.zeros((1, draws.shape[1])))
-    for lo, hi in bounds:
-        delta = magnitude(draws[lo:hi])
+    for block in blocks:
+        delta = magnitude(block)
         delta -= base
         yield delta[:, :nf]
 
@@ -442,11 +438,13 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
     """d|H| of f_n-bit multiplier noise at the in-band freqs, deterministic given seed.
 
     The frequencies are walked in tiles of _FREQ_BLOCK frequencies, and each
-    tile's trial blocks are reduced one at a time, so memory grows neither
-    with trials nor with grid size x taps: each block's per-frequency count,
-    mean and M2 are merged into the tile's running ones (the pairwise update
-    of Chan, Golub and LeVeque, 1979), and the pairs within y * sigma_dh are
-    counted.
+    tile's trial blocks are reduced one at a time: each block's
+    per-frequency count, mean and M2 are merged into the tile's running ones
+    (the pairwise update of Chan, Golub and LeVeque, 1979), and the pairs
+    within y * sigma_dh are counted.  So the per-block temporaries are
+    bounded whatever the trial count and grid size.  The draws are not:
+    _mc_draws keeps the whole trials x multipliers matrix, 8 bytes per draw
+    (0.8 MB at D=256, p_p=3 and 49 MB at D=1024, p_p=9, with 2000 trials).
     """
     sens = sensitivity(spec, freqs)
     sigma_dh = sens.sigma_dh(f_n)
@@ -454,7 +452,8 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
     draws = _mc_draws(spec, f_n, trials, seed)
     error_std = np.empty(len(sens.freqs))
     covered = 0
-    for lo, hi in _block_bounds(len(sens.freqs), _FREQ_BLOCK, _FREQ_BLOCK // 2):
+    for lo in range(0, len(sens.freqs), _FREQ_BLOCK):
+        hi = lo + _FREQ_BLOCK
         count, mean, m2 = 0, 0.0, 0.0
         for block in _mc_delta_h(spec, f_n, draws, sens.freqs[lo:hi]):
             b = len(block)
@@ -480,7 +479,7 @@ def design_wordlengths(spec: GcfSpec, tol: ToleranceSpec, input_width: int, freq
     """
     sens = sensitivity(spec, freqs)
     f_n, binding_freq = sens.fraction_bits(tol)
-    _, _, taps_q, _ = _quantized_multiplier_sets(spec, f_n)
+    _, _, taps_q, _ = rounded_multipliers(spec, f_n)
     if taps_q.sum() == 0.0:
         raise ParameterError(
             f"chi = {tol.chi:g} sizes F_n = {f_n}, at which the polyphase taps round to a "

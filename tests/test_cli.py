@@ -12,10 +12,14 @@ from gcfkit import (
     GcfSpec,
     StageOverflowError,
     ToleranceSpec,
+    decimate_fixed_point,
     design_wordlengths,
     expand_full_polynomial,
     folding_bands,
     grid_frequencies,
+    normalization_gain,
+    rounded_multipliers,
+    stage_coefficients,
 )
 from gcfkit.cli import main
 from gcfkit.wordlength import DEFAULT_Y
@@ -39,6 +43,11 @@ def write_config(tmp_path, **extra):
 def files_in(outdir):
     """Names of the files in outdir; none if it was never made."""
     return os.listdir(outdir) if os.path.isdir(outdir) else []
+
+
+def read_coefficients(path):
+    """The value column of a coefficient CSV written by design."""
+    return np.array([float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]])
 
 
 class TestDesign:
@@ -77,6 +86,43 @@ class TestDesign:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["tolerance"]["chi"] == 5e-5
         assert report["f_n"] == 8
+
+    def test_coefficients_json_echoes_spec(self, tmp_path):
+        assert main(["design", "--config", str(write_config(tmp_path))]) == 0
+        data = json.loads((tmp_path / "out" / "coefficients.json").read_text())
+        assert data["spec"]["D"] == 16
+        assert data["cascade"] == list(stage_coefficients(GcfSpec.from_oversampling(16, 64)))
+
+    def test_simulated_filter_is_the_exported_one(self, tmp_path):
+        # at q = 0.79 rounding moves every r_k, so this tells the rounded cascade from the exact one
+        assert main(["design", "--config", str(write_config(tmp_path, q=0.79))]) == 0
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        f_n = report["f_n"]
+        r_int = read_coefficients(out / "cascade_quantized.csv") * 2.0 ** f_n
+        assert np.array_equal(r_int, np.rint(r_int))
+        assert not np.array_equal(read_coefficients(out / "cascade_exact.csv") * 2.0 ** f_n, r_int)
+        poly = np.ones(1, np.int64)
+        for k, r_k in enumerate(r_int.astype(np.int64)):
+            stage = np.zeros(3 * 2 ** k + 1, np.int64)
+            stage[[0, 3 * 2 ** k]] = 1 << f_n
+            stage[[2 ** k, 2 * 2 ** k]] = r_k
+            poly = np.convolve(poly, stage)
+        spec = GcfSpec.from_oversampling(16, 64, q=0.79)
+        x = np.zeros(256, np.int64)
+        x[0] = 1
+        got = decimate_fixed_point(x, spec, tuple(report["i_n_k"]), f_n)
+        expected = poly[::16] * 2.0 ** -(spec.p * f_n) * normalization_gain(spec)
+        assert np.array_equal(got[:len(expected)], expected)
+        assert not np.any(got[len(expected):])
+
+    def test_exported_bank_is_the_rounded_design(self, tmp_path):
+        assert main(["design", "--config", str(write_config(tmp_path, pp_split=1))]) == 0
+        out = tmp_path / "out"
+        f_n = json.loads((out / "report.json").read_text())["f_n"]
+        _, _, taps_q, r_q = rounded_multipliers(GcfSpec.from_oversampling(16, 64, 1), f_n)
+        assert np.array_equal(read_coefficients(out / "bank_quantized.csv"), taps_q)
+        assert np.array_equal(read_coefficients(out / "cascade_quantized.csv"), r_q)
 
     def test_split_sweep_table_is_monotone(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -530,8 +576,15 @@ class TestParser:
         assert "--output-dir" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_unloaded():
-    code = "import sys, gcfkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_import_loads_only_numpy_outside_the_stdlib():
+    # compared with a bare interpreter in the same environment, whose site
+    # hooks may load third-party modules of their own
+    probe = "import sys{}; print(*{{m.split('.')[0] for m in sys.modules}} - set(sys.stdlib_module_names))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gcfkit.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+
+    def top_level(imports):
+        out = subprocess.run([sys.executable, "-c", probe.format(imports)], env=env,
+                             capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    assert top_level(", gcfkit.cli") - top_level("") == {"gcfkit", "numpy"}

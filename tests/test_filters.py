@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from gcfkit import (
     polyphase_impulse,
     stage_coefficients,
 )
-from gcfkit.filters import _xt_sequence, coefficients_to_csv, coefficients_to_json
+from gcfkit.filters import _xt_sequence, coefficients_to_csv
 
 
 def comb_coefficients(D):
@@ -225,11 +224,3 @@ class TestExports:
         assert lines[0] == "index,value"
         parsed = [float(line.split(",")[1]) for line in lines[1:]]
         assert parsed == pytest.approx(list(values), abs=0)
-
-    def test_json_echoes_spec(self, tmp_path):
-        path = tmp_path / "coeffs.json"
-        s = spec_for(16)
-        coefficients_to_json(path, s, cascade=stage_coefficients(s))
-        data = json.loads(path.read_text())
-        assert data["spec"]["D"] == 16
-        assert data["cascade"] == pytest.approx(list(stage_coefficients(s)))

@@ -17,7 +17,7 @@ mpmath = pytest.importorskip("mpmath")
 from gcfkit import GcfSpec, ToleranceSpec, sensitivity
 from gcfkit.filters import stage_dc_gain
 from gcfkit.spectral import folding_bands, grid_frequencies
-from gcfkit.wordlength import _mc_delta_h, _mc_draws, _quantized_multiplier_sets
+from gcfkit.wordlength import _mc_delta_h, _mc_draws, rounded_multipliers
 from test_stage_kernel import old_mc_delta_h
 
 POINTS = [(64, 1, 256), (256, 3, 512), (1024, 9, 2048)]
@@ -25,7 +25,7 @@ POINTS = [(64, 1, 256), (256, 3, 512), (1024, 9, 2048)]
 
 def oracle_delta_h(spec, f_n, draws, freqs):
     """|H_q| - |H| over the kernel's DC divisor, 40 digits, for one row of draws."""
-    taps, r, _, _ = _quantized_multiplier_sets(spec, f_n)
+    taps, r, _, _ = rounded_multipliers(spec, f_n)
     ks = list(spec.cascade_stages)
     n_taps = len(draws) - len(ks)
     with mpmath.workdps(40):

@@ -37,9 +37,9 @@ from gcfkit.spectral import (
 from gcfkit.wordlength import (
     _mc_delta_h,
     _mc_draws,
-    _quantized_multiplier_sets,
     _response_from_multipliers,
     quantization_error_response,
+    rounded_multipliers,
 )
 
 SPLITS = [(16, -1, 64), (64, -1, 256), (64, 1, 256), (64, 5, 256), (256, 3, 512)]
@@ -86,7 +86,7 @@ def old_fd_resp(freqs, stage_ks, rv):
 def old_mc_delta_h(spec, f_n, trials, seed, freqs):
     freqs = np.asarray(freqs, dtype=float)
     w = 2.0 * np.pi * freqs
-    taps, r, _, _ = _quantized_multiplier_sets(spec, f_n)
+    taps, r, _, _ = rounded_multipliers(spec, f_n)
     ks = list(spec.cascade_stages)
     half_lsb = 2.0 ** -f_n / 2.0
     n_taps = len(taps) if spec.D1 > 1 else 0
@@ -189,7 +189,7 @@ def test_stage_bracket_accepts_columns():
 def test_response_from_multipliers_matches_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
-    taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, 9)
+    taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
     for t, rv in ((taps, r), (taps_q, r_q)):
         assert np.array_equal(_response_from_multipliers(spec, freqs, t, rv),
                               old_response_from_multipliers(spec, freqs, t, rv))
@@ -202,7 +202,7 @@ def test_blocked_tap_dtft_matches_old(D, pp, rho, monkeypatch):
     for block in (len(freqs) - 1, 7):  # a last block of one frequency, and a ragged one
         monkeypatch.setattr(wordlength, "_FREQ_BLOCK", block)
         assert len(freqs) % block != 0
-        taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, 9)
+        taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
         for t, rv in ((taps, r), (taps_q, r_q)):
             assert np.array_equal(_response_from_multipliers(spec, freqs, t, rv),
                                   old_response_from_multipliers(spec, freqs, t, rv))
@@ -213,7 +213,7 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
     f_n = 9
-    taps, r, taps_q, r_q = _quantized_multiplier_sets(spec, f_n)
+    taps, r, taps_q, r_q = rounded_multipliers(spec, f_n)
     exact = old_response_from_multipliers(spec, freqs, taps, r)
     quant = old_response_from_multipliers(spec, freqs, taps_q, r_q)
     dc_exact = taps.sum() * np.prod(2.0 + 2.0 * r)
@@ -286,7 +286,7 @@ def old_monte_carlo_run(spec, f_n, trials, seed, y, points_per_band, global_poin
 
 MC_SPLITS = [(16, -1, 64), (64, 1, 256), (64, 5, 256), (256, 3, 512), (256, 7, 512)]
 # (points_per_band, global_points) per D: 1735, 2331 and 2430 in-band points,
-# so that tiles of 300 and 1024 leave no tile under 200 columns
+# so that tiles of 300 and 1024 leave a last tile narrower than the others
 MC_GRIDS = {16: (97, 4096), 64: (65, 1024), 256: (17, 512)}
 
 
@@ -304,8 +304,8 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
         return tile_delta_h(*args)
 
     monkeypatch.setattr(wordlength, "_mc_delta_h", recording)
-    join = (nf - 100) // 2  # three tiles, the last of about 100 columns, which joins the second
-    for size in (nf, join, 300, 1024):
+    ragged = (nf - 100) // 2  # three tiles, the last of about 100 columns
+    for size in (nf, ragged, 300, 1024):
         tiles.clear()
         monkeypatch.setattr(wordlength, "_FREQ_BLOCK", size)
         run = wordlength.monte_carlo_run(spec, 9, 129, 4, 2.0, in_band_freqs(spec, *grid)[1])
@@ -315,10 +315,7 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
                 assert np.array_equal(whole, std)
             else:  # the pair-folded kernel moves d|H| at roundoff (see assert_matches_old_mc)
                 assert np.all(np.abs(whole - std) <= 1e-12 * std)
-        if size == join:
-            assert tiles == [join, nf - join]
         assert sum(tiles) == nf
-        assert min(tiles) >= 200  # a narrow last tile joins the one before it
         assert np.array_equal(run.error_std, whole)  # tiling is exact
         assert run.covered == covered
 

@@ -18,6 +18,7 @@ from gcfkit import (
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
+    rounded_multipliers,
     sensitivity,
     stage_coefficients,
 )
@@ -27,7 +28,6 @@ from gcfkit.spectral import cascade_response
 from gcfkit.wordlength import (
     _mc_delta_h,
     _mc_draws,
-    _quantized_multiplier_sets,
     _response_from_multipliers,
 )
 
@@ -163,7 +163,7 @@ class TestSensitivity:
         # independent oracle over every stored multiplier, normalizer held fixed
         s = spec_for(16, p_p=p_p)
         freqs = np.array([0.0371, 0.0625, 0.1843, 0.3211, 0.4999])
-        taps, r, _, _ = _quantized_multiplier_sets(s, 8)
+        taps, r, _, _ = rounded_multipliers(s, 8)
         dc = taps.sum() * np.prod(2.0 + 2.0 * r)
         step = 1e-7
 
