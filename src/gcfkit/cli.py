@@ -38,6 +38,7 @@ from .spectral import (
     DEFAULT_GLOBAL_POINTS,
     DEFAULT_POINTS_PER_BAND,
     FoldingBandSet,
+    band_peaks,
     cascade_response,
     comb_response,
     folding_bands,
@@ -326,16 +327,16 @@ def cmd_simulate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fo
 
 def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
                 freqs: np.ndarray, mask: np.ndarray) -> int:
-    gcf_mag = np.abs(gcf_response(spec, freqs))
+    gcf_peaks = band_peaks(spec, bands, freqs)
     comb_mag = np.abs(comb_response(spec, freqs))
     with open(os.path.join(cfg.output_dir, "comparison.csv"), "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
-        for i, ((lo, hi), m) in enumerate(zip(bands.bands, bands.band_masks(freqs)), start=1):
-            att_g = worst_case_attenuation(gcf_mag[m])
+        for i, ((lo, hi), m, peak) in enumerate(zip(bands.bands, bands.band_masks(freqs), gcf_peaks), start=1):
+            att_g = worst_case_attenuation(peak)
             att_c = worst_case_attenuation(comb_mag[m])
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
-    worst_g = worst_case_attenuation(gcf_mag[mask])
+    worst_g = worst_case_attenuation(gcf_peaks)
     worst_c = worst_case_attenuation(comb_mag[mask])
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "
           f"improvement {worst_g - worst_c:.2f} dB")

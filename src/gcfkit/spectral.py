@@ -9,14 +9,18 @@ polyphase section is evaluated from its impulse response h_p by reassembling
 the D1 branches h_p(D1*n + k), the architecture the paper evaluates; the
 reassembly runs over fixed blocks of frequencies spread across threads, so
 its memory does not grow with D1 x grid size, and its result is
-bit-identical to the plain per-branch loop.
+bit-identical to the plain per-branch loop.  The per-band peaks of compare
+(band_peaks) are found by bracketing each peak with the pure-cascade form,
+which is the same filter, and reassembling only there; the reassembly stays
+the only source of the reported values, so they equal the band maxima of
+the whole grid.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,8 +174,50 @@ def gcf_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
     """
     out = cascade_response(f, spec.cascade_stages, stage_coefficients(spec))
     if spec.D1 > 1:
-        out = out * _polyphase_response(f, polyphase_impulse(spec), spec.D1)
+        # bank times cascade, in that order at every grid size: numpy would
+        # compute out * bank as bank *= out for large temporaries only, and
+        # the complex product is not bitwise commutative
+        bank = _polyphase_response(f, polyphase_impulse(spec), spec.D1)
+        bank *= out
+        out = bank
     return out * normalization_gain(spec)
+
+
+def _form_gap_bound(spec: GcfSpec) -> float:
+    """Bound eps on the gap between |gcf_response| of spec and of its pure-cascade form.
+
+    eps = ((pi + 1) L + 16 p) 2**-53 sum|h_p| / |sum h_p|, L = 3 D1 - 2: the
+    terms bound the phase rounding of fl(w m) over the L taps, the L-term
+    sum and the stage product, relative to the unit DC gain.
+    """
+    h_p = polyphase_impulse(spec)
+    L = 3 * spec.D1 - 2
+    return ((np.pi + 1.0) * L + 16.0 * spec.p) * 2.0 ** -53 * float(np.abs(h_p).sum() / abs(h_p.sum()))
+
+
+def band_peaks(spec: GcfSpec, bands: FoldingBandSet, freqs: np.ndarray) -> np.ndarray:
+    """Largest |gcf_response(spec, freqs)| over each band's points, one value per band.
+
+    The values are those of the whole-grid reassembly, but it runs only
+    where a band's peak can lie.  By split invariance the pure-cascade form
+    of the design is the same filter; its |H| is cheap (no reassembly) and
+    within eps = _form_gap_bound(spec) of the reassembled one.  So each
+    band's peak lies among the points whose cascade-form magnitude is within
+    2 eps of the band's cascade-form maximum (a band whose peak is below
+    2 eps keeps all its points), and gcf_response, which gives every point
+    the same value on any subset of the grid, is evaluated there only.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    slack = 2.0 * _form_gap_bound(spec)
+    cascade = np.abs(gcf_response(replace(spec, p_p=-1), freqs))
+    kept = []
+    for mask in bands.band_masks(freqs):
+        idx = np.flatnonzero(mask)
+        kept.append(idx[cascade[idx] >= cascade[idx].max() - slack])
+    points = np.unique(np.concatenate(kept))
+    mag = np.zeros(len(freqs))
+    mag[points] = np.abs(gcf_response(spec, freqs[points]))
+    return np.array([mag[idx].max() for idx in kept])
 
 
 def grid_frequencies(

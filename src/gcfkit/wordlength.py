@@ -107,7 +107,7 @@ class SensitivityResult:
         with np.errstate(divide="ignore", over="ignore"):
             ratio = np.where(st > 0.0, tol.chi / (tol.y * np.sqrt(st)), np.inf)
         idx = int(np.argmin(ratio))
-        bound = math.sqrt(12.0) * ratio[idx]
+        bound = math.sqrt(12.0) * float(ratio[idx])  # a Python float overflows to inf without a warning
         if not bound >= 2.0 ** -1023:  # 2**F_n must stay a finite double
             raise ParameterError(f"chi = {tol.chi:g} needs more than 1023 fraction bits; give a larger chi")
         f_n = 0 if bound >= 1.0 else math.ceil(-math.log2(bound))
@@ -335,8 +335,8 @@ def _cos_sin_outer(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cos_t, sin_t
 
 
-def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
-    """Yield the d|H| samples of the draws at freqs in row blocks, shape (block, nf).
+def _mc_delta_h(spec: GcfSpec, taps: np.ndarray, r: np.ndarray, draws: np.ndarray, freqs: np.ndarray):
+    """Yield d|H| of the draws about the exact taps and r at freqs, in row blocks (block, nf).
 
     The bank is linear-phase about c = (L - 1) / 2, and L = 3 D1 - 2 is even
     when D1 > 1.  With theta_n = w (n - c), which is exactly -theta_{L-1-n}
@@ -367,7 +367,6 @@ def _mc_delta_h(spec: GcfSpec, f_n: int, draws: np.ndarray, freqs: np.ndarray):
     # products goes through a BLAS edge kernel, whose rounding differs
     w = np.zeros(-(-nf // 16) * 16)
     w[:nf] = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    taps, r, _, _ = rounded_multipliers(spec, f_n)
     ks = list(spec.cascade_stages)
     n_taps = draws.shape[1] - len(ks)  # 0 for the unit tap of D1 = 1
     half = n_taps // 2
@@ -450,12 +449,13 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
     sigma_dh = sens.sigma_dh(f_n)
     bound = y * sigma_dh
     draws = _mc_draws(spec, f_n, trials, seed)
+    taps, r, _, _ = rounded_multipliers(spec, f_n)
     error_std = np.empty(len(sens.freqs))
     covered = 0
     for lo in range(0, len(sens.freqs), _FREQ_BLOCK):
         hi = lo + _FREQ_BLOCK
         count, mean, m2 = 0, 0.0, 0.0
-        for block in _mc_delta_h(spec, f_n, draws, sens.freqs[lo:hi]):
+        for block in _mc_delta_h(spec, taps, r, draws, sens.freqs[lo:hi]):
             b = len(block)
             b_mean = block.mean(axis=0)
             b_m2 = ((block - b_mean) ** 2).sum(axis=0)

@@ -64,7 +64,7 @@ def test_pair_folded_kernel_is_at_least_as_accurate(D, pp, rho):
     freqs = np.sort(np.random.default_rng(D).choice(in_band, 40, replace=False))
     draws = _mc_draws(spec, f_n, 1, 7)
     exact = oracle_delta_h(spec, f_n, draws[0], freqs)
-    new = np.vstack(list(_mc_delta_h(spec, f_n, draws, freqs)))[0]
+    new = np.vstack(list(_mc_delta_h(spec, *rounded_multipliers(spec, f_n)[:2], draws, freqs)))[0]
     old = old_mc_delta_h(spec, f_n, 1, 7, freqs)[0]
     err_new, err_old = np.abs(new - exact), np.abs(old - exact)
     print(f"D={D} p_p={pp} F_n={f_n}: max {err_old.max():.2g} -> {err_new.max():.2g}, "

@@ -14,7 +14,14 @@ from gcfkit import (
     worst_case_attenuation,
 )
 from gcfkit.filters import normalization_gain, polyphase_impulse
-from gcfkit.spectral import ATTENUATION_CAP_DB, _REASSEMBLY_BLOCK, _polyphase_response, grid_to_csv
+from gcfkit.spectral import (
+    ATTENUATION_CAP_DB,
+    _REASSEMBLY_BLOCK,
+    _form_gap_bound,
+    _polyphase_response,
+    band_peaks,
+    grid_to_csv,
+)
 
 
 def comb_coefficients(D):
@@ -154,6 +161,47 @@ class TestPolyphaseReassembly:
         h = np.array([1, 3, 6, 10, 12, 12, 10, 6, 3, 1], dtype=float)
         branches = [np.array(e, dtype=float) for e in ([1, 12, 3], [3, 12, 1], [6, 10, 0], [10, 6, 0])]
         assert np.array_equal(_polyphase_response(self.F, h, 4), _reassembly_loop(self.F, branches, 4))
+
+
+def default_grid(spec):
+    bands = folding_bands(spec)
+    return bands, grid_frequencies(bands)
+
+
+# Every split but the pure cascade (the same form on both sides) at D = 16,
+# 64 and 256, and the three bank-heaviest splits of D = 1024, at rho = 2D and 8D.
+GAP_POINTS = [(D, pp, m * D) for D in (16, 64, 256) for pp in range(D.bit_length() - 1) for m in (2, 8)]
+GAP_POINTS += [(1024, pp, m * 1024) for pp in (7, 8, 9) for m in (2, 8)]
+
+
+class TestBandPeaks:
+    def test_subset_of_grid_gives_the_full_grid_values(self):
+        # numpy evaluates a product of large temporaries in place, with its
+        # operands swapped; the response must not depend on the grid size
+        s = GcfSpec.from_oversampling(256, 512, p_p=3)
+        _, f = default_grid(s)
+        idx = np.sort(np.random.default_rng(3).choice(len(f), 302, replace=False))
+        assert np.array_equal(gcf_response(s, f)[idx], gcf_response(s, f[idx]))
+
+    @pytest.mark.parametrize("D,pp,rho", GAP_POINTS, ids=[f"D{D}-pp{pp}-rho{rho}" for D, pp, rho in GAP_POINTS])
+    def test_cascade_form_is_within_the_gap_bound(self, D, pp, rho):
+        s = GcfSpec.from_oversampling(D, rho, p_p=pp)
+        bands, f = default_grid(s)
+        f = f[bands.contains(f)]
+        cascade = GcfSpec.from_oversampling(D, rho)
+        gap = np.abs(np.abs(gcf_response(s, f)) - np.abs(gcf_response(cascade, f)))
+        assert np.max(gap) <= _form_gap_bound(s)
+
+    # at D = 1024, rho = 8D, 18 band peaks are missed when the points kept are
+    # only those at each band's cascade-form maximum
+    @pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (16, 2, 64), (64, 1, 512), (256, 3, 512), (256, 7, 2048),
+                                          (1024, 8, 8192)])
+    def test_equal_to_the_whole_grid_band_maxima(self, D, pp, rho):
+        s = GcfSpec.from_oversampling(D, rho, p_p=pp)
+        bands, f = default_grid(s)
+        mag = np.abs(gcf_response(s, f))
+        want = [np.max(mag[m]) for m in bands.band_masks(f)]
+        assert np.array_equal(band_peaks(s, bands, f), want)
 
 
 class TestResponseGrid:

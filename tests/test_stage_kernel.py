@@ -241,7 +241,7 @@ def assert_matches_old_mc(spec, rows, old):
 def test_mc_delta_h_matches_old(D, pp, rho, trials):
     spec = spec_of(D, pp, rho)
     _, fi = in_band_freqs(spec)
-    rows = np.vstack(list(_mc_delta_h(spec, 9, _mc_draws(spec, 9, trials, 4), fi)))
+    rows = np.vstack(list(_mc_delta_h(spec, *rounded_multipliers(spec, 9)[:2], _mc_draws(spec, 9, trials, 4), fi)))
     assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, fi))
 
 
@@ -251,10 +251,11 @@ def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, 
     spec = spec_of(D, pp, rho)
     draws = _mc_draws(spec, 9, trials, 4)
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", trials)
-    one_block = np.vstack(list(_mc_delta_h(spec, 9, draws, in_band_freqs(spec)[1])))
+    taps, r, _, _ = rounded_multipliers(spec, 9)
+    one_block = np.vstack(list(_mc_delta_h(spec, taps, r, draws, in_band_freqs(spec)[1])))
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
     run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, in_band_freqs(spec)[1])
-    rows = np.vstack(list(_mc_delta_h(spec, 9, draws, run.freqs)))
+    rows = np.vstack(list(_mc_delta_h(spec, taps, r, draws, run.freqs)))
     assert np.array_equal(rows, one_block)  # trial-block streaming is exact
     assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
     std = rows.std(axis=0)
@@ -299,7 +300,7 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
     tiles = []
     tile_delta_h = wordlength._mc_delta_h
 
-    def recording(*args):  # (spec, f_n, draws, freqs of one tile)
+    def recording(*args):  # (spec, taps, r, draws, freqs of one tile)
         tiles.append(len(args[-1]))
         return tile_delta_h(*args)
 
@@ -473,13 +474,35 @@ def old_comparison_csv(cfg, path):
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
-@pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256), (256, 7, 512)], ids=["D16-pp-1", "D64-pp1", "D256-pp7"])
-def test_comparison_csv_matches_per_band_magnitudes(tmp_path, D, pp, rho):
+COARSE, DEFAULT = (17, 512), (spectral.DEFAULT_POINTS_PER_BAND, spectral.DEFAULT_GLOBAL_POINTS)
+COMPARE_POINTS = [(16, -1, 64, COARSE), (64, 1, 256, COARSE), (256, 7, 512, COARSE),
+                  (256, 3, 512, DEFAULT), (1024, 9, 2048, DEFAULT)]
+
+
+@pytest.mark.parametrize("D,pp,rho,grid", COMPARE_POINTS,
+                         ids=["D16-pp-1", "D64-pp1", "D256-pp7", "D256-pp3-default", "D1024-pp9-default"])
+def test_comparison_csv_matches_per_band_magnitudes(tmp_path, D, pp, rho, grid):
     cfg = cli.DesignConfig(
         decimation_factor=D, pp_split=pp, oversampling_ratio=rho,
-        points_per_band=17, global_points=512, output_dir=str(tmp_path),
+        points_per_band=grid[0], global_points=grid[1], output_dir=str(tmp_path),
     )
     write_json(tmp_path / "config.json", cfg.as_dict())
     assert cli.main(["compare", "--config", str(tmp_path / "config.json")]) == 0
     old_comparison_csv(cfg, tmp_path / "old.csv")
     assert (tmp_path / "comparison.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_compare_reassembles_only_near_band_peaks(tmp_path, monkeypatch):
+    rows = []
+    reassemble = spectral._polyphase_response
+
+    def counting(f, h_p, D1):
+        rows.append(len(f))
+        return reassemble(f, h_p, D1)
+
+    monkeypatch.setattr(spectral, "_polyphase_response", counting)
+    argv = ["compare", "--decimation-factor", "1024", "--pp-split", "9", "--oversampling-ratio", "2048",
+            "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    spec = GcfSpec.from_oversampling(1024, 2048, p_p=9)
+    assert sum(rows) <= 0.02 * len(grid_frequencies(folding_bands(spec)))

@@ -231,6 +231,12 @@ class TestFractionalBits:
         assert (sens.fraction_bits(ToleranceSpec(1e-4, 2.0))[0]
                 >= sens.fraction_bits(ToleranceSpec(1e-4, 1.63))[0])
 
+    def test_bound_beyond_the_largest_double_needs_no_bits(self):
+        # sqrt(12) chi / (y sqrt(S_T)) overflows for a subnormal y; with
+        # numpy warnings as errors, a numpy scalar product would raise here
+        s = GcfSpec.from_oversampling(4, 5.0, p_p=1)  # S_T = L = 10
+        assert sensitivity(s, in_band(s)).fraction_bits(ToleranceSpec(1e-4, 2.2250738585e-313))[0] == 0
+
 
 class TestIntegerBits:
     def test_growth_exact_for_comb_case(self):
@@ -299,7 +305,8 @@ class TestQuantizationErrorResponse:
 
 
 def mc_rows(spec, f_n, trials, seed, freqs):
-    return np.vstack(list(_mc_delta_h(spec, f_n, _mc_draws(spec, f_n, trials, seed), freqs)))
+    taps, r, _, _ = rounded_multipliers(spec, f_n)
+    return np.vstack(list(_mc_delta_h(spec, taps, r, _mc_draws(spec, f_n, trials, seed), freqs)))
 
 
 class TestMonteCarlo:
