@@ -396,7 +396,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(path, overrides)
         spec, tol = cfg.spec(), cfg.tolerance()
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot create output_dir {cfg.output_dir!r}: {exc.strerror}") from exc
         write_json(os.path.join(cfg.output_dir, "resolved_config.json"), cfg.as_dict())
         return handlers[command](cfg, spec, tol, *_grid(cfg, spec), **switches)
     except StageOverflowError as exc:

@@ -6,10 +6,9 @@ form, stage by stage, which stays finite at the in-band zeros; by split
 invariance that one stage kernel (stage_bracket, cascade_response) gives
 every cascade response and sensitivity in the toolkit.  The
 polyphase section is evaluated from its impulse response h_p by reassembling
-the D1 branches h_p(D1*n + k), the architecture the paper evaluates; the
-reassembly runs over fixed blocks of frequencies spread across threads, so
-its memory does not grow with D1 x grid size, and its result is
-bit-identical to the plain per-branch loop.  The per-band peaks of compare
+the D1 branches h_p(D1*n + k), the architecture the paper evaluates, in
+one loop over the branches; its memory is O(grid size x taps per branch)
+and does not grow with D1.  The per-band peaks of compare
 (band_peaks) are found by bracketing each peak with the pure-cascade form,
 which is the same filter, and reassembling only there; the reassembly stays
 the only source of the reported values, so they equal the band maxima of
@@ -18,8 +17,6 @@ the whole grid.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,11 +29,6 @@ ATTENUATION_CAP_DB = 300.0
 
 DEFAULT_POINTS_PER_BAND = 129
 DEFAULT_GLOBAL_POINTS = 4096
-
-# Frequencies per block of the branch reassembly.  A block's temporaries are
-# (block x D1) complex arrays, 1 MB each at D1 = 1024, which keeps them in
-# cache; larger blocks measured slower at D1 = 1024.
-_REASSEMBLY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -112,55 +104,31 @@ def cascade_response(f, stage_ks, r, start=None) -> np.ndarray:
     return out
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _polyphase_response(f: np.ndarray, h_p: np.ndarray, D1: int) -> np.ndarray:
     """H_P via the branch reassembly sum_k z^-k E_k(z^D1), e_k(n) = h_p(D1*n + k).
 
     h_p is zero-padded to whole rows of D1, so every branch has as many
-    taps.  Bit-identical to the per-branch loop
-
-        out = 0
-        for k in range(D1):
-            e_k = h_p[k::D1]
-            out += exp(-j w k) * sum_n e_k(n) exp(-j w D1 n)
-
-    with the sums in the same order: exp(-j w D1 n) is computed once per
-    frequency and shared by all branches, each E_k(e^{j w D1}) is built with
-    explicit adds over n left to right, and the branch terms are summed left
-    to right by a cumulative sum along the branch axis.  The frequencies are
-    processed in blocks of _REASSEMBLY_BLOCK, spread over one thread per
-    available CPU (numpy releases the interpreter lock), so the temporaries
-    are a few (block x D1) arrays per thread.
+    taps.  exp(-j w D1 n) is computed once and shared by all branches; each
+    E_k(e^{j w D1}) is built with explicit adds over n left to right, and
+    the branch terms exp(-j w k) E_k are added in k order, starting from the
+    k = 0 term (a sum started from zeros would turn a -0.0 into 0.0).  The
+    temporaries are a few arrays of grid size x taps per branch, whatever
+    D1 is.
     """
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
     padded = np.zeros(-(-len(h_p) // D1) * D1)
     padded[:len(h_p)] = h_p
-    taps = padded.reshape(-1, D1).T  # (D1, taps per branch)
-    delays = D1 * np.arange(taps.shape[1])
-    k = np.arange(D1)
-
-    def block(start: int) -> np.ndarray:
-        wb = w[start:start + _REASSEMBLY_BLOCK]
-        e = np.exp(-1j * np.outer(wb, delays))
-        ek = e[:, :1] * taps[:, 0]
-        for n in range(1, taps.shape[1]):
-            ek += e[:, n:n + 1] * taps[:, n]
-        terms = np.exp(-1j * wb[:, None] * k) * ek
-        # copy, so that the block's cumulative sum is not kept alive
-        return np.cumsum(terms, axis=1)[:, -1].copy()
-
-    starts = range(0, len(w), _REASSEMBLY_BLOCK)
-    out = np.empty(len(w), dtype=complex)
-    with ThreadPoolExecutor(max_workers=max(1, min(len(starts), _cpu_count()))) as pool:
-        for start, values in zip(starts, pool.map(block, starts)):
-            out[start:start + len(values)] = values
+    taps = padded.reshape(-1, D1)  # row n holds e_k(n) of every branch k
+    e = np.exp(-1j * np.outer(w, D1 * np.arange(taps.shape[0])))
+    for k in range(D1):
+        ek = e[:, 0] * taps[0, k]
+        for n in range(1, taps.shape[0]):
+            ek += e[:, n] * taps[n, k]
+        term = np.exp(-1j * w * k) * ek
+        if k == 0:
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -168,9 +136,8 @@ def gcf_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
     """Complex GCF response h_o * H_P * H_N at f (cycles/sample), unity DC gain.
 
     The cascade part uses the closed-form stage product; the polyphase part
-    is evaluated from the reassembled branches of h_p (blocked over frequencies,
-    threaded, and bit-identical to the per-branch loop; see
-    _polyphase_response).
+    is evaluated from the reassembled branches of h_p, one branch at a time
+    (see _polyphase_response).
     """
     out = cascade_response(f, spec.cascade_stages, stage_coefficients(spec))
     if spec.D1 > 1:

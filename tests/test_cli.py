@@ -483,6 +483,16 @@ class TestConfigErrors:
         assert err.startswith("config error") and "Traceback" not in err
         assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
 
+    @pytest.mark.parametrize("kind", ["empty", "regular-file", "below-regular-file"])
+    def test_unusable_output_dir_is_config_error(self, tmp_path, capsys, kind):
+        (tmp_path / "file").write_text("")
+        output_dir = {"empty": "", "regular-file": tmp_path / "file",
+                      "below-regular-file": tmp_path / "file" / "out"}[kind]
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), "--oversampling-ratio", "64", "--output-dir", str(output_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "output_dir" in err and "Traceback" not in err, err
+
     @pytest.mark.parametrize("key,value", [
         ("signal_bandwidth", 1 / 128), ("normalized", True), ("comb_order", 3), ("prob", 0.95),
     ])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from gcfkit import (
 from gcfkit.filters import normalization_gain, polyphase_impulse
 from gcfkit.spectral import (
     ATTENUATION_CAP_DB,
-    _REASSEMBLY_BLOCK,
     _form_gap_bound,
     _polyphase_response,
     band_peaks,
@@ -124,8 +124,9 @@ class TestGcfResponse:
 
 
 def _reassembly_loop(f, branches, D1):
-    # The plain per-branch reassembly sum_k z^-k E_k(z^D1): the reference the
-    # blocked, threaded version must reproduce bit for bit.
+    # The plain per-branch reassembly sum_k z^-k E_k(z^D1), written
+    # independently of the package: _polyphase_response must reproduce it
+    # bit for bit.
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
     out = np.zeros_like(w, dtype=complex)
     for k, e_k in enumerate(branches):
@@ -136,15 +137,28 @@ def _reassembly_loop(f, branches, D1):
 
 
 class TestPolyphaseReassembly:
-    @pytest.mark.parametrize("nf", [1, _REASSEMBLY_BLOCK - 3, 3 * _REASSEMBLY_BLOCK + 7])
-    @pytest.mark.parametrize("D", [16, 64, 256])
+    @pytest.mark.parametrize("nf", [1, 61, 199])
+    @pytest.mark.parametrize("D", [16, 64, 256, 1024])
     def test_bit_identical_to_branch_loop(self, D, nf):
         f = np.random.default_rng(D + nf).uniform(0.0, 0.5, nf)
-        for p_p in range(D.bit_length() - 1):
+        for p_p in range(D.bit_length() - 1) if D < 1024 else (7, 8, 9):
             s = spec_for(D, p_p=p_p)
             h_p = polyphase_impulse(s)
             want = _reassembly_loop(f, [h_p[k::s.D1] for k in range(s.D1)], s.D1)
             assert np.array_equal(_polyphase_response(f, h_p, s.D1), want), p_p
+
+    def test_memory_does_not_grow_with_branches_times_grid(self):
+        # one (grid x D1) complex array would be 1.15 GB here
+        s = GcfSpec.from_oversampling(1024, 2048, p_p=9)
+        f = grid_frequencies(folding_bands(s))
+        tracemalloc.start()
+        try:
+            gcf_response(s, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(f) == 70143
+        assert peak < 16 * len(f) * 16
 
     # Branch k holds e_k(n) = h_p(D1*n + k), zero-padded to equal length.
     F = np.linspace(0.0, 0.5, 9)
