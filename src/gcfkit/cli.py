@@ -33,6 +33,7 @@ from .filters import (
     polyphase_impulse,
     stage_coefficients,
     write_json,
+    writing_artifact,
 )
 from .spectral import (
     DEFAULT_GLOBAL_POINTS,
@@ -179,7 +180,7 @@ def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
     each split evaluates it once.
     """
     path = os.path.join(outdir, "fn_sweep.csv")
-    with open(path, "w") as fh:
+    with writing_artifact(path), open(path, "w") as fh:
         fh.write("D,D1,pp_split,chi,y,f_n\n")
         for pp in range(-1, base.p):
             spec = replace(base, p_p=pp)
@@ -219,7 +220,8 @@ def cmd_response(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fo
     quantized, delta_h = quantization_error_response(spec, report.f_n, freqs)
     grid_to_csv(os.path.join(outdir, "response_quantized.csv"), freqs, quantized, mask)
     grid_to_csv(os.path.join(outdir, "response_comb.csv"), freqs, comb_response(spec, freqs), mask)
-    with open(os.path.join(outdir, "bands.csv"), "w") as fh:
+    path = os.path.join(outdir, "bands.csv")
+    with writing_artifact(path), open(path, "w") as fh:
         fh.write("k,low,high\n")
         for i, (lo, hi) in enumerate(bands.bands, start=1):
             fh.write(f"{i},{lo!r},{hi!r}\n")
@@ -329,7 +331,8 @@ def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fol
                 freqs: np.ndarray, mask: np.ndarray) -> int:
     gcf_peaks = band_peaks(spec, bands, freqs)
     comb_mag = np.abs(comb_response(spec, freqs))
-    with open(os.path.join(cfg.output_dir, "comparison.csv"), "w") as fh:
+    path = os.path.join(cfg.output_dir, "comparison.csv")
+    with writing_artifact(path), open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, ((lo, hi), m, peak) in enumerate(zip(bands.bands, bands.band_masks(freqs), gcf_peaks), start=1):
             att_g = worst_case_attenuation(peak)

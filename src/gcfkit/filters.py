@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,18 @@ def normalization_gain(spec: GcfSpec) -> float:
     return 1.0 / total
 
 
+@contextmanager
+def writing_artifact(path):
+    """Turn an OSError while writing the artifact at path into a ParameterError naming it.
+
+    The artifacts written before the failure stay as they are.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def write_columns(path, columns: dict) -> None:
     """CSV with a header of column names and one row per index.
 
@@ -183,14 +196,14 @@ def write_columns(path, columns: dict) -> None:
     CRLF, as csv.writer ends them.
     """
     text = [map(repr, np.asarray(col).tolist()) for col in columns.values()]
-    with open(path, "w", newline="") as fh:
+    with writing_artifact(path), open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
 
 
 def write_json(path, value) -> None:
     """value as JSON, indented by 2, with a final newline."""
-    with open(path, "w") as fh:
+    with writing_artifact(path), open(path, "w") as fh:
         json.dump(value, fh, indent=2)
         fh.write("\n")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StageOverflowError
-from .filters import GcfSpec, normalization_gain, write_columns, write_json
+from .filters import GcfSpec, normalization_gain, write_columns, write_json, writing_artifact
 from .wordlength import rounded_multipliers
 
 # 2-level quantizer with +/-1 output: inputs beyond +/-2 exceed the
@@ -261,9 +261,12 @@ def export_run(run: SimulationRun, outdir, provenance: dict) -> None:
     config.json holds provenance followed by the run's overload_count.
     bitstream.bin holds one byte per sample, 0x00 for -1 and 0x01 for +1.
     """
-    os.makedirs(outdir, exist_ok=True)
+    with writing_artifact(outdir):
+        os.makedirs(outdir, exist_ok=True)
     write_json(os.path.join(outdir, "config.json"), {**provenance, "overload_count": run.overload_count})
-    (run.bitstream > 0).astype(np.uint8).tofile(os.path.join(outdir, "bitstream.bin"))
+    path = os.path.join(outdir, "bitstream.bin")
+    with writing_artifact(path):
+        (run.bitstream > 0).astype(np.uint8).tofile(path)
     write_columns(os.path.join(outdir, "decimated.csv"),
                   {"index": np.arange(len(run.decimated)), "value": run.decimated})
     _psd_to_csv(os.path.join(outdir, "psd_in.csv"), *run.psd_in)

@@ -235,10 +235,11 @@ def rounded_multipliers(spec: GcfSpec, f_n: int):
     """(taps, r, taps_q, r_q): the exact multipliers and their f_n-bit roundings.
 
     The one source of the rounded design: the coefficients that design
-    exports, the quantized responses, the Monte Carlo and the fixed-point
-    decimator all take them from here.  The bank taps are h_p scaled to
-    unit DC gain, the cascade r_k keep their raw values, and rounding is
-    quantize_coefficients'.
+    exports, the quantized responses and the fixed-point decimator all take
+    them from here.  The bank taps are h_p scaled to unit DC gain, the
+    cascade r_k keep their raw values, and rounding is
+    quantize_coefficients'.  The Monte Carlo perturbs the designed filter
+    itself and does not call it (see _mc_delta_h).
     """
     h_p = polyphase_impulse(spec)
     taps = h_p / h_p.sum()
@@ -254,15 +255,22 @@ def rounded_multipliers(spec: GcfSpec, f_n: int):
 _FREQ_BLOCK = 1024
 
 
-def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, taps: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Complex response of the architecture for given multiplier values."""
+def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, *multipliers) -> list[np.ndarray]:
+    """Complex responses of the architecture, one per (taps, r) pair of multiplier values.
+
+    The tap sets share one exp(-1j*outer(w, n)) per block of frequencies;
+    each set's sum is formed on its own, as if it were the only one.
+    """
     w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    n = np.arange(len(taps))
-    bank = np.empty(len(w), dtype=complex)
+    n = np.arange(len(multipliers[0][0]))
+    banks = [np.empty(len(w), dtype=complex) for _ in multipliers]
     for lo in range(0, len(w), _FREQ_BLOCK):
-        wb = w[lo:lo + _FREQ_BLOCK]
-        bank[lo:lo + len(wb)] = (taps[None, :] * np.exp(-1j * np.outer(wb, n))).sum(axis=1)
-    return cascade_response(freqs, spec.cascade_stages, r, start=bank)
+        phasors = np.exp(-1j * np.outer(w[lo:lo + _FREQ_BLOCK], n))
+        for bank, (taps, _) in zip(banks, multipliers):
+            bank[lo:lo + len(phasors)] = (taps[None, :] * phasors).sum(axis=1)
+        del phasors  # else the next block's phasors are built while these live
+    return [cascade_response(freqs, spec.cascade_stages, r, start=bank)
+            for bank, (_, r) in zip(banks, multipliers)]
 
 
 def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +281,7 @@ def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> t
     d|H| is set against is SensitivityResult.sigma_dh.
     """
     taps, r, taps_q, r_q = rounded_multipliers(spec, f_n)
-    exact = _response_from_multipliers(spec, freqs, taps, r)
-    quant = _response_from_multipliers(spec, freqs, taps_q, r_q)
+    exact, quant = _response_from_multipliers(spec, freqs, (taps, r), (taps_q, r_q))
     dc_exact = taps.sum() * stage_dc_gain(r)
     dc_quant = taps_q.sum() * stage_dc_gain(r_q)
     delta = np.abs(quant) / dc_quant - np.abs(exact) / dc_exact
@@ -306,53 +313,23 @@ def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
     return draws
 
 
-def _cos_sin_outer(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of theta = outer(x, w) for half-integers x, |x| < 2**19, without rounding theta.
+def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
+    """Yield d|H| of the draws about the designed filter at freqs, in row blocks (block, nf).
 
-    w = w_hi + w_lo with w_hi its top 33 bits (Veltkamp's split), so x w_hi
-    is exact, and u = x w_lo (|u| < 2e-4) is added by the angle sum with
-    sin u = u - u**3/6 and 1 - cos u = u**2/2 - u**4/24, whose first
-    omitted terms are below 3e-21.  The rounded product x w would move each
-    value by up to |theta| * 1.1e-16.
-    """
-    split = w * (2.0 ** 20 + 1.0)
-    w_hi = split - (split - w)
-    u = np.outer(x, w - w_hi)
-    u2 = u * u
-    sin_u = u * (1.0 - u2 / 6.0)
-    vers_u = u2 * (0.5 - u2 / 24.0)
-    del u, u2
-    cos_t = np.outer(x, w_hi)
-    sin_t = np.sin(cos_t)
-    np.cos(cos_t, out=cos_t)
-    d_cos = cos_t * vers_u
-    d_cos += sin_t * sin_u
-    sin_u *= cos_t  # becomes d_sin = cos sin_u - sin vers_u
-    vers_u *= sin_t
-    sin_u -= vers_u
-    cos_t -= d_cos
-    sin_t += sin_u
-    return cos_t, sin_t
+    By split invariance the designed bank is the product of stages 0..p_p;
+    about its centre c = (L - 1) / 2 it is the real amplitude
+    A = prod_k stage_bracket(w, k, r_k) / (2 + 2 r_k), of unit DC gain.
+    L = 3 D1 - 2 is even when D1 > 1, and theta_n = w (n - c) is exactly
+    -theta_{L-1-n}, so the tap errors e_n fold into pairs:
 
+        |H_P| = |A + sum_{n < L/2} (e_n + e_{L-1-n}) cos theta_n
+                 - j (e_n - e_{L-1-n}) sin theta_n|.
 
-def _mc_delta_h(spec: GcfSpec, taps: np.ndarray, r: np.ndarray, draws: np.ndarray, freqs: np.ndarray):
-    """Yield d|H| of the draws about the exact taps and r at freqs, in row blocks (block, nf).
-
-    The bank is linear-phase about c = (L - 1) / 2, and L = 3 D1 - 2 is even
-    when D1 > 1.  With theta_n = w (n - c), which is exactly -theta_{L-1-n}
-    because n - c is a half-integer, the phase-centred tap sum folds into
-    pairs:
-
-        |H_P| = |sum_{n < L/2} (t_n + t_{L-1-n}) cos theta_n
-                 - j (t_n - t_{L-1-n}) sin theta_n|.
-
-    A block of tap errors costs two real products of depth L/2, added to the
-    same sums of the exact taps; the difference term keeps the exact taps'
-    own asymmetry (about 1e-15), so no symmetry is assumed.  The pair
-    cosines (free of the rounding of theta for L < 2**20, see
-    _cos_sin_outer) and the stage cosines are built once for the given
-    freqs, and each stage's factor 2 is taken into the DC divisor, which is
-    exact.  A block holds _MC_TRIAL_BLOCK trials.
+    A block of _MC_TRIAL_BLOCK trials costs two real products of depth
+    L/2, whose terms are about 2**-f_n, so the rounding of theta is far
+    below A's own.  A, the pair cosines and the stage cosines are built once
+    for the given freqs; each stage's factor 2 is taken into the DC divisor,
+    which is exact.
 
     The pair sums are real matrix products, rounded by the BLAS kernel
     picked for their shape.  A one-row product goes through gemv, which
@@ -368,13 +345,17 @@ def _mc_delta_h(spec: GcfSpec, taps: np.ndarray, r: np.ndarray, draws: np.ndarra
     w = np.zeros(-(-nf // 16) * 16)
     w[:nf] = 2.0 * np.pi * np.asarray(freqs, dtype=float)
     ks = list(spec.cascade_stages)
+    r = np.asarray(stage_coefficients(spec))
     n_taps = draws.shape[1] - len(ks)  # 0 for the unit tap of D1 = 1
     half = n_taps // 2
-    cos_t, sin_t = _cos_sin_outer(np.arange(half) - (n_taps - 1) / 2.0, w)
-    a_re = (taps[:half] + taps[::-1][:half]) @ cos_t
-    a_im = (taps[:half] - taps[::-1][:half]) @ sin_t
+    amplitude = np.ones(len(w))
+    for k in range(spec.p_p + 1):
+        r_k = stage_multiplier(spec.alpha, k)
+        amplitude *= stage_bracket(w, k, r_k) / (2.0 + 2.0 * r_k)
+    theta = np.outer(np.arange(half) - (n_taps - 1) / 2.0, w)
+    cos_t, sin_t = np.cos(theta), np.sin(theta, out=theta)
     stage_cos = [(np.cos(3.0 * 2.0 ** (k - 1) * w), np.cos(2.0 ** (k - 1) * w)) for k in ks]
-    dc = taps.sum() * stage_dc_gain(r) / 2.0 ** len(ks)
+    dc = stage_dc_gain(r) / 2.0 ** len(ks)
 
     stops = [*range(_MC_TRIAL_BLOCK, len(draws) - 1, _MC_TRIAL_BLOCK), len(draws)]
     blocks = [draws[lo:hi] for lo, hi in zip([0, *stops], stops)]
@@ -382,15 +363,14 @@ def _mc_delta_h(spec: GcfSpec, taps: np.ndarray, r: np.ndarray, draws: np.ndarra
     buf_rows = np.empty_like(im_rows)
 
     def magnitude(block):
-        """|H| / dc at the exact multipliers plus each row of block, shape (rows, nf)."""
+        """|H| / dc of the designed filter plus each row of block, shape (rows, nf)."""
         im, buf = im_rows[:len(block)], buf_rows[:len(block)]
         if n_taps:
             errors = block[:, :n_taps]
             head, tail = errors[:, :half], errors[:, ::-1][:, :half]
             mag = (head + tail) @ cos_t
-            mag += a_re
+            mag += amplitude
             np.matmul(head - tail, sin_t, out=im)
-            im += a_im
             mag *= mag
             im *= im
             mag += im
@@ -436,12 +416,13 @@ class MonteCarloRun:
 def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, freqs: np.ndarray) -> MonteCarloRun:
     """d|H| of f_n-bit multiplier noise at the in-band freqs, deterministic given seed.
 
-    The frequencies are walked in tiles of _FREQ_BLOCK frequencies, and each
-    tile's trial blocks are reduced one at a time: each block's
-    per-frequency count, mean and M2 are merged into the tile's running ones
-    (the pairwise update of Chan, Golub and LeVeque, 1979), and the pairs
-    within y * sigma_dh are counted.  So the per-block temporaries are
-    bounded whatever the trial count and grid size.  The draws are not:
+    The noise perturbs the designed filter (see _mc_delta_h), so no tap
+    vector is built.  The frequencies are walked in tiles of _FREQ_BLOCK
+    frequencies, and each tile's trial blocks are reduced one at a time:
+    each block's per-frequency count, mean and M2 are merged into the tile's
+    running ones (the pairwise update of Chan, Golub and LeVeque, 1979), and
+    the pairs within y * sigma_dh are counted.  So the per-block temporaries
+    are bounded whatever the trial count and grid size.  The draws are not:
     _mc_draws keeps the whole trials x multipliers matrix, 8 bytes per draw
     (0.8 MB at D=256, p_p=3 and 49 MB at D=1024, p_p=9, with 2000 trials).
     """
@@ -449,13 +430,12 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
     sigma_dh = sens.sigma_dh(f_n)
     bound = y * sigma_dh
     draws = _mc_draws(spec, f_n, trials, seed)
-    taps, r, _, _ = rounded_multipliers(spec, f_n)
     error_std = np.empty(len(sens.freqs))
     covered = 0
     for lo in range(0, len(sens.freqs), _FREQ_BLOCK):
         hi = lo + _FREQ_BLOCK
         count, mean, m2 = 0, 0.0, 0.0
-        for block in _mc_delta_h(spec, taps, r, draws, sens.freqs[lo:hi]):
+        for block in _mc_delta_h(spec, draws, sens.freqs[lo:hi]):
             b = len(block)
             b_mean = block.mean(axis=0)
             b_m2 = ((block - b_mean) ** 2).sum(axis=0)

@@ -493,6 +493,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "output_dir" in err and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("command,artifact", [("design", "report.json"), ("compare", "comparison.csv")])
+    def test_unwritable_artifact_is_config_error(self, tmp_path, capsys, command, artifact):
+        (tmp_path / "out" / artifact).mkdir(parents=True)
+        cfg = write_config(tmp_path, points_per_band=17, global_points=256)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and artifact in err and "Traceback" not in err, err
+        # the artifact written before the failure stays
+        assert set(files_in(tmp_path / "out")) == {"resolved_config.json", artifact}
+
     @pytest.mark.parametrize("key,value", [
         ("signal_bandwidth", 1 / 128), ("normalized", True), ("comb_order", 3), ("prob", 0.95),
     ])

@@ -6,10 +6,12 @@ the earlier forms of rewritten outputs: the whole-grid Monte Carlo, the
 csv.writer export and the per-band magnitudes of comparison.csv.  They are
 kept here, frozen, as oracles.  Every quantity that feeds a sized word
 length or an artifact must be bit-identical to them.  So must the Monte
-Carlo's d|H| at D1 = 1; at D1 > 1 its pair-folded kernel may differ from
-old_mc_delta_h at roundoff (within 1e-11 of the largest |d|H|), because
-tests/test_mc_kernel_accuracy.py shows it to be at least as close to a
-40-digit evaluation, in the largest and in the median error.
+Carlo's d|H| at D1 = 1.  At D1 > 1 its kernel perturbs the designed filter,
+whose bank is the stage product, with pair-folded tap errors, and may differ
+from old_mc_delta_h, which perturbs the float taps, at roundoff (within
+1e-11 of the largest |d|H|), because tests/test_mc_kernel_accuracy.py shows
+it to be at least as close to a 40-digit evaluation about either filter, in
+the largest and in the median error.
 """
 
 import csv
@@ -190,9 +192,9 @@ def test_response_from_multipliers_matches_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
     taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
-    for t, rv in ((taps, r), (taps_q, r_q)):
-        assert np.array_equal(_response_from_multipliers(spec, freqs, t, rv),
-                              old_response_from_multipliers(spec, freqs, t, rv))
+    sets = ((taps, r), (taps_q, r_q))
+    for got, (t, rv) in zip(_response_from_multipliers(spec, freqs, *sets), sets, strict=True):
+        assert np.array_equal(got, old_response_from_multipliers(spec, freqs, t, rv))
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
@@ -203,9 +205,9 @@ def test_blocked_tap_dtft_matches_old(D, pp, rho, monkeypatch):
         monkeypatch.setattr(wordlength, "_FREQ_BLOCK", block)
         assert len(freqs) % block != 0
         taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
-        for t, rv in ((taps, r), (taps_q, r_q)):
-            assert np.array_equal(_response_from_multipliers(spec, freqs, t, rv),
-                                  old_response_from_multipliers(spec, freqs, t, rv))
+        sets = ((taps, r), (taps_q, r_q))
+        for got, (t, rv) in zip(_response_from_multipliers(spec, freqs, *sets), sets, strict=True):
+            assert np.array_equal(got, old_response_from_multipliers(spec, freqs, t, rv))
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
@@ -226,9 +228,11 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
 def assert_matches_old_mc(spec, rows, old):
     """Bit-identical at D1 = 1; at D1 > 1, within 1e-11 of the rows' largest |d|H|.
 
-    With a bank, the pair-folded real sums replace the complex tap matrix,
-    which moves d|H| at roundoff; tests/test_mc_kernel_accuracy.py shows the
-    new values to be at least as close to a 40-digit evaluation.
+    With a bank, the stage-product amplitude plus the pair-folded real sums
+    of the tap errors replace the complex tap matrix of the float taps, which
+    moves d|H| at roundoff; tests/test_mc_kernel_accuracy.py shows the new
+    values to be at least as close to a 40-digit evaluation, about the float
+    taps and about the designed filter.
     """
     if spec.D1 == 1:
         assert np.array_equal(rows, old)
@@ -241,7 +245,7 @@ def assert_matches_old_mc(spec, rows, old):
 def test_mc_delta_h_matches_old(D, pp, rho, trials):
     spec = spec_of(D, pp, rho)
     _, fi = in_band_freqs(spec)
-    rows = np.vstack(list(_mc_delta_h(spec, *rounded_multipliers(spec, 9)[:2], _mc_draws(spec, 9, trials, 4), fi)))
+    rows = np.vstack(list(_mc_delta_h(spec, _mc_draws(spec, 9, trials, 4), fi)))
     assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, fi))
 
 
@@ -251,11 +255,10 @@ def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, 
     spec = spec_of(D, pp, rho)
     draws = _mc_draws(spec, 9, trials, 4)
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", trials)
-    taps, r, _, _ = rounded_multipliers(spec, 9)
-    one_block = np.vstack(list(_mc_delta_h(spec, taps, r, draws, in_band_freqs(spec)[1])))
+    one_block = np.vstack(list(_mc_delta_h(spec, draws, in_band_freqs(spec)[1])))
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
     run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, in_band_freqs(spec)[1])
-    rows = np.vstack(list(_mc_delta_h(spec, taps, r, draws, run.freqs)))
+    rows = np.vstack(list(_mc_delta_h(spec, draws, run.freqs)))
     assert np.array_equal(rows, one_block)  # trial-block streaming is exact
     assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
     std = rows.std(axis=0)
@@ -300,7 +303,7 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
     tiles = []
     tile_delta_h = wordlength._mc_delta_h
 
-    def recording(*args):  # (spec, taps, r, draws, freqs of one tile)
+    def recording(*args):  # (spec, draws, freqs of one tile)
         tiles.append(len(args[-1]))
         return tile_delta_h(*args)
 

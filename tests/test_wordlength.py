@@ -166,25 +166,19 @@ class TestSensitivity:
         taps, r, _, _ = rounded_multipliers(s, 8)
         dc = taps.sum() * np.prod(2.0 + 2.0 * r)
         step = 1e-7
-
-        def mag(t, rv):
-            return np.abs(_response_from_multipliers(s, freqs, t, rv)) / dc
-
         total = np.zeros(len(freqs))
         if s.D1 > 1:
             for i in range(len(taps)):
                 hi, lo = taps.copy(), taps.copy()
                 hi[i] += step
                 lo[i] -= step
-                fd = (_response_from_multipliers(s, freqs, hi, r)
-                      - _response_from_multipliers(s, freqs, lo, r)) / (2 * step * dc)
+                fd = np.subtract(*_response_from_multipliers(s, freqs, (hi, r), (lo, r))) / (2 * step * dc)
                 total += np.abs(fd) ** 2
         for u in range(len(r)):
             hi, lo = r.copy(), r.copy()
             hi[u] += step
             lo[u] -= step
-            fd = (_response_from_multipliers(s, freqs, taps, hi)
-                  - _response_from_multipliers(s, freqs, taps, lo)) / (2 * step * dc)
+            fd = np.subtract(*_response_from_multipliers(s, freqs, (taps, hi), (taps, lo))) / (2 * step * dc)
             total += np.abs(fd) ** 2
         res = sensitivity(s, freqs)
         assert res.case_tag == case
@@ -298,6 +292,20 @@ class TestQuantizationErrorResponse:
         _, delta_h = quantization_error_response(PAPER_SPEC, 7, freqs)
         assert np.max(np.abs(delta_h[mask])) <= 1e-4
 
+    def test_memory_holds_one_block_of_phasors(self):
+        # building a block's phasors takes two complex (block x taps) arrays;
+        # the previous block's phasors kept alive meanwhile would be a third
+        s = GcfSpec.from_oversampling(256, 512, p_p=7)
+        freqs = np.linspace(0.0, 0.5, 3 * wordlength._FREQ_BLOCK)
+        block_bytes = wordlength._FREQ_BLOCK * (3 * s.D1 - 2) * 16
+        tracemalloc.start()
+        try:
+            quantization_error_response(s, 16, freqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block_bytes
+
     def test_sigma_scaling_is_exactly_binary(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
         np.testing.assert_array_equal(sens.sigma_dh(6), 2.0 * sens.sigma_dh(7))
@@ -305,8 +313,7 @@ class TestQuantizationErrorResponse:
 
 
 def mc_rows(spec, f_n, trials, seed, freqs):
-    taps, r, _, _ = rounded_multipliers(spec, f_n)
-    return np.vstack(list(_mc_delta_h(spec, taps, r, _mc_draws(spec, f_n, trials, seed), freqs)))
+    return np.vstack(list(_mc_delta_h(spec, _mc_draws(spec, f_n, trials, seed), freqs)))
 
 
 class TestMonteCarlo:
@@ -382,6 +389,17 @@ class TestMonteCarlo:
         assert run.trials == 1000
         assert np.max(np.abs(run.error_std - rows.std(axis=0))) <= 1e-12 * np.max(rows.std(axis=0))
         assert run.coverage() == np.mean(np.abs(rows) <= 2.0 * run.sigma_dh[None, :])
+
+    def test_bank_split_builds_no_tap_vector(self, monkeypatch):
+        # the draws perturb the designed filter, whose bank is the stage product
+        def forbidden(*args):
+            raise AssertionError("the Monte Carlo built the taps")
+
+        s = GcfSpec.from_oversampling(64, 256, p_p=1)
+        monkeypatch.setattr(wordlength, "polyphase_impulse", forbidden)
+        monkeypatch.setattr(wordlength, "rounded_multipliers", forbidden)
+        run = monte_carlo_run(s, 15, 1000, 3, y=2.0, freqs=in_band(s))
+        assert run.trials == 1000 and np.all(np.isfinite(run.error_std))
 
 
 class TestReport:
