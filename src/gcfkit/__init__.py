@@ -13,7 +13,8 @@ from .filters import (
     stage_coefficients,
 )
 from .spectral import (
-    FoldingBandSet,
+    band_index,
+    band_maxima,
     comb_response,
     folding_bands,
     gcf_response,

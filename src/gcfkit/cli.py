@@ -38,7 +38,8 @@ from .filters import (
 from .spectral import (
     DEFAULT_GLOBAL_POINTS,
     DEFAULT_POINTS_PER_BAND,
-    FoldingBandSet,
+    band_index,
+    band_maxima,
     band_peaks,
     cascade_response,
     comb_response,
@@ -163,13 +164,13 @@ SWEEP_YS = (2.0, 1.63)
 
 
 def _grid(cfg: DesignConfig, spec: GcfSpec):
-    """(folding bands, grid frequencies, in-band mask) of spec on the config's grid.
+    """(grid frequencies, band index) of spec on the config's grid.
 
-    main builds it once per run; the command's responses and sizing all use it.
+    main builds it once per run; the command's responses and sizing all use
+    it, and band > 0 selects the in-band points.
     """
-    bands = folding_bands(spec)
-    freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
-    return bands, freqs, bands.contains(freqs)
+    freqs = grid_frequencies(folding_bands(spec), cfg.points_per_band, cfg.global_points)
+    return freqs, band_index(spec, freqs)
 
 
 def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
@@ -191,10 +192,10 @@ def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
                     fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 
 
-def cmd_design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
-               freqs: np.ndarray, mask: np.ndarray, sweep_splits: bool = False) -> int:
+def cmd_design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
+               band: np.ndarray, sweep_splits: bool = False) -> int:
     outdir = cfg.output_dir
-    in_band = freqs[mask]
+    in_band = freqs[band > 0]
     report = design_wordlengths(spec, tol, cfg.input_width, in_band)
     if sweep_splits:
         _write_fn_sweep(spec, in_band, outdir)
@@ -212,9 +213,10 @@ def cmd_design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fold
     return EXIT_OK
 
 
-def cmd_response(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
-                 freqs: np.ndarray, mask: np.ndarray) -> int:
+def cmd_response(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
+                 band: np.ndarray) -> int:
     outdir = cfg.output_dir
+    mask = band > 0
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), freqs, gcf_response(spec, freqs), mask)
     quantized, delta_h = quantization_error_response(spec, report.f_n, freqs)
@@ -223,15 +225,16 @@ def cmd_response(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fo
     path = os.path.join(outdir, "bands.csv")
     with writing_artifact(path), open(path, "w") as fh:
         fh.write("k,low,high\n")
-        for i, (lo, hi) in enumerate(bands.bands, start=1):
-            fh.write(f"{i},{lo!r},{hi!r}\n")
+        for i, (lo, hi) in enumerate(zip(*folding_bands(spec)), start=1):
+            fh.write(f"{i},{float(lo)!r},{float(hi)!r}\n")
     max_dev = float(np.max(np.abs(delta_h[mask])))
     print(f"max in-band |d|H|| at F_n={report.f_n}: {max_dev:.3e} (chi = {tol.chi:g})")
     return EXIT_OK
 
 
-def cmd_sensitivity(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
-                    freqs: np.ndarray, mask: np.ndarray) -> int:
+def cmd_sensitivity(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
+                    band: np.ndarray) -> int:
+    mask = band > 0
     report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     _, delta_h = quantization_error_response(spec, report.f_n, freqs)
     result = sensitivity(spec, freqs)
@@ -272,17 +275,15 @@ def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
     return worst <= 1e-5, f"sensitivity_fd: max rel err {worst:.3e} (tol 1e-5)"
 
 
-def _check_mc(
-    spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: int, bands: FoldingBandSet,
-) -> tuple[bool, str]:
+def _check_mc(spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: int) -> tuple[bool, str]:
     # Model-validity checks that hold for the uniform multiplier-noise model:
     # sigma_dh is an upper bound on the true per-frequency std (10% slack for
     # sampling noise), and coverage at the design y cannot fall far below the
     # Gaussian prediction.  The Monte Carlo runs on the default grid, not the
     # config's: moving it changes validate.json, which the benchmark checks,
     # so that move waits for the reference re-record of ROADMAP item 1.
-    freqs = grid_frequencies(bands, DEFAULT_POINTS_PER_BAND, DEFAULT_GLOBAL_POINTS)
-    run = monte_carlo_run(spec, f_n, trials, seed, tol.y, freqs[bands.contains(freqs)])
+    freqs = grid_frequencies(folding_bands(spec), DEFAULT_POINTS_PER_BAND, DEFAULT_GLOBAL_POINTS)
+    run = monte_carlo_run(spec, f_n, trials, seed, tol.y, freqs[band_index(spec, freqs) > 0])
     ok_std = bool(np.all(run.error_std <= 1.1 * run.sigma_dh + 1e-18))
     cov = run.coverage()
     floor = tol.prob - 0.03
@@ -292,13 +293,13 @@ def _check_mc(
     return ok_std and ok_cov, msg
 
 
-def cmd_validate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
-                 freqs: np.ndarray, mask: np.ndarray) -> int:
-    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
+def cmd_validate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
+                 band: np.ndarray) -> int:
+    report = design_wordlengths(spec, tol, cfg.input_width, freqs[band > 0])
     results = {
         "split_invariance": _check_split_invariance(spec),
         "sensitivity_fd": _check_sensitivity_fd(spec, cfg.seed),
-        "mc_model": _check_mc(spec, tol, report.f_n, cfg.trials, cfg.seed, bands),
+        "mc_model": _check_mc(spec, tol, report.f_n, cfg.trials, cfg.seed),
     }
     checks = {name: {"pass": ok, "detail": msg} for name, (ok, msg) in results.items()}
     all_ok = all(c["pass"] for c in checks.values())
@@ -309,9 +310,9 @@ def cmd_validate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fo
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
-def cmd_simulate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
-                 freqs: np.ndarray, mask: np.ndarray) -> int:
-    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
+def cmd_simulate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
+                 band: np.ndarray) -> int:
+    report = design_wordlengths(spec, tol, cfg.input_width, freqs[band > 0])
     run = run_experiment(spec, report.i_n_k, report.f_n, cfg.amplitude, cfg.n_samples, cfg.seed,
                          segment=cfg.segment, overlap_fraction=cfg.overlap)
     provenance = {
@@ -327,20 +328,20 @@ def cmd_simulate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: Fo
     return EXIT_OK
 
 
-def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, bands: FoldingBandSet,
-                freqs: np.ndarray, mask: np.ndarray) -> int:
-    gcf_peaks = band_peaks(spec, bands, freqs)
-    comb_mag = np.abs(comb_response(spec, freqs))
+def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
+                band: np.ndarray) -> int:
+    gcf_peaks = band_peaks(spec, freqs, band)
+    comb_peaks = band_maxima(np.abs(comb_response(spec, freqs)), band, spec.D)
     path = os.path.join(cfg.output_dir, "comparison.csv")
     with writing_artifact(path), open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
-        for i, ((lo, hi), m, peak) in enumerate(zip(bands.bands, bands.band_masks(freqs), gcf_peaks), start=1):
-            att_g = worst_case_attenuation(peak)
-            att_c = worst_case_attenuation(comb_mag[m])
+        for i, (lo, hi, comb, gcf) in enumerate(zip(*folding_bands(spec), comb_peaks, gcf_peaks), start=1):
+            att_g = worst_case_attenuation(gcf)
+            att_c = worst_case_attenuation(comb)
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
     worst_g = worst_case_attenuation(gcf_peaks)
-    worst_c = worst_case_attenuation(comb_mag[mask])
+    worst_c = worst_case_attenuation(comb_peaks)
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "
           f"improvement {worst_g - worst_c:.2f} dB")
     return EXIT_OK

@@ -70,7 +70,7 @@ class GcfSpec:
     @classmethod
     def from_oversampling(cls, D: int, rho: float, p_p: int = -1, q: float = DEFAULT_Q) -> "GcfSpec":
         """Build a spec from the converter oversampling ratio rho > D (f_c = 1/(2 rho))."""
-        if not (math.isfinite(rho) and rho > D):
+        if not (math.isfinite(rho) and rho > max(D, 0)):  # rho = 0 > D would divide by zero
             raise ParameterError(f"oversampling ratio must be finite and above D = {D}, got {rho}")
         return cls(D=D, f_c=1.0 / (2.0 * rho), p_p=p_p, q=q, rho=rho)
 

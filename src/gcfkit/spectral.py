@@ -13,11 +13,14 @@ and does not grow with D1.  The per-band peaks of compare
 which is the same filter, and reassembling only there; the reassembly stays
 the only source of the reported values, so they equal the band maxima of
 the whole grid.
+
+The folding bands are two arrays (lo, hi); band_index and band_maxima
+treat every band at once, so nothing loops over the bands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,38 +32,36 @@ ATTENUATION_CAP_DB = 300.0
 
 DEFAULT_POINTS_PER_BAND = 129
 DEFAULT_GLOBAL_POINTS = 4096
+EDGE_EPS = 1e-12  # grid points this close outside a folding band count as in it
 
 
-@dataclass(frozen=True)
-class FoldingBandSet:
-    """Closed intervals [k/D - f_c, k/D + f_c] that alias onto baseband."""
+def folding_bands(spec: GcfSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the folding bands k/D -/+ f_c, k = 1 .. D/2, of spec; hi is clipped to 1/2.
 
-    bands: tuple[tuple[float, float], ...]
-
-    EDGE_EPS = 1e-12  # so that grid points at k/D +/- f_c count as in-band
-
-    def band_masks(self, freqs: np.ndarray):
-        """One boolean mask per band, each band widened by EDGE_EPS."""
-        freqs = np.asarray(freqs, dtype=float)
-        for lo, hi in self.bands:
-            yield (freqs >= lo - self.EDGE_EPS) & (freqs <= hi + self.EDGE_EPS)
-
-    def contains(self, freqs: np.ndarray) -> np.ndarray:
-        """Boolean mask of frequencies lying inside any folding band."""
-        mask = np.zeros(np.shape(freqs), dtype=bool)
-        for band in self.band_masks(freqs):
-            mask |= band
-        return mask
-
-
-def folding_bands(spec: GcfSpec) -> FoldingBandSet:
-    """Folding bands k/D -/+ f_c, k = 1 .. D/2, of the design spec.
-
-    Band points are clipped to [0, 1/2].  GcfSpec holds f_c below 1/(2D),
-    so the bands neither overlap nor touch baseband.
+    GcfSpec holds f_c below 1/(2D), so the bands neither overlap nor touch baseband.
     """
-    D, f_c = spec.D, spec.f_c
-    return FoldingBandSet(bands=tuple((k / D - f_c, min(k / D + f_c, 0.5)) for k in range(1, D // 2 + 1)))
+    centers = np.arange(1, spec.D // 2 + 1) / spec.D
+    return centers - spec.f_c, np.minimum(centers + spec.f_c, 0.5)
+
+
+def band_index(spec: GcfSpec, freqs: np.ndarray) -> np.ndarray:
+    """Folding band k = 1 .. D/2 of each frequency, 0 outside every band.
+
+    k = rint(f D) when |f - k/D| <= f_c + EDGE_EPS and f <= 1/2 + EDGE_EPS.
+    Where the widened bands touch (rho - D < 2e-12 D^2), a point in both
+    belongs to its nearest band.
+    """
+    f = np.asarray(freqs, dtype=float)
+    k = np.rint(f * spec.D)
+    inside = (k >= 1) & (f <= 0.5 + EDGE_EPS) & (np.abs(f - k / spec.D) <= spec.f_c + EDGE_EPS)
+    return np.where(inside, k, 0).astype(np.int32)  # a D with 2**31 bands could not hold its grid
+
+
+def band_maxima(values: np.ndarray, band: np.ndarray, D: int) -> np.ndarray:
+    """Largest of values over the points of each band k = 1 .. D/2 (their band_index; -inf if none)."""
+    out = np.full(D // 2 + 1, -np.inf)
+    np.maximum.at(out, band, values)
+    return out[1:]
 
 
 def _sinc_ratio(f: np.ndarray, D: int) -> np.ndarray:
@@ -162,8 +163,8 @@ def _form_gap_bound(spec: GcfSpec) -> float:
     return ((np.pi + 1.0) * L + 16.0 * spec.p) * 2.0 ** -53 * float(np.abs(h_p).sum() / abs(h_p.sum()))
 
 
-def band_peaks(spec: GcfSpec, bands: FoldingBandSet, freqs: np.ndarray) -> np.ndarray:
-    """Largest |gcf_response(spec, freqs)| over each band's points, one value per band.
+def band_peaks(spec: GcfSpec, freqs: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Largest |gcf_response(spec, freqs)| over the points of each band (band_index(spec, freqs)).
 
     The values are those of the whole-grid reassembly, but it runs only
     where a band's peak can lie.  By split invariance the pure-cascade form
@@ -177,22 +178,14 @@ def band_peaks(spec: GcfSpec, bands: FoldingBandSet, freqs: np.ndarray) -> np.nd
     freqs = np.asarray(freqs, dtype=float)
     slack = 2.0 * _form_gap_bound(spec)
     cascade = np.abs(gcf_response(replace(spec, p_p=-1), freqs))
-    kept = []
-    for mask in bands.band_masks(freqs):
-        idx = np.flatnonzero(mask)
-        kept.append(idx[cascade[idx] >= cascade[idx].max() - slack])
-    points = np.unique(np.concatenate(kept))
-    mag = np.zeros(len(freqs))
-    mag[points] = np.abs(gcf_response(spec, freqs[points]))
-    return np.array([mag[idx].max() for idx in kept])
+    floor = band_maxima(cascade, band, spec.D) - slack
+    kept = np.flatnonzero((band > 0) & (cascade >= floor[band - 1]))
+    return band_maxima(np.abs(gcf_response(spec, freqs[kept])), band[kept], spec.D)
 
 
-def grid_frequencies(
-    band_config: FoldingBandSet,
-    points_per_band: int = DEFAULT_POINTS_PER_BAND,
-    global_points: int = DEFAULT_GLOBAL_POINTS,
-) -> np.ndarray:
-    """Dense frequency grid over [0, 1/2] with the folding bands refined.
+def grid_frequencies(bands: tuple[np.ndarray, np.ndarray], points_per_band: int = DEFAULT_POINTS_PER_BAND,
+                     global_points: int = DEFAULT_GLOBAL_POINTS) -> np.ndarray:
+    """Dense frequency grid over [0, 1/2] with the folding bands (lo, hi) refined.
 
     The grid is global_points uniform samples augmented so every folding
     band carries at least points_per_band samples including both edges and
@@ -200,13 +193,12 @@ def grid_frequencies(
     """
     if points_per_band < 2:
         raise ParameterError(f"points_per_band must be >= 2, got {points_per_band}")
-    pieces = [np.linspace(0.0, 0.5, global_points)]
-    for lo, hi in band_config.bands:
-        seg = np.linspace(lo, hi, points_per_band)
-        center = (lo + hi) / 2.0
-        pieces.append(seg)
-        pieces.append(np.array([center]))
-    return np.unique(np.concatenate(pieces))
+    lo, hi = bands
+    return np.unique(np.concatenate([
+        np.linspace(0.0, 0.5, global_points),
+        np.linspace(lo, hi, points_per_band, axis=1).ravel(),
+        (lo + hi) / 2.0,
+    ]))
 
 
 def worst_case_attenuation(in_band_magnitude) -> float:

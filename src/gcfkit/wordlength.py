@@ -223,12 +223,17 @@ def integer_bits(spec: GcfSpec, input_width: int) -> tuple[tuple[float, ...], tu
 
 
 def quantize_coefficients(values, f_n: int) -> np.ndarray:
-    """Round to f_n fraction bits, ties away from zero: |m_q - m| <= 2**-f_n / 2."""
+    """Round to f_n fraction bits, ties away from zero: |m_q - m| <= 2**-f_n / 2.
+
+    Where |m| 2**f_n overflows, m is a multiple of 2**-f_n and is kept.
+    """
     if f_n < 0:
         raise ParameterError(f"f_n must be >= 0, got {f_n}")
     v = np.asarray(values, dtype=float)
     scale = 2.0 ** f_n
-    return np.copysign(np.floor(np.abs(v) * scale + 0.5), v) / scale
+    with np.errstate(over="ignore"):
+        scaled = np.abs(v) * scale
+    return np.where(np.isfinite(scaled), np.copysign(np.floor(scaled + 0.5), v) / scale, v)
 
 
 def rounded_multipliers(spec: GcfSpec, f_n: int):

@@ -12,6 +12,7 @@ from gcfkit import (
     GcfSpec,
     StageOverflowError,
     ToleranceSpec,
+    band_index,
     decimate_fixed_point,
     design_wordlengths,
     expand_full_polynomial,
@@ -270,9 +271,8 @@ class TestSimulate:
         assert prov["config"] == {"fx_ratio": spec.f_c, "amplitude": 0.5, "n_samples": 2 ** 12,
                                   "seed": 77, "fs": 48000.0}
         assert prov["spec"] == spec.as_dict()
-        bands = folding_bands(spec)
-        freqs = grid_frequencies(bands)
-        report = design_wordlengths(spec, ToleranceSpec(1e-4, 2.0), 1, freqs[bands.contains(freqs)])
+        freqs = grid_frequencies(folding_bands(spec))
+        report = design_wordlengths(spec, ToleranceSpec(1e-4, 2.0), 1, freqs[band_index(spec, freqs) > 0])
         assert prov["format"] == {"i_n": list(report.i_n_k), "f_n": report.f_n, "sign_bits": 1}
         assert isinstance(prov["overload_count"], int)
 
@@ -375,6 +375,30 @@ BAD_CONFIG_FILES = {
 }
 
 
+@pytest.mark.parametrize("command", ["design", "response", "sensitivity"])
+def test_largest_fraction_width_writes_finite_artifacts(tmp_path, command):
+    # chi = 2e-310 sizes F_n = 1023, where |r_k| * 2**F_n overflows
+    cfg = write_config(tmp_path, chi=2e-310)
+    assert main([command, "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    for name in files_in(out):
+        text = (out / name).read_text()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=lambda c: pytest.fail(f"{name} holds {c}"))
+        else:
+            assert np.all(np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1))), name
+    spec = GcfSpec.from_oversampling(16, 64)
+    _, r, _, r_q = rounded_multipliers(spec, 1023)
+    assert np.array_equal(r_q, r)
+    if command == "design":
+        assert json.loads((out / "report.json").read_text())["f_n"] == 1023
+        assert np.array_equal(read_coefficients(out / "cascade_quantized.csv"), r)
+    elif command == "response":
+        assert (out / "response_quantized.csv").read_bytes() == (out / "response_exact.csv").read_bytes()
+    else:
+        assert np.all(np.loadtxt(out / "sensitivity.csv", delimiter=",", skiprows=1)[:, -1] == 0.0)
+
+
 class TestConfigErrors:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -412,6 +436,11 @@ class TestConfigErrors:
         assert f"oversampling ratio must be finite and above D = 16, got {float(rho)}" in err, err
         assert "f_c" not in err
         assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
+
+    def test_zero_oversampling_ratio_above_a_negative_d_is_named(self, tmp_path, capsys):
+        assert main(["design", "--decimation-factor", "-1", "--oversampling-ratio", "0",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "oversampling ratio must be finite and above D = -1, got 0.0" in capsys.readouterr().err
 
     def test_prob_flag_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -31,8 +31,8 @@ def in_range(D, n_samples):
     """Strategies of in-range flag values, None for a flag left out.
 
     They depend on D, so that most configs get past the checks into the
-    computation, and include the extremes (chi down to 1e-300, y down to
-    1e-320, 2**64 as seed).
+    computation, and include the extremes (chi down to 1e-300 and at the
+    F_n = 1023 edge, y down to 1e-320, 2**64 as seed).
     """
     p = D.bit_length() - 1
     return {
@@ -40,7 +40,8 @@ def in_range(D, n_samples):
         "pp_split": st.integers(-1, p - 1),
         "q": st.none() | st.floats(0.0, 1.0),
         "oversampling_ratio": st.floats(D, 100.0 * D, exclude_min=True),
-        "chi": st.none() | st.floats(1e-300, 10.0),
+        # a factor-2 ladder from 2e-310 puts F_n at 1023, where 2**F_n |r_k| overflows, at some D and rho
+        "chi": st.none() | st.floats(1e-300, 10.0) | st.sampled_from([2e-310, 4e-310, 8e-310, 1.6e-309]),
         "y": st.none() | st.floats(1e-320, 8.0),
         "input_width": st.none() | st.integers(1, 4),
         "points_per_band": st.integers(2, 33),

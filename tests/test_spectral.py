@@ -7,6 +7,7 @@ import pytest
 from gcfkit import (
     GcfSpec,
     ParameterError,
+    band_index,
     comb_response,
     expand_full_polynomial,
     folding_bands,
@@ -17,11 +18,13 @@ from gcfkit import (
 from gcfkit.filters import normalization_gain, polyphase_impulse
 from gcfkit.spectral import (
     ATTENUATION_CAP_DB,
+    EDGE_EPS,
     _form_gap_bound,
     _polyphase_response,
     band_peaks,
     grid_to_csv,
 )
+from test_stage_kernel import OldFoldingBandSet
 
 
 def comb_coefficients(D):
@@ -36,24 +39,24 @@ def spec_for(D, p_p=-1, q=0.79):
 PAPER_SPEC = GcfSpec(D=16, f_c=1 / 128)
 
 
-def in_band_magnitude(response, spec, fb):
-    """|response(spec, f)| at the in-band points f of grid_frequencies(fb)."""
-    freqs = grid_frequencies(fb)
-    return np.abs(response(spec, freqs[fb.contains(freqs)]))
+def in_band_magnitude(response, spec, band_spec):
+    """|response(spec, f)| at the in-band points f of band_spec's default grid."""
+    freqs = grid_frequencies(folding_bands(band_spec))
+    return np.abs(response(spec, freqs[band_index(band_spec, freqs) > 0]))
 
 
 class TestFoldingBands:
     def test_paper_bands(self):
-        fb = folding_bands(PAPER_SPEC)
-        assert len(fb.bands) == 8
-        for k, (lo, hi) in enumerate(fb.bands, start=1):
+        lo_hi = np.column_stack(folding_bands(PAPER_SPEC))
+        assert len(lo_hi) == 8
+        for k, (lo, hi) in enumerate(lo_hi, start=1):
             assert lo == pytest.approx(k / 16 - 1 / 128)
             assert hi == pytest.approx(min(k / 16 + 1 / 128, 0.5))
 
     def test_nyquist_clipping(self):
-        fb = folding_bands(GcfSpec(D=2, f_c=0.01))
-        assert len(fb.bands) == 1
-        assert fb.bands[0] == pytest.approx((0.49, 0.5))
+        lo, hi = folding_bands(GcfSpec(D=2, f_c=0.01))
+        assert len(lo) == 1
+        assert (lo[0], hi[0]) == pytest.approx((0.49, 0.5))
 
     @pytest.mark.parametrize("D", range(2, 65))
     def test_band_count_parity_rule(self, D):
@@ -62,12 +65,31 @@ class TestFoldingBands:
             with pytest.raises(ParameterError):
                 GcfSpec(D=D, f_c=1 / (4 * D))
             return
-        assert len(folding_bands(GcfSpec(D=D, f_c=1 / (4 * D))).bands) == D // 2
+        assert [len(edge) for edge in folding_bands(GcfSpec(D=D, f_c=1 / (4 * D)))] == [D // 2] * 2
 
     def test_disjoint_bands(self):
-        fb = folding_bands(GcfSpec(D=8, f_c=1 / 64))
-        for (lo1, hi1), (lo2, hi2) in zip(fb.bands, fb.bands[1:]):
-            assert hi1 < lo2
+        lo, hi = folding_bands(GcfSpec(D=8, f_c=1 / 64))
+        assert np.all(hi[:-1] < lo[1:])
+
+
+class TestBandIndex:
+    def test_edges_centres_and_gaps(self):
+        lo, hi = folding_bands(PAPER_SPEC)
+        k = np.arange(1, 9)
+        for f in (lo, hi, (lo + hi) / 2, lo - EDGE_EPS / 2, hi + EDGE_EPS / 2):
+            assert np.array_equal(band_index(PAPER_SPEC, f), k)
+        for f in (lo - 2 * EDGE_EPS, hi[:-1] + 2 * EDGE_EPS, (k - 0.5) / 16, [0.0, 0.5 + 2 * EDGE_EPS]):
+            assert not np.any(band_index(PAPER_SPEC, f))
+
+    def test_touching_bands_give_a_point_its_nearest_band(self):
+        # rho - D < 2e-12 D^2: the widened bands k and k + 1 overlap around (k + 1/2)/D
+        D = 2 ** 20
+        s = GcfSpec(D=D, f_c=(1 - 1e-9) / (2 * D))
+        k = np.arange(1, 6)
+        lo, hi = folding_bands(s)
+        for f, nearest in (((k + 0.5) / D - 0.4 * EDGE_EPS, k), ((k + 0.5) / D + 0.4 * EDGE_EPS, k + 1)):
+            assert np.all((f <= hi[k - 1] + EDGE_EPS) & (f >= lo[k] - EDGE_EPS))  # in both widened bands
+            assert np.array_equal(band_index(s, f), nearest)
 
 
 class TestCombResponse:
@@ -178,8 +200,8 @@ class TestPolyphaseReassembly:
 
 
 def default_grid(spec):
-    bands = folding_bands(spec)
-    return bands, grid_frequencies(bands)
+    freqs = grid_frequencies(folding_bands(spec))
+    return freqs, band_index(spec, freqs)
 
 
 # Every split but the pure cascade (the same form on both sides) at D = 16,
@@ -193,15 +215,15 @@ class TestBandPeaks:
         # numpy evaluates a product of large temporaries in place, with its
         # operands swapped; the response must not depend on the grid size
         s = GcfSpec.from_oversampling(256, 512, p_p=3)
-        _, f = default_grid(s)
+        f, _ = default_grid(s)
         idx = np.sort(np.random.default_rng(3).choice(len(f), 302, replace=False))
         assert np.array_equal(gcf_response(s, f)[idx], gcf_response(s, f[idx]))
 
     @pytest.mark.parametrize("D,pp,rho", GAP_POINTS, ids=[f"D{D}-pp{pp}-rho{rho}" for D, pp, rho in GAP_POINTS])
     def test_cascade_form_is_within_the_gap_bound(self, D, pp, rho):
         s = GcfSpec.from_oversampling(D, rho, p_p=pp)
-        bands, f = default_grid(s)
-        f = f[bands.contains(f)]
+        f, band = default_grid(s)
+        f = f[band > 0]
         cascade = GcfSpec.from_oversampling(D, rho)
         gap = np.abs(np.abs(gcf_response(s, f)) - np.abs(gcf_response(cascade, f)))
         assert np.max(gap) <= _form_gap_bound(s)
@@ -212,20 +234,19 @@ class TestBandPeaks:
                                           (1024, 8, 8192)])
     def test_equal_to_the_whole_grid_band_maxima(self, D, pp, rho):
         s = GcfSpec.from_oversampling(D, rho, p_p=pp)
-        bands, f = default_grid(s)
+        f, band = default_grid(s)
         mag = np.abs(gcf_response(s, f))
-        want = [np.max(mag[m]) for m in bands.band_masks(f)]
-        assert np.array_equal(band_peaks(s, bands, f), want)
+        want = [np.max(mag[m]) for m in OldFoldingBandSet(s).band_masks(f)]
+        assert np.array_equal(band_peaks(s, f, band), want)
 
 
 class TestResponseGrid:
     def test_construction_contract(self):
         s = spec_for(16)
-        fb = folding_bands(s)
-        freqs = grid_frequencies(fb, 65, 4096)
+        freqs = grid_frequencies(folding_bands(s), 65, 4096)
         assert len(freqs) >= 4096
         assert np.all(np.diff(freqs) > 0)
-        for lo, hi in fb.bands:
+        for lo, hi in zip(*folding_bands(s)):
             inside = (freqs >= lo) & (freqs <= hi)
             assert inside.sum() >= 65
             assert np.any(np.isclose(freqs, lo))
@@ -240,10 +261,9 @@ class TestResponseGrid:
 
     def test_folding_centres_are_zeros_for_comb_case(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
-        fb = folding_bands(s)
-        freqs = grid_frequencies(fb)
+        freqs = grid_frequencies(folding_bands(s))
         magnitude = np.abs(gcf_response(s, freqs))
-        for k in range(1, len(fb.bands) + 1):
+        for k in range(1, 16 // 2 + 1):
             # k/D, not the interval midpoint: the last band is clipped at Nyquist
             idx = np.argmin(np.abs(freqs - k / 16))
             assert freqs[idx] == pytest.approx(k / 16, abs=1e-12)
@@ -258,7 +278,7 @@ class TestResponseGrid:
 class TestWorstCaseAttenuation:
     def test_comb_reference_value(self):
         # independent oracle: |comb| is largest at the innermost band edge
-        mag = in_band_magnitude(comb_response, PAPER_SPEC, folding_bands(PAPER_SPEC))
+        mag = in_band_magnitude(comb_response, PAPER_SPEC, PAPER_SPEC)
         f_edge = 1 / 16 - 1 / 128
         ratio = math.sin(math.pi * f_edge * 16) / (16 * math.sin(math.pi * f_edge))
         expected = -20 * math.log10(abs(ratio) ** 3)
@@ -267,9 +287,8 @@ class TestWorstCaseAttenuation:
 
     def test_gcf_improvement_about_8db(self):
         s = spec_for(16)  # rho = 64
-        fb = folding_bands(PAPER_SPEC)
-        att_gcf = worst_case_attenuation(in_band_magnitude(gcf_response, s, fb))
-        att_comb = worst_case_attenuation(in_band_magnitude(comb_response, PAPER_SPEC, fb))
+        att_gcf = worst_case_attenuation(in_band_magnitude(gcf_response, s, PAPER_SPEC))
+        att_comb = worst_case_attenuation(in_band_magnitude(comb_response, PAPER_SPEC, PAPER_SPEC))
         assert att_gcf - att_comb == pytest.approx(8.0, abs=2.0)
 
     def test_zero_band_capped(self):
@@ -283,10 +302,9 @@ class TestWorstCaseAttenuation:
 class TestGridCsv:
     def test_schema_and_extras(self, tmp_path):
         s = spec_for(8)
-        fb = folding_bands(s)
-        freqs = grid_frequencies(fb, 5, 32)
+        freqs = grid_frequencies(folding_bands(s), 5, 32)
         path = tmp_path / "grid.csv"
-        grid_to_csv(path, freqs, gcf_response(s, freqs), fb.contains(freqs),
+        grid_to_csv(path, freqs, gcf_response(s, freqs), band_index(s, freqs) > 0,
                     extra={"s_t": np.arange(len(freqs), dtype=float)})
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "freq,re,im,magnitude,magnitude_dB,in_band,s_t"

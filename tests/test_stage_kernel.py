@@ -3,7 +3,8 @@
 The functions prefixed ``old_`` are the stage-factor loops as they were
 written out in spectral, wordlength and cli before the kernel existed, and
 the earlier forms of rewritten outputs: the whole-grid Monte Carlo, the
-csv.writer export and the per-band magnitudes of comparison.csv.  They are
+csv.writer export, the per-band magnitudes of comparison.csv and the
+folding bands held as tuples, with one full-grid pass per band.  They are
 kept here, frozen, as oracles.  Every quantity that feeds a sized word
 length or an artifact must be bit-identical to them.  So must the Monte
 Carlo's d|H| at D1 = 1.  At D1 > 1 its kernel perturbs the designed filter,
@@ -31,6 +32,8 @@ from gcfkit.filters import (
     write_json,
 )
 from gcfkit.spectral import (
+    band_index,
+    band_maxima,
     cascade_response,
     folding_bands,
     grid_frequencies,
@@ -153,10 +156,70 @@ def spec_of(D, pp, rho):
     return GcfSpec.from_oversampling(D, rho, p_p=pp)
 
 
-def in_band_freqs(spec, points_per_band=17, global_points=512):
+class OldFoldingBandSet:
+    """The folding bands of spec as tuples (lo, hi), one full-grid pass per band."""
+
+    EDGE_EPS = 1e-12  # so that grid points at k/D +/- f_c count as in-band
+
+    def __init__(self, spec):
+        D, f_c = spec.D, spec.f_c
+        self.bands = tuple((k / D - f_c, min(k / D + f_c, 0.5)) for k in range(1, D // 2 + 1))
+
+    def band_masks(self, freqs):
+        """One boolean mask per band, each band widened by EDGE_EPS."""
+        freqs = np.asarray(freqs, dtype=float)
+        for lo, hi in self.bands:
+            yield (freqs >= lo - self.EDGE_EPS) & (freqs <= hi + self.EDGE_EPS)
+
+    def contains(self, freqs):
+        """Boolean mask of frequencies lying inside any folding band."""
+        mask = np.zeros(np.shape(freqs), dtype=bool)
+        for band in self.band_masks(freqs):
+            mask |= band
+        return mask
+
+    def grid_frequencies(self, points_per_band, global_points):
+        """The response grid, refined band by band."""
+        pieces = [np.linspace(0.0, 0.5, global_points)]
+        for lo, hi in self.bands:
+            seg = np.linspace(lo, hi, points_per_band)
+            center = (lo + hi) / 2.0
+            pieces.append(seg)
+            pieces.append(np.array([center]))
+        return np.unique(np.concatenate(pieces))
+
+
+BAND_GRIDS = [(129, 4096), (17, 512), (2, 0), (5, 4097), (129, 1)]
+
+
+@pytest.mark.parametrize("rho_per_D", [1 + 1e-7, 1.5, 2, 3.3, 4, 8, 100.7])
+@pytest.mark.parametrize("D", [2 ** p for p in range(1, 13)])
+def test_band_arrays_match_old_loops(D, rho_per_D):
+    spec = spec_of(D, -1, rho_per_D * D)
+    old = OldFoldingBandSet(spec)
     bands = folding_bands(spec)
-    freqs = grid_frequencies(bands, points_per_band, global_points)
-    return freqs, freqs[bands.contains(freqs)]
+    assert np.array_equal(np.column_stack(bands), np.reshape(old.bands, (-1, 2)))
+    rng = np.random.default_rng(D)
+    for grid in BAND_GRIDS:
+        freqs = grid_frequencies(bands, *grid)
+        assert np.array_equal(freqs, old.grid_frequencies(*grid))
+        band = band_index(spec, freqs)
+        values = rng.permutation(len(freqs)).astype(float)
+        # band k of every point of old mask k, so want_band > 0 is old.contains
+        want_band = np.zeros(len(freqs), dtype=np.intp)
+        want_max = []
+        for k, m in enumerate(old.band_masks(freqs), start=1):
+            idx = np.flatnonzero(m)
+            assert not np.any(want_band[idx])  # no point lies in two bands
+            want_band[idx] = k
+            want_max.append(np.max(values[idx]))
+        assert np.array_equal(band, want_band)
+        assert np.array_equal(band_maxima(values, band, D), want_max)
+
+
+def in_band_freqs(spec, points_per_band=17, global_points=512):
+    freqs = grid_frequencies(folding_bands(spec), points_per_band, global_points)
+    return freqs, freqs[band_index(spec, freqs) > 0]
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)
@@ -364,9 +427,9 @@ def test_one_pass_sensitivity_matches_three_cases(D, normalized):
 @pytest.mark.parametrize("rho_per_D", [2, 4])
 @pytest.mark.parametrize("D", [16, 32, 64, 256, 1024])
 def test_one_pass_sensitivity_sizes_as_three_cases(D, rho_per_D):
-    bands = folding_bands(spec_of(D, -1, rho_per_D * D))
-    freqs = grid_frequencies(bands)
-    freqs = freqs[bands.contains(freqs)]
+    spec = spec_of(D, -1, rho_per_D * D)
+    freqs = grid_frequencies(folding_bands(spec))
+    freqs = freqs[band_index(spec, freqs) > 0]
     for pp in range(-1, D.bit_length() - 1):
         spec = spec_of(D, pp, rho_per_D * D)
         new = sensitivity(spec, freqs)
@@ -378,8 +441,8 @@ def test_one_pass_sensitivity_sizes_as_three_cases(D, rho_per_D):
 
 
 def old_fractional_bits(spec, tol, points_per_band, global_points):
-    bands = folding_bands(spec)
-    freqs = grid_frequencies(bands, points_per_band, global_points)
+    bands = OldFoldingBandSet(spec)
+    freqs = bands.grid_frequencies(points_per_band, global_points)
     mask = bands.contains(freqs)
     st = sensitivity(spec, freqs[mask]).s_t
     with np.errstate(divide="ignore"):
@@ -410,8 +473,8 @@ def old_fn_sweep(cfg, path):
 ])
 def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid):
     cfg = cli.DesignConfig(decimation_factor=D, oversampling_ratio=rho, **grid)
-    _, freqs, mask = cli._grid(cfg, cfg.spec())
-    cli._write_fn_sweep(cfg.spec(), freqs[mask], str(tmp_path))
+    freqs, band = cli._grid(cfg, cfg.spec())
+    cli._write_fn_sweep(cfg.spec(), freqs[band > 0], str(tmp_path))
     old_fn_sweep(cfg, tmp_path / "old.csv")
     assert (tmp_path / "fn_sweep.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -419,8 +482,8 @@ def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid):
 def old_cmd_sensitivity_csv(cfg, path):
     """sensitivity.csv as written with its own S_T evaluation for each column."""
     spec = cfg.spec()
-    bands = folding_bands(spec)
-    freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
+    bands = OldFoldingBandSet(spec)
+    freqs = bands.grid_frequencies(cfg.points_per_band, cfg.global_points)
     mask = bands.contains(freqs)
     result = sensitivity(spec, freqs)
     sigma_dh = sensitivity(spec, freqs).sigma_dh
@@ -464,8 +527,8 @@ def test_write_columns_matches_csv_writer(tmp_path):
 def old_comparison_csv(cfg, path):
     """comparison.csv as written with the grid magnitudes recomputed per band."""
     spec = cfg.spec()
-    bands = folding_bands(spec)
-    freqs = grid_frequencies(bands, cfg.points_per_band, cfg.global_points)
+    bands = OldFoldingBandSet(spec)
+    freqs = bands.grid_frequencies(cfg.points_per_band, cfg.global_points)
     gcf = gcf_response(spec, freqs)
     comb = spectral.comb_response(spec, freqs)
     with open(path, "w") as fh:

@@ -10,6 +10,7 @@ from gcfkit import (
     GcfSpec,
     ParameterError,
     ToleranceSpec,
+    band_index,
     cascade_derivative_magnitudes,
     design_wordlengths,
     folding_bands,
@@ -187,9 +188,8 @@ class TestSensitivity:
 
 def default_grid(spec):
     """spec's default response-grid frequencies and their in-band mask."""
-    bands = folding_bands(spec)
-    freqs = grid_frequencies(bands)
-    return freqs, bands.contains(freqs)
+    freqs = grid_frequencies(folding_bands(spec))
+    return freqs, band_index(spec, freqs) > 0
 
 
 def in_band(spec):
@@ -201,8 +201,7 @@ class TestFractionalBits:
     def test_paper_design_point(self):
         f_n, binding_freq = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC)).fraction_bits(PAPER_TOL)
         assert f_n == 7
-        fb = folding_bands(PAPER_SPEC)
-        assert fb.contains(np.array([binding_freq]))[0]
+        assert band_index(PAPER_SPEC, np.array([binding_freq]))[0] > 0
 
     def test_halving_chi_adds_one_bit(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
@@ -274,6 +273,12 @@ class TestQuantize:
         for f_n in (0, 3, 9):
             q = quantize_coefficients(v, f_n)
             assert np.max(np.abs(q - v)) <= 2.0 ** -f_n / 2 + 1e-15
+
+    def test_overflowing_scale_keeps_the_values(self):
+        # at f_n = 1023, |v| * 2**f_n overflows for |v| >= 2, where v is a multiple of 2**-f_n
+        v = np.array([2.998496374942524, -2.0, 1.5, -0.1, 5e-324, 1e308])
+        q = quantize_coefficients(v, 1023)
+        assert np.array_equal(q, [2.998496374942524, -2.0, 1.5, -0.1, 0.0, 1e308])
 
 
 class TestQuantizationErrorResponse:
