@@ -147,19 +147,17 @@ def polyphase_impulse(spec: GcfSpec) -> np.ndarray:
 def expand_full_polynomial(spec: GcfSpec) -> np.ndarray:
     """Coefficients of H_P(z) * H_N(z) as one polynomial of degree 3(D-1).
 
-    Brute-force expansion used as the oracle for factorization identities:
-    the polyphase bank (already expressed in full-rate delays) is multiplied
-    by every sparse cascade-stage factor.
+    The polyphase bank (already expressed in full-rate delays) times every
+    sparse cascade stage 1 + r_k (z**-2**k + z**-2*2**k) + z**-3*2**k,
+    each as four shifted adds, z**-3*2**k first: O(length) per stage.
     """
     poly = polyphase_impulse(spec)
     for k in spec.cascade_stages:
-        r_k = stage_multiplier(spec.alpha, k)
-        stage = np.zeros(3 * 2 ** k + 1)
-        stage[0] = 1.0
-        stage[2 ** k] = r_k
-        stage[2 * 2 ** k] = r_k
-        stage[3 * 2 ** k] = 1.0
-        poly = np.convolve(poly, stage)
+        d, r_k = 2 ** k, stage_multiplier(spec.alpha, k)
+        out = np.zeros(len(poly) + 3 * d)
+        for shift, c in ((3 * d, 1.0), (2 * d, r_k), (d, r_k), (0, 1.0)):
+            out[shift:shift + len(poly)] += c * poly
+        poly = out
     return poly
 
 

@@ -154,13 +154,14 @@ def gcf_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
 def _form_gap_bound(spec: GcfSpec) -> float:
     """Bound eps on the gap between |gcf_response| of spec and of its pure-cascade form.
 
-    eps = ((pi + 1) L + 16 p) 2**-53 sum|h_p| / |sum h_p|, L = 3 D1 - 2: the
-    terms bound the phase rounding of fl(w m) over the L taps, the L-term
-    sum and the stage product, relative to the unit DC gain.
+    eps = ((pi + 1) L + 16 p) 2**-53, L = 3 D1 - 2: the terms bound the
+    phase rounding of fl(w m) over the L taps, the L-term sum and the stage
+    product, relative to the unit DC gain.  They scale with sum|h_p| /
+    |sum h_p|, which is 1: h_p is a product of stages 1, r_k, r_k, 1 with
+    r_k > 1 (2**k alpha < pi/2), so every tap is positive.
     """
-    h_p = polyphase_impulse(spec)
     L = 3 * spec.D1 - 2
-    return ((np.pi + 1.0) * L + 16.0 * spec.p) * 2.0 ** -53 * float(np.abs(h_p).sum() / abs(h_p.sum()))
+    return ((np.pi + 1.0) * L + 16.0 * spec.p) * 2.0 ** -53
 
 
 def band_peaks(spec: GcfSpec, freqs: np.ndarray, band: np.ndarray) -> np.ndarray:
