@@ -22,7 +22,6 @@ from .spectral import (
     worst_case_attenuation,
 )
 from .wordlength import (
-    MonteCarloRun,
     SensitivityResult,
     ToleranceSpec,
     WordLengthReport,

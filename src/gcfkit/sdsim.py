@@ -5,8 +5,8 @@ The modulator is the standard double-integrator feedback loop with a 2-level
 quantizer (both feedback taps unity), giving (1 - z^-1)**2 noise shaping.
 All processing runs in normalized frequency; a physical sampling rate is
 never used here (`gcfkit simulate` records it in config.json only).  Every
-stage walks the signal in blocks of _SAMPLE_BLOCK samples, so only the test
-signal (8 B/sample) and the int8 bitstream (1 B/sample) span the whole run.
+stage walks the signal in blocks of _SAMPLE_BLOCK samples; the test signal
+(8 B/sample) is freed once modulated, so only the int8 bitstream spans the run.
 """
 
 from __future__ import annotations
@@ -237,8 +237,7 @@ def run_experiment(
         raise ParameterError(f"n_samples {n_samples} gives fewer than 2 output samples at D={spec.D}")
     _check_welch_args(segment, n_samples, overlap_fraction)
     _check_decimator_args(spec, i_n, f_n)
-    x = generate_bandlimited_signal(spec.f_c, amplitude, n_samples, seed)
-    mod = sd_modulate(x)
+    mod = sd_modulate(generate_bandlimited_signal(spec.f_c, amplitude, n_samples, seed))  # frees the signal
     decimated = decimate_fixed_point(mod.bits, spec, i_n, f_n)
     psd_in = welch_psd(mod.bits, segment, overlap_fraction)
     psd_out = welch_psd(decimated, min(segment, len(decimated)), overlap_fraction)

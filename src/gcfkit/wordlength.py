@@ -102,6 +102,8 @@ class SensitivityResult:
         binding_freq.
         """
         st = self.s_t
+        if len(st) == 0:
+            raise ParameterError("no frequencies to size F_n over")
         if np.all(st <= 0.0):
             raise InternalError("S_T vanished identically over the folding bands")
         with np.errstate(divide="ignore", over="ignore"):
@@ -306,8 +308,6 @@ def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
     evaluation order.  The columns are the polyphase taps (none when D1 = 1,
     whose unit tap is wiring, not a multiplier) and then the cascade r_k.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     half_lsb = 2.0 ** -f_n / 2.0
     n_taps = 3 * spec.D1 - 2 if spec.D1 > 1 else 0
     size = n_taps + len(spec.cascade_stages)
@@ -397,29 +397,12 @@ def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
         yield delta[:, :nf]
 
 
-@dataclass(frozen=True)
-class MonteCarloRun:
-    """Monte Carlo d|H| statistics at in-band frequencies next to the model sigma_dh."""
+def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, freqs: np.ndarray) -> tuple:
+    """(error_std, sigma_dh, coverage) of f_n-bit multiplier noise at the in-band freqs.
 
-    freqs: np.ndarray
-    error_std: np.ndarray  # per-frequency empirical std of d|H|
-    sigma_dh: np.ndarray
-    trials: int
-    covered: int  # (trial, in-band point) pairs with |d|H|| <= y * sigma_dh
-
-    def coverage(self) -> float:
-        """Fraction of (trial, in-band point) pairs with |d|H|| <= y * sigma_dh.
-
-        Fewer than 1000 trials is rejected (the estimate is too unstable to
-        act on).
-        """
-        if self.trials < 1000:
-            raise ParameterError(f"trials must be >= 1000, got {self.trials}")
-        return self.covered / (self.trials * len(self.freqs))
-
-
-def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, freqs: np.ndarray) -> MonteCarloRun:
-    """d|H| of f_n-bit multiplier noise at the in-band freqs, deterministic given seed.
+    Deterministic given seed: per frequency the std of d|H| over the trials
+    and the model std, and the fraction of (trial, frequency) pairs with
+    |d|H|| <= y * sigma_dh.  Fewer than 1000 trials or no freqs raise before any draw.
 
     The noise perturbs the designed filter (see _mc_delta_h), so no tap
     vector is built.  The frequencies are walked in tiles of _FREQ_BLOCK
@@ -431,6 +414,10 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
     _mc_draws keeps the whole trials x multipliers matrix, 8 bytes per draw
     (0.8 MB at D=256, p_p=3 and 49 MB at D=1024, p_p=9, with 2000 trials).
     """
+    if trials < 1000:
+        raise ParameterError(f"trials must be >= 1000, got {trials}")
+    if len(freqs) == 0:
+        raise ParameterError("the Monte Carlo needs at least one in-band frequency")
     sens = sensitivity(spec, freqs)
     sigma_dh = sens.sigma_dh(f_n)
     bound = y * sigma_dh
@@ -450,10 +437,7 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
             count += b
             covered += int(np.count_nonzero(np.abs(block) <= bound[lo:hi]))
         error_std[lo:hi] = np.sqrt(m2 / count)
-    return MonteCarloRun(
-        freqs=sens.freqs, error_std=error_std, sigma_dh=sigma_dh,
-        trials=trials, covered=covered,
-    )
+    return error_std, sigma_dh, covered / (trials * len(sens.freqs))
 
 
 def design_wordlengths(spec: GcfSpec, tol: ToleranceSpec, input_width: int, freqs: np.ndarray) -> WordLengthReport:

@@ -231,7 +231,7 @@ def test_criterion_5_sensitivity_correctness():
 # 6. statistical model validation (Gaussian-model windows)
 # --------------------------------------------------------------------------
 def test_criterion_6a_coverage_y2():
-    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
+    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC))[2]
     ok = 0.93 <= cov <= 0.97
     detail = (f"coverage at y=2: {cov:.4f} (target window [0.93, 0.97]; the single "
               f"dominant multiplier per band makes the error uniform, whose +/-2 sigma "
@@ -241,7 +241,7 @@ def test_criterion_6a_coverage_y2():
 
 
 def test_criterion_6b_coverage_y1():
-    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=1.0, freqs=in_band(PAPER_SPEC)).coverage()
+    cov = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=1.0, freqs=in_band(PAPER_SPEC))[2]
     ok = 0.66 <= cov <= 0.71
     detail = (f"coverage at y=1: {cov:.4f} (target window [0.66, 0.71]; a uniform "
               f"variable lies within 1 sigma with probability 1/sqrt(3) ~= 0.577)")
@@ -251,8 +251,7 @@ def test_criterion_6b_coverage_y1():
 
 @pytest.mark.parametrize("f_n", [6, 7])
 def test_criterion_6c_per_frequency_std(f_n):
-    run = monte_carlo_run(PAPER_SPEC, f_n, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC))
-    emp, model = run.error_std, run.sigma_dh
+    emp, model, _ = monte_carlo_run(PAPER_SPEC, f_n, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC))
     live = model > 1e-18
     ratio = emp[live] / model[live]
     n_bad = int(np.sum(np.abs(ratio - 1.0) > 0.10))
@@ -267,12 +266,27 @@ def test_criterion_6c_per_frequency_std(f_n):
 
 def test_criterion_6_model_upper_bound_holds():
     # the defensible half of the model: sigma_dm*sqrt(S_T) bounds the true std
-    run = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC))
-    emp, model = run.error_std, run.sigma_dh
+    emp, model, _ = monte_carlo_run(PAPER_SPEC, 7, trials=2000, seed=SEED, y=2.0, freqs=in_band(PAPER_SPEC))
     ok = bool(np.all(emp <= 1.1 * model + 1e-18))
     detail = f"empirical std <= 1.1 * model everywhere: {ok} (max ratio {np.max(np.where(model>0, emp/np.maximum(model,1e-300), 0)):.3f})"
     report("6 (upper bound)", ok, detail)
     assert ok, detail
+
+
+def test_criterion_6_known_red_measures_are_pinned():
+    # the values the known-red 6a-6c tests print, pinned so that a change to
+    # the Monte Carlo cannot move them unnoticed; D1 = 1 here, so no BLAS
+    # product rounds the d|H| rows and the values are exact
+    runs = {(f_n, y): monte_carlo_run(PAPER_SPEC, f_n, trials=2000, seed=SEED, y=y, freqs=in_band(PAPER_SPEC))
+            for f_n, y in ((7, 2.0), (7, 1.0), (6, 2.0))}
+    assert f"{runs[7, 2.0][2]:.4f}" == "0.9985"
+    assert f"{runs[7, 1.0][2]:.4f}" == "0.6045"
+    for f_n, n_bad in ((6, 523), (7, 361)):
+        emp, model, _ = runs[f_n, 2.0]
+        live = model > 1e-18
+        ratio = emp[live] / model[live]
+        outside = int(np.sum(np.abs(ratio - 1.0) > 0.10))
+        assert (outside, int(live.sum()), f"{ratio.min():.2f}") == (n_bad, 1983, "0.50")
 
 
 # --------------------------------------------------------------------------

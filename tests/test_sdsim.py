@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -254,6 +255,26 @@ class TestExperiment:
         monkeypatch.setattr(sdsim, "generate_bandlimited_signal", generator_ran)
         with pytest.raises(ParameterError, match=message):
             run_experiment(spec, PAPER_I_N, f_n, 0.5, 2 ** 14, 5, segment=1024)
+
+    def test_signal_is_freed_once_modulated(self, monkeypatch):
+        # only the int8 bitstream, not the 8 B/sample test signal, lives on
+        # through decimation and Welch
+        signals = []
+        generate, decimate = sdsim.generate_bandlimited_signal, sdsim.decimate_fixed_point
+
+        def generating(*args):
+            x = generate(*args)
+            signals.append(weakref.ref(x))
+            return x
+
+        def decimating(*args):
+            assert signals and signals[0]() is None, "the test signal outlived the modulator"
+            return decimate(*args)
+
+        monkeypatch.setattr(sdsim, "generate_bandlimited_signal", generating)
+        monkeypatch.setattr(sdsim, "decimate_fixed_point", decimating)
+        run = self.make_run()
+        assert len(signals) == 1 and len(run.decimated) == 2 ** 14 // 16
 
     def test_silent_input(self):
         run = self.make_run(amplitude=0.0)

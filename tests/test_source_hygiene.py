@@ -1,9 +1,9 @@
 """Static checks on the gcfkit sources, with the stdlib ast.
 
-No module imports a name it does not use, and every function, class and
+No module imports a name it does not use, every function, class and
 method defined in the package is referenced somewhere in the package other
-than the re-exports of __init__: code that only the tests use is deleted,
-not kept.
+than the re-exports of __init__, and every dataclass field is read there:
+code that only the tests use is deleted, not kept.
 """
 
 import ast
@@ -59,3 +59,28 @@ def test_every_definition_is_used_in_the_package():
     unused = [(module, name, line) for module, tree in MODULES.items()
               for name, line in definitions(tree) if name not in used]
     assert not unused, f"defined but used only outside src/gcfkit (or nowhere): {unused}"
+
+
+def dataclass_fields(tree):
+    """(class, field, line) of every field of every @dataclass class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1] == "dataclass"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def read_attributes(tree):
+    """Every attribute the module reads (loads, not stores)."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # a field only the tests read (or nobody) is an echo of its constructor's
+    # arguments; passing a value at construction is not a read
+    read = set().union(*(read_attributes(tree) for name, tree in MODULES.items() if name != "__init__"))
+    unread = [(module, cls, field, line) for module, tree in MODULES.items()
+              for cls, field, line in dataclass_fields(tree) if field not in read]
+    assert not unread, f"dataclass fields never read in src/gcfkit: {unread}"

@@ -320,13 +320,14 @@ def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, 
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", trials)
     one_block = np.vstack(list(_mc_delta_h(spec, draws, in_band_freqs(spec)[1])))
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
-    run = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, in_band_freqs(spec)[1])
-    rows = np.vstack(list(_mc_delta_h(spec, draws, run.freqs)))
+    freqs = in_band_freqs(spec)[1]
+    error_std, sigma_dh, cov = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, freqs)
+    rows = np.vstack(list(_mc_delta_h(spec, draws, freqs)))
     assert np.array_equal(rows, one_block)  # trial-block streaming is exact
-    assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, run.freqs))
+    assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, freqs))
     std = rows.std(axis=0)
-    assert np.all(np.abs(run.error_std - std) <= 1e-12 * std)
-    assert run.coverage() == np.mean(np.abs(rows) <= 2.0 * run.sigma_dh[None, :])
+    assert np.all(np.abs(error_std - std) <= 1e-12 * std)
+    assert cov == np.mean(np.abs(rows) <= 2.0 * sigma_dh[None, :])
 
 
 def old_monte_carlo_run(spec, f_n, trials, seed, y, points_per_band, global_points):
@@ -361,7 +362,7 @@ MC_GRIDS = {16: (97, 4096), 64: (65, 1024), 256: (17, 512)}
 def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
     spec = spec_of(D, pp, rho)
     grid = MC_GRIDS[D]
-    std, covered = old_monte_carlo_run(spec, 9, 129, 4, 2.0, *grid)  # trial blocks of 64 and 65
+    std, covered = old_monte_carlo_run(spec, 9, 1025, 4, 2.0, *grid)  # a last trial block of 65
     nf = len(std)
     tiles = []
     tile_delta_h = wordlength._mc_delta_h
@@ -375,16 +376,16 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
     for size in (nf, ragged, 300, 1024):
         tiles.clear()
         monkeypatch.setattr(wordlength, "_FREQ_BLOCK", size)
-        run = wordlength.monte_carlo_run(spec, 9, 129, 4, 2.0, in_band_freqs(spec, *grid)[1])
+        error_std, _, cov = wordlength.monte_carlo_run(spec, 9, 1025, 4, 2.0, in_band_freqs(spec, *grid)[1])
         if size == nf:
-            whole = run.error_std
+            whole = error_std
             if spec.D1 == 1:
                 assert np.array_equal(whole, std)
             else:  # the pair-folded kernel moves d|H| at roundoff (see assert_matches_old_mc)
                 assert np.all(np.abs(whole - std) <= 1e-12 * std)
         assert sum(tiles) == nf
-        assert np.array_equal(run.error_std, whole)  # tiling is exact
-        assert run.covered == covered
+        assert np.array_equal(error_std, whole)  # tiling is exact
+        assert cov == covered / (1025 * nf)
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)

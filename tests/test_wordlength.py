@@ -8,7 +8,9 @@ import pytest
 
 from gcfkit import (
     GcfSpec,
+    InternalError,
     ParameterError,
+    SensitivityResult,
     ToleranceSpec,
     band_index,
     cascade_derivative_magnitudes,
@@ -230,6 +232,18 @@ class TestFractionalBits:
         s = GcfSpec.from_oversampling(4, 5.0, p_p=1)  # S_T = L = 10
         assert sensitivity(s, in_band(s)).fraction_bits(ToleranceSpec(1e-4, 2.2250738585e-313))[0] == 0
 
+    def test_no_frequencies_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="no frequencies"):
+            sensitivity(PAPER_SPEC, np.array([])).fraction_bits(PAPER_TOL)
+        with pytest.raises(ParameterError, match="no frequencies"):
+            design_wordlengths(PAPER_SPEC, PAPER_TOL, 1, np.array([]))
+
+    def test_vanishing_sensitivity_is_an_internal_error(self):
+        sens = SensitivityResult(freqs=np.array([0.1, 0.2]), s_t=np.zeros(2), case_tag="full-cascade",
+                                 n_multipliers=4)
+        with pytest.raises(InternalError, match="vanished"):
+            sens.fraction_bits(PAPER_TOL)
+
 
 class TestIntegerBits:
     def test_growth_exact_for_comb_case(self):
@@ -323,27 +337,39 @@ def mc_rows(spec, f_n, trials, seed, freqs):
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
-        a = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
-        b = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
-        c = monte_carlo_run(PAPER_SPEC, 7, 1000, 12, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
+        a = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC))[2]
+        b = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC))[2]
+        c = monte_carlo_run(PAPER_SPEC, 7, 1000, 12, y=2.0, freqs=in_band(PAPER_SPEC))[2]
         assert a == b
         assert a != c
 
     def test_trials_floor(self):
         with pytest.raises(ParameterError):
-            monte_carlo_run(PAPER_SPEC, 7, 10, 1, y=2.0, freqs=in_band(PAPER_SPEC)).coverage()
+            monte_carlo_run(PAPER_SPEC, 7, 10, 1, y=2.0, freqs=in_band(PAPER_SPEC))
+
+    @pytest.mark.parametrize("trials,freqs,message", [
+        (999, in_band(PAPER_SPEC), "trials must be >= 1000, got 999"),
+        (1000, np.array([]), "at least one in-band frequency"),
+    ], ids=["999-trials", "no-freqs"])
+    def test_rejected_before_any_draw(self, trials, freqs, message, monkeypatch):
+        def drew(*args):
+            raise AssertionError("the Monte Carlo drew before checking its arguments")
+
+        monkeypatch.setattr(wordlength, "_mc_draws", drew)
+        with pytest.raises(ParameterError, match=message):
+            monte_carlo_run(PAPER_SPEC, 7, trials, 1, y=2.0, freqs=freqs)
 
     def test_vanishing_interval(self):
-        cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 3, y=1e-6, freqs=in_band(PAPER_SPEC)).coverage()
+        cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 3, y=1e-6, freqs=in_band(PAPER_SPEC))[2]
         assert cov <= 0.05
 
     def test_model_std_is_upper_bound(self):
-        run = monte_carlo_run(PAPER_SPEC, 7, 1500, 21, y=2.0, freqs=in_band(PAPER_SPEC))
-        assert np.all(run.error_std <= 1.1 * run.sigma_dh + 1e-18)
+        error_std, sigma_dh, _ = monte_carlo_run(PAPER_SPEC, 7, 1500, 21, y=2.0, freqs=in_band(PAPER_SPEC))
+        assert np.all(error_std <= 1.1 * sigma_dh + 1e-18)
 
     def test_full_polyphase_coverage_near_gaussian(self):
         s = GcfSpec(D=16, f_c=1 / 128, p_p=3)
-        cov = monte_carlo_run(s, 12, 1000, 8, y=2.0, freqs=in_band(s)).coverage()
+        cov = monte_carlo_run(s, 12, 1000, 8, y=2.0, freqs=in_band(s))[2]
         assert 0.93 <= cov <= 1.0
 
     def test_trial_substreams_independent_of_total(self):
@@ -382,18 +408,17 @@ class TestMonteCarlo:
         n_taps = 3 * s.D1 - 2
         tracemalloc.start()
         try:
-            monte_carlo_run(s, 16, 64, 1, y=2.0, freqs=in_band(s))
+            monte_carlo_run(s, 16, 1025, 1, y=2.0, freqs=in_band(s))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < nf * n_taps * 8 / 4
 
     def test_one_run_gives_std_and_coverage(self):
-        run = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC))
-        rows = mc_rows(PAPER_SPEC, 7, 1000, 11, run.freqs)
-        assert run.trials == 1000
-        assert np.max(np.abs(run.error_std - rows.std(axis=0))) <= 1e-12 * np.max(rows.std(axis=0))
-        assert run.coverage() == np.mean(np.abs(rows) <= 2.0 * run.sigma_dh[None, :])
+        error_std, sigma_dh, cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC))
+        rows = mc_rows(PAPER_SPEC, 7, 1000, 11, in_band(PAPER_SPEC))
+        assert np.max(np.abs(error_std - rows.std(axis=0))) <= 1e-12 * np.max(rows.std(axis=0))
+        assert cov == np.mean(np.abs(rows) <= 2.0 * sigma_dh[None, :])
 
     def test_bank_split_builds_no_tap_vector(self, monkeypatch):
         # the draws perturb the designed filter, whose bank is the stage product
@@ -403,8 +428,8 @@ class TestMonteCarlo:
         s = GcfSpec.from_oversampling(64, 256, p_p=1)
         monkeypatch.setattr(wordlength, "polyphase_impulse", forbidden)
         monkeypatch.setattr(wordlength, "rounded_multipliers", forbidden)
-        run = monte_carlo_run(s, 15, 1000, 3, y=2.0, freqs=in_band(s))
-        assert run.trials == 1000 and np.all(np.isfinite(run.error_std))
+        error_std, _, _ = monte_carlo_run(s, 15, 1000, 3, y=2.0, freqs=in_band(s))
+        assert np.all(np.isfinite(error_std))
 
 
 class TestReport:
