@@ -299,6 +299,10 @@ def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> t
 # are (block x in-band points of a tile), whatever the number of trials.
 _MC_TRIAL_BLOCK = 64
 
+# Cascade stages per product of the Monte Carlo: a group of g stages expands
+# into 2**g terms, so each product has depth 16 at most.
+_MC_STAGE_GROUP = 4
+
 
 def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
     """Uniform multiplier noise on [-2**-f_n/2, +2**-f_n/2], shape (trials, taps + stages).
@@ -325,74 +329,84 @@ def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
     about its centre c = (L - 1) / 2 it is the real amplitude
     A = prod_k stage_bracket(w, k, r_k) / (2 + 2 r_k), of unit DC gain.
     L = 3 D1 - 2 is even when D1 > 1, and theta_n = w (n - c) is exactly
-    -theta_{L-1-n}, so the tap errors e_n fold into pairs:
+    -theta_{L-1-n}, so the tap errors e_n fold into pairs, n < L/2:
 
-        |H_P| = |A + sum_{n < L/2} (e_n + e_{L-1-n}) cos theta_n
-                 - j (e_n - e_{L-1-n}) sin theta_n|.
+        |H_P| = |[e_n + e_{L-1-n}, 1] @ [cos theta_n; A] - j (e_n - e_{L-1-n}) @ sin theta_n|.
 
-    A block of _MC_TRIAL_BLOCK trials costs two real products of depth
-    L/2, whose terms are about 2**-f_n, so the rounding of theta is far
-    below A's own.  A, the pair cosines and the stage cosines are built once
-    for the given freqs; each stage's factor 2 is taken into the DC divisor,
-    which is exact.
+    With b_k = stage_bracket(w, k, r_k) and c_k = stage_derivative(w, k),
+    each group G of up to _MC_STAGE_GROUP cascade stages multiplies out as
 
-    The pair sums are real matrix products, rounded by the BLAS kernel
-    picked for their shape.  A one-row product goes through gemv, which
-    rounds otherwise, so a trailing block of one trial joins the block
-    before it; blocks of two rows or more give the same rows as one block of
-    all trials.  The frequencies are padded to a multiple of 16 columns, so
-    that no column goes through an edge kernel, and each row is the same
-    for any tiling of freqs.
+        prod_{k in G} (b_k + e_k c_k) = sum_{S in G} prod_{k in S} e_k c_k prod_{k in G - S} b_k,
+
+    one product of depth 2**|G| against rows built once for the given freqs,
+    so the drawn e_k enter as they are, not through fl(r_k + e_k).  The
+    first group's rows carry 1 / dc, and the largest term of each product,
+    A or prod b_k, comes last.
+
+    The products are rounded by the BLAS kernel picked for their shape.  A
+    one-row product goes through gemv, which rounds otherwise, so a trailing
+    block of one trial joins the block before it; blocks of two rows or more
+    give the same rows as one block of all trials.  The frequencies are
+    padded with zeros to a multiple of 16 columns, so that no column goes
+    through an edge kernel, and each row is the same for any tiling of
+    freqs.  The products write into buffers made once per call: each yielded
+    block is a view that the next block overwrites.
     """
     nf = len(freqs)
-    # zero frequencies up to a multiple of 16 columns: then no column of the
-    # products goes through a BLAS edge kernel, whose rounding differs
     w = np.zeros(-(-nf // 16) * 16)
     w[:nf] = 2.0 * np.pi * np.asarray(freqs, dtype=float)
     ks = list(spec.cascade_stages)
-    r = np.asarray(stage_coefficients(spec))
+    r = stage_coefficients(spec)
     n_taps = draws.shape[1] - len(ks)  # 0 for the unit tap of D1 = 1
     half = n_taps // 2
-    amplitude = np.ones(len(w))
+    cos_basis = np.empty((half + 1, len(w)))  # the pair cosines, then A
+    cos_basis[half] = 1.0
     for k in range(spec.p_p + 1):
         r_k = stage_multiplier(spec.alpha, k)
-        amplitude *= stage_bracket(w, k, r_k) / (2.0 + 2.0 * r_k)
+        cos_basis[half] *= stage_bracket(w, k, r_k) / (2.0 + 2.0 * r_k)
     theta = np.outer(np.arange(half) - (n_taps - 1) / 2.0, w)
-    cos_t, sin_t = np.cos(theta), np.sin(theta, out=theta)
-    stage_cos = [(np.cos(3.0 * 2.0 ** (k - 1) * w), np.cos(2.0 ** (k - 1) * w)) for k in ks]
-    dc = stage_dc_gain(r) / 2.0 ** len(ks)
+    np.cos(theta, out=cos_basis[:half])
+    sin_basis = np.sin(theta, out=theta)
+    groups = {}  # the first cascade column of each group: the rows of its F_S
+    for lo in range(0, len(ks), _MC_STAGE_GROUP):
+        basis = np.ones((1, len(w)))
+        for k, r_k in zip(ks[lo:lo + _MC_STAGE_GROUP], r[lo:lo + _MC_STAGE_GROUP]):
+            basis = np.concatenate((basis * stage_derivative(w, k), basis * stage_bracket(w, k, r_k)))
+        groups[lo] = basis / stage_dc_gain(r) if lo == 0 else basis
 
-    stops = [*range(_MC_TRIAL_BLOCK, len(draws) - 1, _MC_TRIAL_BLOCK), len(draws)]
-    blocks = [draws[lo:hi] for lo, hi in zip([0, *stops], stops)]
-    im_rows = np.empty((max(map(len, blocks)), len(w)))  # work rows, reused by every block
-    buf_rows = np.empty_like(im_rows)
+    n = len(draws)
+    mag_rows = np.empty((min(n, _MC_TRIAL_BLOCK + 1), len(w)))  # the yielded rows
+    work_rows = np.empty_like(mag_rows)  # the bank's imaginary part, then each group's product
 
-    def magnitude(block):
-        """|H| / dc of the designed filter plus each row of block, shape (rows, nf)."""
-        im, buf = im_rows[:len(block)], buf_rows[:len(block)]
+    def magnitude(block, mag):
+        """|H| / dc of the designed filter plus each row of block, written to mag."""
+        work = work_rows[:len(block)]
         if n_taps:
             errors = block[:, :n_taps]
             head, tail = errors[:, :half], errors[:, ::-1][:, :half]
-            mag = (head + tail) @ cos_t
-            mag += amplitude
-            np.matmul(head - tail, sin_t, out=im)
+            np.matmul(head - tail, sin_basis, out=work)
+            pairs = np.ones((len(block), half + 1))
+            np.add(head, tail, out=pairs[:, :half])
+            np.matmul(pairs, cos_basis, out=mag)
             mag *= mag
-            im *= im
-            mag += im
+            work *= work
+            mag += work
             np.sqrt(mag, out=mag)
-        else:
-            mag = np.ones((len(block), len(w)))
-        for (cos3, cos1), r_q in zip(stage_cos, (r[None, :] + block[:, n_taps:]).T):
-            np.multiply(r_q[:, None], cos1, out=buf)
-            buf += cos3
-            mag *= buf
+        for lo, basis in groups.items():
+            terms = np.ones((len(block), 1))  # prod_{k in S} e_k, in the order of the rows of basis
+            for e_k in block[:, n_taps + lo:][:, :_MC_STAGE_GROUP].T:
+                terms = np.hstack((terms * e_k[:, None], terms))
+            if n_taps or lo:
+                mag *= np.matmul(terms, basis, out=work)
+            else:
+                np.matmul(terms, basis, out=mag)
         np.abs(mag, out=mag)
-        mag /= dc
         return mag
 
-    base = magnitude(np.zeros((1, draws.shape[1])))
-    for block in blocks:
-        delta = magnitude(block)
+    base = magnitude(np.zeros((1, draws.shape[1])), np.empty((1, len(w))))
+    for lo in range(0, max(n - 1, 1), _MC_TRIAL_BLOCK):
+        hi = lo + _MC_TRIAL_BLOCK if lo + _MC_TRIAL_BLOCK < n - 1 else n  # a last row joins its block
+        delta = magnitude(draws[lo:hi], mag_rows[:hi - lo])
         delta -= base
         yield delta[:, :nf]
 
@@ -406,13 +420,13 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
 
     The noise perturbs the designed filter (see _mc_delta_h), so no tap
     vector is built.  The frequencies are walked in tiles of _FREQ_BLOCK
-    frequencies, and each tile's trial blocks are reduced one at a time:
-    each block's per-frequency count, mean and M2 are merged into the tile's
-    running ones (the pairwise update of Chan, Golub and LeVeque, 1979), and
-    the pairs within y * sigma_dh are counted.  So the per-block temporaries
-    are bounded whatever the trial count and grid size.  The draws are not:
-    _mc_draws keeps the whole trials x multipliers matrix, 8 bytes per draw
-    (0.8 MB at D=256, p_p=3 and 49 MB at D=1024, p_p=9, with 2000 trials).
+    frequencies, and each tile's trial blocks are reduced one at a time
+    into per-frequency sums of d|H| and of its square, with
+    std = sqrt(sum d**2 / n - mean**2), and into the count of pairs within
+    y * sigma_dh.  So the per-block temporaries are bounded whatever the
+    trial count and grid size.  The draws are not: _mc_draws keeps the whole
+    trials x multipliers matrix, 8 bytes per draw (0.8 MB at D=256, p_p=3
+    and 49 MB at D=1024, p_p=9, with 2000 trials).
     """
     if trials < 1000:
         raise ParameterError(f"trials must be >= 1000, got {trials}")
@@ -426,17 +440,13 @@ def monte_carlo_run(spec: GcfSpec, f_n: int, trials: int, seed: int, y: float, f
     covered = 0
     for lo in range(0, len(sens.freqs), _FREQ_BLOCK):
         hi = lo + _FREQ_BLOCK
-        count, mean, m2 = 0, 0.0, 0.0
+        total, total_sq = 0.0, 0.0
         for block in _mc_delta_h(spec, draws, sens.freqs[lo:hi]):
-            b = len(block)
-            b_mean = block.mean(axis=0)
-            b_m2 = ((block - b_mean) ** 2).sum(axis=0)
-            delta = b_mean - mean
-            mean = mean + delta * (b / (count + b))
-            m2 = m2 + b_m2 + delta ** 2 * (count * b / (count + b))
-            count += b
+            total = total + block.sum(axis=0)
+            total_sq = total_sq + np.einsum("ij,ij->j", block, block)
             covered += int(np.count_nonzero(np.abs(block) <= bound[lo:hi]))
-        error_std[lo:hi] = np.sqrt(m2 / count)
+        mean = total / trials
+        error_std[lo:hi] = np.sqrt(total_sq / trials - mean * mean)
     return error_std, sigma_dh, covered / (trials * len(sens.freqs))
 
 

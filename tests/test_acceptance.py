@@ -275,8 +275,8 @@ def test_criterion_6_model_upper_bound_holds():
 
 def test_criterion_6_known_red_measures_are_pinned():
     # the values the known-red 6a-6c tests print, pinned so that a change to
-    # the Monte Carlo cannot move them unnoticed; D1 = 1 here, so no BLAS
-    # product rounds the d|H| rows and the values are exact
+    # the Monte Carlo cannot move them unnoticed; the d|H| rows come from BLAS
+    # products, which round them, but no count or printed digit moves
     runs = {(f_n, y): monte_carlo_run(PAPER_SPEC, f_n, trials=2000, seed=SEED, y=y, freqs=in_band(PAPER_SPEC))
             for f_n, y in ((7, 2.0), (7, 1.0), (6, 2.0))}
     assert f"{runs[7, 2.0][2]:.4f}" == "0.9985"

@@ -2,17 +2,18 @@
 
 The functions prefixed ``old_`` are the stage-factor loops as they were
 written out in spectral, wordlength and cli before the kernel existed, and
-the earlier forms of rewritten outputs: the whole-grid Monte Carlo, the
-csv.writer export, the per-band magnitudes of comparison.csv and the
-folding bands held as tuples, with one full-grid pass per band.  They are
-kept here, frozen, as oracles.  Every quantity that feeds a sized word
-length or an artifact must be bit-identical to them.  So must the Monte
-Carlo's d|H| at D1 = 1.  At D1 > 1 its kernel perturbs the designed filter,
-whose bank is the stage product, with pair-folded tap errors, and may differ
-from old_mc_delta_h, which perturbs the float taps, at roundoff (within
+the earlier forms of rewritten outputs: the whole-grid Monte Carlo and its
+pair-folded kernel, the csv.writer export, the per-band magnitudes of
+comparison.csv and the folding bands held as tuples, with one full-grid pass
+per band.  They are kept here, frozen, as oracles.  Every quantity that
+feeds a sized word length or an artifact must be bit-identical to them.  The
+Monte Carlo's d|H| is the exception: its kernel multiplies out the perturbed
+stage product and perturbs the designed filter, whose bank is the stage
+product, with pair-folded tap errors.  So it may differ from old_mc_delta_h,
+which perturbs the float taps and rounds r_k + e_k, at roundoff (within
 1e-11 of the largest |d|H|), because tests/test_mc_kernel_accuracy.py shows
-it to be at least as close to a 40-digit evaluation about either filter, in
-the largest and in the median error.
+it to be at least as close to a 40-digit evaluation as the kernels it
+replaced.
 """
 
 import csv
@@ -127,6 +128,49 @@ def old_mc_delta_h(spec, f_n, trials, seed, freqs):
             quant = quant * np.abs(amp)
         out[lo:hi] = quant / dc - base[None, :]
     return out
+
+
+def old_pair_folded_mc_delta_h(spec, draws, freqs):
+    """d|H| rows of the kernel that rounded r_k + e_k and multiplied the stage factors one by one."""
+    nf = len(freqs)
+    w = np.zeros(-(-nf // 16) * 16)
+    w[:nf] = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+    ks = list(spec.cascade_stages)
+    r = np.asarray(stage_coefficients(spec))
+    n_taps = draws.shape[1] - len(ks)
+    half = n_taps // 2
+    amplitude = np.ones(len(w))
+    for k in range(spec.p_p + 1):
+        r_k = stage_multiplier(spec.alpha, k)
+        amplitude *= stage_bracket(w, k, r_k) / (2.0 + 2.0 * r_k)
+    theta = np.outer(np.arange(half) - (n_taps - 1) / 2.0, w)
+    cos_t, sin_t = np.cos(theta), np.sin(theta, out=theta)
+    stage_cos = [(np.cos(3.0 * 2.0 ** (k - 1) * w), np.cos(2.0 ** (k - 1) * w)) for k in ks]
+    dc = stage_dc_gain(r) / 2.0 ** len(ks)
+    stops = [*range(wordlength._MC_TRIAL_BLOCK, len(draws) - 1, wordlength._MC_TRIAL_BLOCK), len(draws)]
+    blocks = [draws[lo:hi] for lo, hi in zip([0, *stops], stops)]
+
+    def magnitude(block):
+        if n_taps:
+            errors = block[:, :n_taps]
+            head, tail = errors[:, :half], errors[:, ::-1][:, :half]
+            mag = (head + tail) @ cos_t
+            mag += amplitude
+            im = (head - tail) @ sin_t
+            mag *= mag
+            im *= im
+            mag += im
+            np.sqrt(mag, out=mag)
+        else:
+            mag = np.ones((len(block), len(w)))
+        for (cos3, cos1), r_q in zip(stage_cos, (r[None, :] + block[:, n_taps:]).T):
+            mag *= r_q[:, None] * cos1 + cos3
+        np.abs(mag, out=mag)
+        mag /= dc
+        return mag
+
+    base = magnitude(np.zeros((1, draws.shape[1])))
+    return np.vstack([magnitude(block) - base for block in blocks])[:, :nf]
 
 
 def old_stage_magnitude(spec, freqs, ks, normalized):
@@ -288,19 +332,21 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
     assert np.array_equal(delta_h, np.abs(quant) / dc_quant - np.abs(exact) / dc_exact)
 
 
-def assert_matches_old_mc(spec, rows, old):
-    """Bit-identical at D1 = 1; at D1 > 1, within 1e-11 of the rows' largest |d|H|.
+def stack_rows(blocks):
+    """The yielded d|H| blocks as one array; each block is copied before the next overwrites it."""
+    return np.vstack([block.copy() for block in blocks])
 
-    With a bank, the stage-product amplitude plus the pair-folded real sums
-    of the tap errors replace the complex tap matrix of the float taps, which
+
+def assert_matches_old_mc(rows, old):
+    """Within 1e-11 of the rows' largest |d|H|.
+
+    The multiplied-out stage product, and with a bank the stage-product
+    amplitude plus the pair-folded real sums of the tap errors, replace the
+    rounded r_k + e_k and the complex tap matrix of the float taps, which
     moves d|H| at roundoff; tests/test_mc_kernel_accuracy.py shows the new
-    values to be at least as close to a 40-digit evaluation, about the float
-    taps and about the designed filter.
+    values to be at least as close to a 40-digit evaluation.
     """
-    if spec.D1 == 1:
-        assert np.array_equal(rows, old)
-    else:
-        assert np.max(np.abs(rows - old)) <= 1e-11 * np.max(np.abs(old))
+    assert np.max(np.abs(rows - old)) <= 1e-11 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("trials", [65, 70])  # a last block of one trial, and of six
@@ -308,8 +354,10 @@ def assert_matches_old_mc(spec, rows, old):
 def test_mc_delta_h_matches_old(D, pp, rho, trials):
     spec = spec_of(D, pp, rho)
     _, fi = in_band_freqs(spec)
-    rows = np.vstack(list(_mc_delta_h(spec, _mc_draws(spec, 9, trials, 4), fi)))
-    assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, fi))
+    draws = _mc_draws(spec, 9, trials, 4)
+    rows = stack_rows(_mc_delta_h(spec, draws, fi))
+    assert_matches_old_mc(rows, old_mc_delta_h(spec, 9, trials, 4, fi))
+    assert_matches_old_mc(rows, old_pair_folded_mc_delta_h(spec, draws, fi))
 
 
 @pytest.mark.parametrize("trials,block", [(1000, 37), (1002, 40)])  # a last block of 1, and of 2
@@ -318,13 +366,13 @@ def test_streamed_monte_carlo_matches_stacked_blocks(D, pp, rho, trials, block, 
     spec = spec_of(D, pp, rho)
     draws = _mc_draws(spec, 9, trials, 4)
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", trials)
-    one_block = np.vstack(list(_mc_delta_h(spec, draws, in_band_freqs(spec)[1])))
+    one_block = stack_rows(_mc_delta_h(spec, draws, in_band_freqs(spec)[1]))
     monkeypatch.setattr(wordlength, "_MC_TRIAL_BLOCK", block)
     freqs = in_band_freqs(spec)[1]
     error_std, sigma_dh, cov = wordlength.monte_carlo_run(spec, 9, trials, 4, 2.0, freqs)
-    rows = np.vstack(list(_mc_delta_h(spec, draws, freqs)))
+    rows = stack_rows(_mc_delta_h(spec, draws, freqs))
     assert np.array_equal(rows, one_block)  # trial-block streaming is exact
-    assert_matches_old_mc(spec, rows, old_mc_delta_h(spec, 9, trials, 4, freqs))
+    assert_matches_old_mc(rows, old_mc_delta_h(spec, 9, trials, 4, freqs))
     std = rows.std(axis=0)
     assert np.all(np.abs(error_std - std) <= 1e-12 * std)
     assert cov == np.mean(np.abs(rows) <= 2.0 * sigma_dh[None, :])
@@ -379,10 +427,8 @@ def test_tiled_monte_carlo_matches_whole_grid(D, pp, rho, monkeypatch):
         error_std, _, cov = wordlength.monte_carlo_run(spec, 9, 1025, 4, 2.0, in_band_freqs(spec, *grid)[1])
         if size == nf:
             whole = error_std
-            if spec.D1 == 1:
-                assert np.array_equal(whole, std)
-            else:  # the pair-folded kernel moves d|H| at roundoff (see assert_matches_old_mc)
-                assert np.all(np.abs(whole - std) <= 1e-12 * std)
+            # the kernel moves d|H| at roundoff (see assert_matches_old_mc)
+            assert np.all(np.abs(whole - std) <= 1e-12 * std)
         assert sum(tiles) == nf
         assert np.array_equal(error_std, whole)  # tiling is exact
         assert cov == covered / (1025 * nf)

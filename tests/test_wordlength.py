@@ -332,7 +332,8 @@ class TestQuantizationErrorResponse:
 
 
 def mc_rows(spec, f_n, trials, seed, freqs):
-    return np.vstack(list(_mc_delta_h(spec, _mc_draws(spec, f_n, trials, seed), freqs)))
+    # each yielded block is a view of a buffer that the next block overwrites
+    return np.vstack([block.copy() for block in _mc_delta_h(spec, _mc_draws(spec, f_n, trials, seed), freqs)])
 
 
 class TestMonteCarlo:
@@ -413,6 +414,34 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < nf * n_taps * 8 / 4
+
+    def test_memory_grows_with_trials_only_by_the_draws(self):
+        # the bases and work rows are made once per tile and the coefficient
+        # rows once per block, so 3000 more trials add only their draws; the
+        # 1 MiB allows for one-time allocations, which moved the growth by
+        # 0.74 MB between test orders (a per-run coefficient matrix adds 9.2 MB)
+        s = GcfSpec.from_oversampling(256, 512, p_p=7)
+        freqs = grid_frequencies(folding_bands(s), 17, 512)
+        freqs = freqs[band_index(s, freqs) > 0][:wordlength._FREQ_BLOCK]
+        peaks = []
+        for trials in (1000, 4000):
+            tracemalloc.start()
+            try:
+                monte_carlo_run(s, 16, trials, 1, y=2.0, freqs=freqs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3000 * (3 * s.D1 - 2) * 8 + 2 ** 20
+
+    def test_split_point_measures_are_pinned(self):
+        # D1 > 1, so BLAS products round the d|H| rows; the coverage count,
+        # the largest std / sigma_dh and the points above the model std
+        s = GcfSpec.from_oversampling(256, 512, p_p=3)
+        error_std, sigma_dh, cov = monte_carlo_run(s, 16, 2000, 1, y=2.0, freqs=in_band(s))
+        nf = len(in_band(s))
+        assert (round(cov * 2000 * nf), 2000 * nf) == (36_864_218, 37_102_000)
+        assert f"{np.max(error_std / sigma_dh):.4f}" == "1.0032"
+        assert int(np.sum(error_std > sigma_dh)) == 27
 
     def test_one_run_gives_std_and_coverage(self):
         error_std, sigma_dh, cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 11, y=2.0, freqs=in_band(PAPER_SPEC))
