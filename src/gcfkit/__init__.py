@@ -25,7 +25,6 @@ from .wordlength import (
     SensitivityResult,
     ToleranceSpec,
     WordLengthReport,
-    cascade_derivative_magnitudes,
     design_wordlengths,
     integer_bits,
     monte_carlo_run,

@@ -47,12 +47,13 @@ from .spectral import (
     gcf_response,
     grid_frequencies,
     grid_to_csv,
+    stage_bracket,
+    stage_derivative,
     worst_case_attenuation,
 )
 from .wordlength import (
     DEFAULT_Y,
     ToleranceSpec,
-    cascade_derivative_magnitudes,
     design_wordlengths,
     monte_carlo_run,
     quantization_error_response,
@@ -173,6 +174,21 @@ def _grid(cfg: DesignConfig, spec: GcfSpec):
     return freqs, band_index(spec, freqs)
 
 
+def _check_sizes(cfg: DesignConfig, spec: GcfSpec, command: str) -> None:
+    """Reject, from its size alone, an array of the command that exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n_taps = 3 * spec.D1 - 2 if spec.D1 > 1 else 0
+    arrays = [("grid", "points", cfg.global_points + spec.D // 2 * (cfg.points_per_band + 1), 8)]
+    if command == "validate":
+        arrays.append(("Monte Carlo draw matrix", "draws", cfg.trials * (n_taps + len(spec.cascade_stages)), 8))
+    if command == "simulate":  # the float test signal and its int8 bitstream
+        arrays.append(("signal", "samples", cfg.n_samples, 9))
+    for name, unit, count, width in arrays:
+        if count * width > memory:
+            raise ParameterError(f"the {name} of {count} {unit} needs {count * width} bytes, "
+                                 f"more than the {memory} bytes of physical memory")
+
+
 def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
     """F_n over every split of D, the standard chi triple and both working y.
 
@@ -259,19 +275,19 @@ def _check_split_invariance(spec: GcfSpec) -> tuple[bool, str]:
 
 def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
     caspec = replace(spec, p_p=-1)
-    rng = np.random.default_rng(seed)
-    freqs = rng.uniform(0.01, 0.49, size=50)
-    analytic = cascade_derivative_magnitudes(caspec, freqs)
-    r = np.asarray(stage_coefficients(caspec))
-    ks = caspec.cascade_stages
+    freqs = np.random.default_rng(seed).uniform(0.01, 0.49, size=50)
+    ks = np.asarray(caspec.cascade_stages)[:, None]  # row k: stage k and its r_k
+    r = np.asarray(stage_coefficients(caspec))[:, None]
     step = 1e-6
-    worst = 0.0
-    for u in range(len(r)):
-        hi = r.copy(); hi[u] += step
-        lo = r.copy(); lo[u] -= step
-        fd = np.abs((cascade_response(freqs, ks, hi) - cascade_response(freqs, ks, lo)) / (2 * step))
-        rel = np.max(np.abs(fd - analytic[u]) / np.maximum(np.abs(analytic[u]), 1e-30))
-        worst = max(worst, float(rel))
+    eye = np.eye(len(r))
+    # stage k takes the column r_k +/- step I[k], so row u is H(r +/- step e_u)
+    hi, lo = (cascade_response(freqs, caspec.cascade_stages, (r + s * eye)[..., None]) for s in (step, -step))
+    fd = np.abs((hi - lo) / (2 * step))
+    # row u: the other brackets' product (a 1 in place u) times c_u, last, as the details were recorded
+    w = 2.0 * np.pi * freqs
+    others = np.prod(np.where(eye[..., None], 1.0, stage_bracket(w, ks, r)), axis=1)
+    analytic = np.abs(stage_derivative(w, ks) * others)
+    worst = float(np.max(np.abs(fd - analytic) / np.maximum(analytic, 1e-30)))
     return worst <= 1e-5, f"sensitivity_fd: max rel err {worst:.3e} (tol 1e-5)"
 
 
@@ -399,6 +415,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(path, overrides)
         spec, tol = cfg.spec(), cfg.tolerance()
+        _check_sizes(cfg, spec, command)
         try:
             os.makedirs(cfg.output_dir, exist_ok=True)
         except OSError as exc:

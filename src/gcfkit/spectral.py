@@ -79,15 +79,15 @@ def comb_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
 def stage_bracket(w: np.ndarray, k: int, r_k) -> np.ndarray:
     """Real factor 2(cos(3*2^{k-1}w) + r_k cos(2^{k-1}w)) of full-rate stage k.
 
-    w is in radians/sample.  r_k is a scalar, or a column of shape (m, 1)
-    giving one row of factors per value.
+    w is in radians/sample.  k and r_k are scalars, or columns of shape
+    (m, 1) giving one row of factors per entry.
     """
     half = 2.0 ** (k - 1)
     return 2.0 * (np.cos(3.0 * half * w) + r_k * np.cos(half * w))
 
 
 def stage_derivative(w: np.ndarray, k: int) -> np.ndarray:
-    """d/dr_k of stage_bracket: 2 cos(2^{k-1}w), w in radians/sample."""
+    """d/dr_k of stage_bracket: 2 cos(2^{k-1}w), w in radians/sample, k as in stage_bracket."""
     return 2.0 * np.cos((2.0 ** (k - 1)) * w)
 
 
@@ -96,7 +96,8 @@ def cascade_response(f, stage_ks, r, start=None) -> np.ndarray:
 
     Each factor is applied as ((out * 2) * exp) * (b / 2) with b from
     stage_bracket; b / 2 is exact, and this order is the one the quantized
-    d|H| was recorded with, which cancels two nearly equal magnitudes.
+    d|H| was recorded with, which cancels two nearly equal magnitudes.  An
+    entry of r may be an (m, 1) column, which gives m rows.
     """
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
     out = np.ones_like(w, dtype=complex) if start is None else start

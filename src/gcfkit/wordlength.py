@@ -157,24 +157,6 @@ class WordLengthReport:
         return "\n".join(lines)
 
 
-def cascade_derivative_magnitudes(spec: GcfSpec, freqs) -> np.ndarray:
-    """|dH_N / dr_u| of the bare cascade for every stage, product form, shape (stages, nf).
-
-    Stage u's factor is replaced by its derivative 2 cos(2^{u-1}w); all other
-    stage factors are kept.  No division by stage factors occurs, so the
-    result is finite at the in-band zeros.
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    w = 2.0 * np.pi * freqs
-    ks = list(spec.cascade_stages)
-    brackets = [stage_bracket(w, k, r_k) for k, r_k in zip(ks, stage_coefficients(spec))]
-    out = np.empty((len(ks), len(w)))
-    for u, k in enumerate(ks):
-        others = np.prod(brackets[:u] + brackets[u + 1:], axis=0)  # 1.0 for a single stage
-        out[u] = np.abs(stage_derivative(w, k) * others)
-    return out
-
-
 def sensitivity(spec: GcfSpec, freqs) -> SensitivityResult:
     """Sensitivity function S_T over the given frequencies.
 

@@ -406,6 +406,40 @@ class TestConfigErrors:
         assert main(["design", "--config", str(path)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,quantity", [
+        (["design", "--decimation-factor", "1099511627776", "--oversampling-ratio", "2.2e12"], "grid"),
+        (["design", "--decimation-factor", "4611686018427387904", "--oversampling-ratio", "1e19"], "grid"),
+        (["compare", "--points-per-band", "100000000000"], "grid"),
+        (["design", "--global-points", "100000000000000"], "grid"),
+        (["validate", "--trials", "1000000000000000"], "Monte Carlo draw matrix"),
+        (["simulate", "--n-samples", "1152921504606846976"], "signal"),
+    ], ids=["design-D2^40", "design-D2^62", "compare-points-per-band", "design-global-points",
+            "validate-trials", "simulate-n-samples"])
+    def test_array_larger_than_memory_is_config_error(self, tmp_path, capsys, args, quantity):
+        # main rejects it from its size, before anything is allocated or written;
+        # a later flag overrides the D=16, rho=64 default of this test
+        outdir = tmp_path / "out"
+        command, *flags = args
+        base = ["--decimation-factor", "16", "--oversampling-ratio", "64", "--output-dir", str(outdir)]
+        assert main([command, *base, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the {quantity} of ") and "bytes of physical memory" in err, err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command,size", [("design", 8 * (4096 + 8 * 130)),
+                                              ("validate", 8 * 2000 * 4), ("simulate", 9 * 2 ** 18)])
+    def test_largest_array_is_checked_against_physical_memory(self, tmp_path, monkeypatch, capsys, command, size):
+        # at D=16, rho=64: 4096 + 8 x 130 grid points, 2000 trials of the 4
+        # cascade multipliers, 2**18 samples of 9 bytes
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size - 1}
+        monkeypatch.setattr("gcfkit.cli.os.sysconf", pages.get)
+        argv = [command, "--decimation-factor", "16", "--oversampling-ratio", "64",
+                "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"needs {size} bytes, more than the {size - 1} bytes" in capsys.readouterr().err
+        pages["SC_PHYS_PAGES"] = size
+        assert main(argv) == 0
+
     @pytest.mark.parametrize("kind", list(BAD_CONFIG_FILES))
     def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, kind):
         path = tmp_path / "config.json"

@@ -18,6 +18,7 @@ replaced.
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from gcfkit.spectral import (
     folding_bands,
     grid_frequencies,
     stage_bracket,
+    stage_derivative,
 )
 from gcfkit.wordlength import (
     _mc_delta_h,
@@ -179,13 +181,26 @@ def old_stage_magnitude(spec, freqs, ks, normalized):
     return mag / np.prod(2.0 + 2.0 * r) if normalized else mag
 
 
+def old_cascade_derivative_magnitudes(spec, freqs):
+    """|dH_N / dr_u| of the bare cascade for every stage, product form, shape (stages, nf)."""
+    freqs = np.asarray(freqs, dtype=float)
+    w = 2.0 * np.pi * freqs
+    ks = list(spec.cascade_stages)
+    brackets = [stage_bracket(w, k, r_k) for k, r_k in zip(ks, stage_coefficients(spec))]
+    out = np.empty((len(ks), len(w)))
+    for u, k in enumerate(ks):
+        others = np.prod(brackets[:u] + brackets[u + 1:], axis=0)  # 1.0 for a single stage
+        out[u] = np.abs(stage_derivative(w, k) * others)
+    return out
+
+
 def old_sensitivity(spec, freqs, normalized):
     """S_T by architecture case: a constant, the cascade sum, or L |H_N|**2 + |H_P|**2 x the cascade sum."""
     freqs = np.asarray(freqs, dtype=float)
     L = 3 * spec.D1 - 2
     if spec.p_p == spec.p - 1:
         return np.full(len(freqs), float(L))
-    d = wordlength.cascade_derivative_magnitudes(spec, freqs)
+    d = old_cascade_derivative_magnitudes(spec, freqs)
     if normalized:
         d = d / stage_dc_gain(stage_coefficients(spec))
     cascade_term = np.sum(d * d, axis=0)
@@ -194,6 +209,25 @@ def old_sensitivity(spec, freqs, normalized):
     hn_mag = old_stage_magnitude(spec, freqs, spec.cascade_stages, normalized)
     hp_mag = old_stage_magnitude(spec, freqs, range(spec.p_p + 1), normalized)
     return L * hn_mag ** 2 + (hp_mag ** 2) * cascade_term
+
+
+def old_check_sensitivity_fd(spec, seed):
+    """cli._check_sensitivity_fd with one pair of cascade responses per stage."""
+    caspec = replace(spec, p_p=-1)
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(0.01, 0.49, size=50)
+    analytic = old_cascade_derivative_magnitudes(caspec, freqs)
+    r = np.asarray(stage_coefficients(caspec))
+    ks = caspec.cascade_stages
+    step = 1e-6
+    worst = 0.0
+    for u in range(len(r)):
+        hi = r.copy(); hi[u] += step
+        lo = r.copy(); lo[u] -= step
+        fd = np.abs((cascade_response(freqs, ks, hi) - cascade_response(freqs, ks, lo)) / (2 * step))
+        rel = np.max(np.abs(fd - analytic[u]) / np.maximum(np.abs(analytic[u]), 1e-30))
+        worst = max(worst, float(rel))
+    return worst <= 1e-5, f"sensitivity_fd: max rel err {worst:.3e} (tol 1e-5)"
 
 
 def spec_of(D, pp, rho):
@@ -292,6 +326,28 @@ def test_stage_bracket_accepts_columns():
         assert got.shape == (5, len(freqs))
         for i, r_row in enumerate(rows):
             assert np.array_equal(got[i], old_stage_brackets(freqs, ks, r_row)[j])
+
+
+def test_cascade_response_accepts_columns():
+    spec = spec_of(64, 1, 256)
+    freqs, _ = in_band_freqs(spec)
+    ks = spec.cascade_stages
+    r = np.asarray(stage_coefficients(spec))
+    rows = r + 1e-6 * np.eye(len(r))  # row u: r + 1e-6 e_u
+    got = cascade_response(freqs, ks, rows.T[..., None])
+    assert got.shape == (len(r), len(freqs))
+    for u, r_row in enumerate(rows):
+        assert np.array_equal(got[u], cascade_response(freqs, ks, r_row))
+
+
+@pytest.mark.parametrize("rho_per_D", [2, 4])
+@pytest.mark.parametrize("D", [2, 16, 32, 256, 1024])
+def test_sensitivity_fd_check_matches_old(D, rho_per_D):
+    # the check differentiates the pure-cascade form at any split; at D=32,
+    # rho=64, seed 11 the detail string depends on multiplying c_u last
+    spec = spec_of(D, D.bit_length() - 2, rho_per_D * D)
+    for seed in range(21):
+        assert cli._check_sensitivity_fd(spec, seed) == old_check_sensitivity_fd(spec, seed)
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)

@@ -13,7 +13,6 @@ from gcfkit import (
     SensitivityResult,
     ToleranceSpec,
     band_index,
-    cascade_derivative_magnitudes,
     design_wordlengths,
     folding_bands,
     grid_frequencies,
@@ -26,17 +25,40 @@ from gcfkit import (
     stage_coefficients,
 )
 from gcfkit import wordlength
-from gcfkit.filters import polyphase_impulse, stage_dc_gain, write_json
-from gcfkit.spectral import cascade_response
+from gcfkit.filters import stage_dc_gain, write_json
+from gcfkit.spectral import cascade_response, stage_bracket, stage_derivative
 from gcfkit.wordlength import (
     _mc_delta_h,
     _mc_draws,
-    _response_from_multipliers,
 )
 
 
 def spec_for(D, p_p=-1, q=0.79, rho_factor=4):
     return GcfSpec.from_oversampling(D, rho_factor * D, p_p=p_p, q=q)
+
+
+def fd_sensitivity_terms(spec, freqs, step):
+    """|dH/dm|**2 of every multiplier m from central differences, one row per multiplier.
+
+    H is the unit-DC response over the fixed DC gain of the exact design: a
+    direct tap DTFT of the L = 3 D1 - 2 unit-DC bank taps (none at D1 = 1)
+    times the cascade.  The rows are the bank taps, then the cascade r_k, so
+    S_T is their sum.  H is affine in every multiplier, so the differences
+    have no truncation error at any step.
+    """
+    taps, r, _, _ = rounded_multipliers(spec, 0)
+    ks, dc, bank, rows = spec.cascade_stages, stage_dc_gain(r), None, []
+    if spec.D1 > 1:
+        phasors = np.exp(-2j * np.pi * np.outer(np.arange(len(taps)), freqs))
+        eye = np.eye(len(taps))  # row u of (taps +/- step eye) @ phasors is the bank of taps +/- step e_u
+        hi, lo = (cascade_response(freqs, ks, r, start=(taps + s * eye) @ phasors) for s in (step, -step))
+        rows.append((hi - lo) / (2 * step * dc))
+        bank = taps @ phasors
+    if len(r):
+        eye = np.eye(len(r))  # stage k takes the column r_k +/- step I[k], so row u is H(r +/- step e_u)
+        hi, lo = (cascade_response(freqs, ks, (r[:, None] + s * eye)[..., None], start=bank) for s in (step, -step))
+        rows.append((hi - lo) / (2 * step * dc))
+    return np.abs(np.concatenate(rows)) ** 2
 
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 64)  # D=16, D1=1, f_c = 1/128
@@ -89,8 +111,7 @@ class TestSensitivity:
     def test_single_stage_dc_unnormalized(self):
         # one stage, alpha=0: the bare dH/dr = 2 cos(w/2) e^{-j3w/2} -> |dH/dr|**2 = 4 at DC
         s = GcfSpec(D=2, f_c=1 / 16, q=0.0, p_p=-1)
-        d = cascade_derivative_magnitudes(s, np.array([0.0]))
-        assert d[0, 0] ** 2 == pytest.approx(4.0, rel=1e-12)
+        assert stage_derivative(np.array([0.0]), 0)[0] ** 2 == pytest.approx(4.0, rel=1e-12)
         # referenced to the DC gain 2 + 2 r = 8 of the stage
         assert sensitivity(s, np.array([0.0])).s_t[0] == pytest.approx(4.0 / 64.0, rel=1e-12)
 
@@ -101,91 +122,33 @@ class TestSensitivity:
         assert res.n_multipliers == (3 * 4 - 2) + 2
 
     @pytest.mark.parametrize("D", [2, 4, 8, 16, 32, 64, 128, 256])
-    def test_polyphase_magnitude_matches_dtft(self, D):
-        # S_T = L |H_N|**2 + |H_P|**2 sum_u |dH_N/dr_u|**2 with |H_P| from a
-        # direct DTFT of h_p: the stage product over k <= p_p that the one
-        # pass uses in its place is the polyphase section (split invariance)
-        freqs = np.linspace(0.0, 0.5, 257)
-        for p_p in range(D.bit_length() - 1):
+    def test_matches_central_differences_at_every_split(self, D):
+        # S_T is the sum of |dH/dm|**2 over every multiplier of the split: the
+        # bank taps through a direct DTFT (the stage product over k <= p_p that
+        # the one pass uses in its place is the bank, by split invariance) and
+        # each cascade r_k; the grid holds the zeros at 0 and 1/2
+        freqs = np.concatenate((np.linspace(0.0, 0.5, 257), np.random.default_rng(D).uniform(0.0, 0.5, 60)))
+        for p_p in range(-1, D.bit_length() - 1):
             s = spec_for(D, p_p=p_p)
-            h_p = polyphase_impulse(s)
-            dtft = np.abs(np.exp(-2j * np.pi * np.outer(freqs, np.arange(len(h_p)))) @ h_p)
-            r = np.asarray(stage_coefficients(s))
-            hn = np.abs(cascade_response(freqs, s.cascade_stages, r))
-            hp, dc = dtft / h_p.sum(), stage_dc_gain(r)
-            d = cascade_derivative_magnitudes(s, freqs) / dc
-            want = (3 * s.D1 - 2) * (hn / dc) ** 2 + hp ** 2 * np.sum(d * d, axis=0)
+            terms = fd_sensitivity_terms(s, freqs, step=1.0)
             got = sensitivity(s, freqs).s_t
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
-
-    @pytest.mark.parametrize("D,p_p", [(8, -1), (16, -1), (16, 1), (32, 2)])
-    def test_product_form_matches_finite_differences(self, D, p_p):
-        s = spec_for(D, p_p=p_p)
-        rng = np.random.default_rng(99)
-        freqs = rng.uniform(0.01, 0.49, 50)
-        analytic = cascade_derivative_magnitudes(s, freqs)
-        r = np.asarray(stage_coefficients(s))
-        ks = list(s.cascade_stages)
-        w = 2 * np.pi * freqs
-        step = 1e-6
-
-        def cascade(rv):
-            out = np.ones_like(w, dtype=complex)
-            for k, r_k in zip(ks, rv):
-                half = 2.0 ** (k - 1)
-                out = out * 2.0 * np.exp(-3j * half * w) * (np.cos(3 * half * w) + r_k * np.cos(half * w))
-            return out
-
-        for u in range(len(r)):
-            hi, lo = r.copy(), r.copy()
-            hi[u] += step
-            lo[u] -= step
-            fd = np.abs((cascade(hi) - cascade(lo)) / (2 * step))
-            np.testing.assert_allclose(fd, analytic[u], rtol=1e-5)
+            np.testing.assert_allclose(got, terms.sum(axis=0), rtol=1e-11, atol=1e-14 * np.max(got))
+            # every multiplier's term is at least half its share of S_T somewhere, so
+            # leaving one out would fail the comparison above
+            assert np.all(np.max(terms / np.maximum(got, 1e-300), axis=1) >= 0.5 / len(terms))
 
     def test_product_and_quotient_forms_agree_off_zeros(self):
+        # pure cascade: S_T = |H_N|**2 sum_u (c_u / b_u)**2 where no b_u vanishes
         s = PAPER_SPEC
         freqs = np.linspace(0.003, 0.497, 1500)
         w = 2 * np.pi * freqs
-        r = np.asarray(stage_coefficients(s))
-        product = cascade_derivative_magnitudes(s, freqs)
-        brackets = np.array([
-            2.0 * (np.cos(3 * 2.0 ** (k - 1) * w) + r_k * np.cos(2.0 ** (k - 1) * w))
-            for k, r_k in zip(s.cascade_stages, r)
-        ])
-        hn = np.abs(np.prod(brackets, axis=0))
-        for u, k in enumerate(s.cascade_stages):
-            half = 2.0 ** (k - 1)
-            denom = np.cos(3 * half * w) + r[u] * np.cos(half * w)
-            ok = np.abs(denom) > 1e-3
-            quotient = hn[ok] * np.abs(np.cos(half * w[ok]) / denom[ok])
-            np.testing.assert_allclose(product[u][ok], quotient, rtol=1e-8)
-
-    @pytest.mark.parametrize("p_p,case", [(-1, "full-cascade"), (0, "partial"), (3, "full-polyphase")])
-    def test_total_sensitivity_matches_multiplier_finite_differences(self, p_p, case):
-        # independent oracle over every stored multiplier, normalizer held fixed
-        s = spec_for(16, p_p=p_p)
-        freqs = np.array([0.0371, 0.0625, 0.1843, 0.3211, 0.4999])
-        taps, r, _, _ = rounded_multipliers(s, 8)
-        dc = taps.sum() * np.prod(2.0 + 2.0 * r)
-        step = 1e-7
-        total = np.zeros(len(freqs))
-        if s.D1 > 1:
-            for i in range(len(taps)):
-                hi, lo = taps.copy(), taps.copy()
-                hi[i] += step
-                lo[i] -= step
-                fd = np.subtract(*_response_from_multipliers(s, freqs, (hi, r), (lo, r))) / (2 * step * dc)
-                total += np.abs(fd) ** 2
-        for u in range(len(r)):
-            hi, lo = r.copy(), r.copy()
-            hi[u] += step
-            lo[u] -= step
-            fd = np.subtract(*_response_from_multipliers(s, freqs, (taps, hi), (taps, lo))) / (2 * step * dc)
-            total += np.abs(fd) ** 2
-        res = sensitivity(s, freqs)
-        assert res.case_tag == case
-        np.testing.assert_allclose(res.s_t, total, rtol=2e-4)
+        ks = np.asarray(s.cascade_stages)[:, None]
+        brackets = stage_bracket(w, ks, np.asarray(stage_coefficients(s))[:, None])
+        ok = np.all(np.abs(brackets) > 2e-3, axis=0)
+        hn2 = np.prod(brackets[:, ok], axis=0) ** 2
+        quotient = hn2 * np.sum((stage_derivative(w[ok], ks) / brackets[:, ok]) ** 2, axis=0)
+        dc = stage_dc_gain(stage_coefficients(s))
+        np.testing.assert_allclose(sensitivity(s, freqs[ok]).s_t, quotient / dc ** 2, rtol=1e-8)
 
 
 def default_grid(spec):
