@@ -47,7 +47,8 @@ def fd_sensitivity_terms(spec, freqs, step):
     have no truncation error at any step.
     """
     taps, r, _, _ = rounded_multipliers(spec, 0)
-    ks, dc, bank, rows = spec.cascade_stages, stage_dc_gain(r), None, []
+    ks, dc = spec.cascade_stages, stage_dc_gain(r)
+    bank, rows = None, []
     if spec.D1 > 1:
         phasors = np.exp(-2j * np.pi * np.outer(np.arange(len(taps)), freqs))
         eye = np.eye(len(taps))  # row u of (taps +/- step eye) @ phasors is the bank of taps +/- step e_u
