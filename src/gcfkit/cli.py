@@ -46,6 +46,7 @@ from .spectral import (
     folding_bands,
     gcf_response,
     grid_frequencies,
+    grid_size,
     grid_to_csv,
     stage_bracket,
     stage_derivative,
@@ -55,6 +56,7 @@ from .wordlength import (
     DEFAULT_Y,
     ToleranceSpec,
     design_wordlengths,
+    mc_draw_width,
     monte_carlo_run,
     quantization_error_response,
     rounded_multipliers,
@@ -177,10 +179,9 @@ def _grid(cfg: DesignConfig, spec: GcfSpec):
 def _check_sizes(cfg: DesignConfig, spec: GcfSpec, command: str) -> None:
     """Reject, from its size alone, an array of the command that exceeds physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    n_taps = 3 * spec.D1 - 2 if spec.D1 > 1 else 0
-    arrays = [("grid", "points", cfg.global_points + spec.D // 2 * (cfg.points_per_band + 1), 8)]
+    arrays = [("grid", "points", grid_size(spec, cfg.points_per_band, cfg.global_points), 8)]
     if command == "validate":
-        arrays.append(("Monte Carlo draw matrix", "draws", cfg.trials * (n_taps + len(spec.cascade_stages)), 8))
+        arrays.append(("Monte Carlo draw matrix", "draws", cfg.trials * mc_draw_width(spec), 8))
     if command == "simulate":  # the float test signal and its int8 bitstream
         arrays.append(("signal", "samples", cfg.n_samples, 9))
     for name, unit, count, width in arrays:
@@ -267,9 +268,8 @@ def _check_split_invariance(spec: GcfSpec) -> tuple[bool, str]:
     ref = expand_full_polynomial(replace(spec, p_p=-1))
     scale = np.max(np.abs(ref))
     worst = 0.0
-    for pp in range(0, spec.p):
-        other = expand_full_polynomial(replace(spec, p_p=pp))
-        worst = max(worst, float(np.max(np.abs(other - ref)) / scale))
+    for pp in range(spec.p):
+        worst = max(worst, float(np.max(np.abs(expand_full_polynomial(replace(spec, p_p=pp)) - ref)) / scale))
     return worst <= 1e-10, f"split_invariance: max rel diff {worst:.3e} (tol 1e-10)"
 
 
@@ -351,12 +351,10 @@ def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.
     with writing_artifact(path), open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, (lo, hi, comb, gcf) in enumerate(zip(*folding_bands(spec), comb_peaks, gcf_peaks), start=1):
-            att_g = worst_case_attenuation(gcf)
-            att_c = worst_case_attenuation(comb)
+            att_c, att_g = worst_case_attenuation(comb), worst_case_attenuation(gcf)
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
-    worst_g = worst_case_attenuation(gcf_peaks)
-    worst_c = worst_case_attenuation(comb_peaks)
+    worst_c, worst_g = worst_case_attenuation(comb_peaks), worst_case_attenuation(gcf_peaks)
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "
           f"improvement {worst_g - worst_c:.2f} dB")
     return EXIT_OK

@@ -203,6 +203,11 @@ def grid_frequencies(bands: tuple[np.ndarray, np.ndarray], points_per_band: int 
     ]))
 
 
+def grid_size(spec: GcfSpec, points_per_band: int, global_points: int) -> int:
+    """Points grid_frequencies(folding_bands(spec), ...) concatenates, before np.unique merges repeats."""
+    return global_points + spec.D // 2 * (points_per_band + 1)
+
+
 def worst_case_attenuation(in_band_magnitude) -> float:
     """-20 log10 of the largest in-band magnitude, capped for exact zeros.
 

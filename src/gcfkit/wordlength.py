@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -152,8 +153,7 @@ class WordLengthReport:
             f"input width            : {self.input_width}",
             "stage   g_k      I_n^k",
         ]
-        for k, (g, i) in enumerate(zip(self.g_k, self.i_n_k)):
-            lines.append(f"  {k:2d}   {g:6.3f}   {i:3d}")
+        lines += (f"  {k:2d}   {g:6.3f}   {i:3d}" for k, (g, i) in enumerate(zip(self.g_k, self.i_n_k)))
         return "\n".join(lines)
 
 
@@ -198,12 +198,7 @@ def integer_bits(spec: GcfSpec, input_width: int) -> tuple[tuple[float, ...], tu
     if input_width < 1:
         raise ParameterError(f"input_width must be >= 1, got {input_width}")
     g = tuple(math.log2(2.0 + 2.0 * r_k) for r_k in stage_coefficients(spec))
-    acc = 0
-    i_n = []
-    for g_k in g:
-        acc += math.ceil(g_k)
-        i_n.append(input_width + acc)
-    return g, tuple(i_n)
+    return g, tuple(input_width + acc for acc in accumulate(math.ceil(g_k) for g_k in g))
 
 
 def quantize_coefficients(values, f_n: int) -> np.ndarray:
@@ -286,21 +281,23 @@ _MC_TRIAL_BLOCK = 64
 _MC_STAGE_GROUP = 4
 
 
+def mc_draw_width(spec: GcfSpec) -> int:
+    """Columns of _mc_draws: the polyphase taps (none when D1 = 1, whose unit tap is wiring), then the r_k."""
+    return (3 * spec.D1 - 2 if spec.D1 > 1 else 0) + len(spec.cascade_stages)
+
+
 def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
-    """Uniform multiplier noise on [-2**-f_n/2, +2**-f_n/2], shape (trials, taps + stages).
+    """Uniform multiplier noise on [-2**-f_n/2, +2**-f_n/2], shape (trials, mc_draw_width(spec)).
 
     Every multiplier of the architecture gets an independent draw; trial t
     uses the substream seeded by (seed, t), so results do not depend on
-    evaluation order.  The columns are the polyphase taps (none when D1 = 1,
-    whose unit tap is wiring, not a multiplier) and then the cascade r_k.
+    evaluation order.
     """
     half_lsb = 2.0 ** -f_n / 2.0
-    n_taps = 3 * spec.D1 - 2 if spec.D1 > 1 else 0
-    size = n_taps + len(spec.cascade_stages)
+    size = mc_draw_width(spec)
     draws = np.empty((trials, size))
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        draws[t] = rng.uniform(-half_lsb, half_lsb, size=size)
+        draws[t] = np.random.default_rng([seed, t]).uniform(-half_lsb, half_lsb, size=size)
     return draws
 
 

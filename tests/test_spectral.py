@@ -22,6 +22,7 @@ from gcfkit.spectral import (
     _form_gap_bound,
     _polyphase_response,
     band_peaks,
+    grid_size,
     grid_to_csv,
 )
 from test_stage_kernel import OldFoldingBandSet
@@ -268,6 +269,15 @@ class TestResponseGrid:
             idx = np.argmin(np.abs(freqs - k / 16))
             assert freqs[idx] == pytest.approx(k / 16, abs=1e-12)
             assert magnitude[idx] <= 1e-13
+
+    @pytest.mark.parametrize("D,points_per_band,global_points", [(2, 2, 0), (16, 65, 4096), (256, 129, 7)])
+    def test_grid_size_counts_the_concatenated_points(self, monkeypatch, D, points_per_band, global_points):
+        # grid_size is the length of the grid before np.unique merges its repeats
+        s = spec_for(D)
+        n = grid_size(s, points_per_band, global_points)
+        assert len(grid_frequencies(folding_bands(s), points_per_band, global_points)) <= n
+        monkeypatch.setattr(np, "unique", lambda a: a)
+        assert len(grid_frequencies(folding_bands(s), points_per_band, global_points)) == n
 
     def test_rejects_sparse_bands(self):
         s = spec_for(16)

@@ -30,6 +30,8 @@ from gcfkit.spectral import cascade_response, stage_bracket, stage_derivative
 from gcfkit.wordlength import (
     _mc_delta_h,
     _mc_draws,
+    _response_from_multipliers,
+    mc_draw_width,
 )
 
 
@@ -112,7 +114,8 @@ class TestSensitivity:
     def test_single_stage_dc_unnormalized(self):
         # one stage, alpha=0: the bare dH/dr = 2 cos(w/2) e^{-j3w/2} -> |dH/dr|**2 = 4 at DC
         s = GcfSpec(D=2, f_c=1 / 16, q=0.0, p_p=-1)
-        assert stage_derivative(np.array([0.0]), 0)[0] ** 2 == pytest.approx(4.0, rel=1e-12)
+        dc = stage_dc_gain(stage_coefficients(s))
+        assert fd_sensitivity_terms(s, [0.0], 1.0)[0, 0] * dc ** 2 == pytest.approx(4.0, rel=1e-12)
         # referenced to the DC gain 2 + 2 r = 8 of the stage
         assert sensitivity(s, np.array([0.0])).s_t[0] == pytest.approx(4.0 / 64.0, rel=1e-12)
 
@@ -150,6 +153,33 @@ class TestSensitivity:
         quotient = hn2 * np.sum((stage_derivative(w[ok], ks) / brackets[:, ok]) ** 2, axis=0)
         dc = stage_dc_gain(stage_coefficients(s))
         np.testing.assert_allclose(sensitivity(s, freqs[ok]).s_t, quotient / dc ** 2, rtol=1e-8)
+
+    @pytest.mark.parametrize("p_p,case", [(-1, "full-cascade"), (0, "partial"), (3, "full-polyphase")])
+    def test_total_sensitivity_matches_multiplier_finite_differences(self, p_p, case):
+        # independent oracle over every stored multiplier, normalizer held fixed
+        s = spec_for(16, p_p=p_p)
+        freqs = np.array([0.0371, 0.0625, 0.1843, 0.3211, 0.4999])
+        taps, r, _, _ = rounded_multipliers(s, 8)
+        dc = taps.sum() * np.prod(2.0 + 2.0 * r)
+        step = 1e-7
+        total = np.zeros(len(freqs))
+        if s.D1 > 1:
+            for i in range(len(taps)):
+                hi, lo = taps.copy(), taps.copy()
+                hi[i] += step
+                lo[i] -= step
+                fd = np.subtract(*_response_from_multipliers(s, freqs, (hi, r), (lo, r))) / (2 * step * dc)
+                total += np.abs(fd) ** 2
+        for u in range(len(r)):
+            hi, lo = r.copy(), r.copy()
+            hi[u] += step
+            lo[u] -= step
+            fd = np.subtract(*_response_from_multipliers(s, freqs, (taps, hi), (taps, lo))) / (2 * step * dc)
+            total += np.abs(fd) ** 2
+        res = sensitivity(s, freqs)
+        assert res.case_tag == case
+        np.testing.assert_allclose(res.s_t, total, rtol=2e-4)
+
 
 
 def default_grid(spec):
@@ -323,6 +353,14 @@ class TestMonteCarlo:
         monkeypatch.setattr(wordlength, "_mc_draws", drew)
         with pytest.raises(ParameterError, match=message):
             monte_carlo_run(PAPER_SPEC, 7, trials, 1, y=2.0, freqs=freqs)
+
+    @pytest.mark.parametrize("D", [2, 16, 64])
+    def test_draw_width_is_the_draw_columns(self, D):
+        # the unit tap of D1 = 1 is wiring and draws nothing; a bank of D1 > 1 draws its 3 D1 - 2 taps
+        for p_p in range(-1, D.bit_length() - 1):
+            s = spec_for(D, p_p=p_p)
+            taps = 3 * s.D1 - 2 if s.D1 > 1 else 0
+            assert mc_draw_width(s) == _mc_draws(s, 7, 2, 1).shape[1] == taps + len(s.cascade_stages)
 
     def test_vanishing_interval(self):
         cov = monte_carlo_run(PAPER_SPEC, 7, 1000, 3, y=1e-6, freqs=in_band(PAPER_SPEC))[2]
