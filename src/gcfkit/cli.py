@@ -268,8 +268,9 @@ def _check_split_invariance(spec: GcfSpec) -> tuple[bool, str]:
     ref = expand_full_polynomial(replace(spec, p_p=-1))
     scale = np.max(np.abs(ref))
     worst = 0.0
-    for pp in range(spec.p):
-        worst = max(worst, float(np.max(np.abs(expand_full_polynomial(replace(spec, p_p=pp)) - ref)) / scale))
+    for pp in range(0, spec.p):
+        other = expand_full_polynomial(replace(spec, p_p=pp))
+        worst = max(worst, float(np.max(np.abs(other - ref)) / scale))
     return worst <= 1e-10, f"split_invariance: max rel diff {worst:.3e} (tol 1e-10)"
 
 
@@ -351,10 +352,12 @@ def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.
     with writing_artifact(path), open(path, "w") as fh:
         fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
         for i, (lo, hi, comb, gcf) in enumerate(zip(*folding_bands(spec), comb_peaks, gcf_peaks), start=1):
-            att_c, att_g = worst_case_attenuation(comb), worst_case_attenuation(gcf)
+            att_g = worst_case_attenuation(gcf)
+            att_c = worst_case_attenuation(comb)
             row = (i, lo, hi, att_c, att_g, att_g - att_c)
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
-    worst_c, worst_g = worst_case_attenuation(comb_peaks), worst_case_attenuation(gcf_peaks)
+    worst_g = worst_case_attenuation(gcf_peaks)
+    worst_c = worst_case_attenuation(comb_peaks)
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "
           f"improvement {worst_g - worst_c:.2f} dB")
     return EXIT_OK

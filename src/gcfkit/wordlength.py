@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -153,7 +152,8 @@ class WordLengthReport:
             f"input width            : {self.input_width}",
             "stage   g_k      I_n^k",
         ]
-        lines += (f"  {k:2d}   {g:6.3f}   {i:3d}" for k, (g, i) in enumerate(zip(self.g_k, self.i_n_k)))
+        for k, (g, i) in enumerate(zip(self.g_k, self.i_n_k)):
+            lines.append(f"  {k:2d}   {g:6.3f}   {i:3d}")
         return "\n".join(lines)
 
 
@@ -198,7 +198,12 @@ def integer_bits(spec: GcfSpec, input_width: int) -> tuple[tuple[float, ...], tu
     if input_width < 1:
         raise ParameterError(f"input_width must be >= 1, got {input_width}")
     g = tuple(math.log2(2.0 + 2.0 * r_k) for r_k in stage_coefficients(spec))
-    return g, tuple(input_width + acc for acc in accumulate(math.ceil(g_k) for g_k in g))
+    acc = 0
+    i_n = []
+    for g_k in g:
+        acc += math.ceil(g_k)
+        i_n.append(input_width + acc)
+    return g, tuple(i_n)
 
 
 def quantize_coefficients(values, f_n: int) -> np.ndarray:
@@ -297,7 +302,8 @@ def _mc_draws(spec: GcfSpec, f_n: int, trials: int, seed: int) -> np.ndarray:
     size = mc_draw_width(spec)
     draws = np.empty((trials, size))
     for t in range(trials):
-        draws[t] = np.random.default_rng([seed, t]).uniform(-half_lsb, half_lsb, size=size)
+        rng = np.random.default_rng([seed, t])
+        draws[t] = rng.uniform(-half_lsb, half_lsb, size=size)
     return draws
 
 
