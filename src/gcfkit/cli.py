@@ -2,12 +2,14 @@
 
 Subcommands: design | response | sensitivity | validate | simulate | compare.
 Every command reads an optional JSON config file plus flag overrides (flags
-mirror config keys).  main resolves the run once, for every command: it
-builds the design and the tolerance (so a bad value is a config error
-before any file is written), writes the resolved config to the output
-directory for provenance and builds the response grid.  The command then
-writes its own CSV/JSON artifacts.  Figure data is emitted as CSV only;
-plotting is left to external tools.
+mirror config keys).  main resolves the whole run, the same way for every
+command, before it writes anything: the design and the tolerance, the size
+check, the response grid with its band index, and one word-length sizing
+(F_n from S_T) on the in-band points, so a config error in any of them
+leaves no file.  It then writes the resolved config to the output directory
+for provenance, and the command writes its own CSV/JSON artifacts from the
+sizing report and the grid.  Figure data is emitted as CSV only; plotting
+is left to external tools.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 runtime
 numeric error.
@@ -55,6 +57,7 @@ from .spectral import (
 from .wordlength import (
     DEFAULT_Y,
     ToleranceSpec,
+    WordLengthReport,
     design_wordlengths,
     mc_draw_width,
     monte_carlo_run,
@@ -93,10 +96,6 @@ class DesignConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.input_width < 1:
-            raise ParameterError(f"input_width must be >= 1, got {self.input_width}")
-        if self.points_per_band < 2:
-            raise ParameterError(f"points_per_band must be >= 2, got {self.points_per_band}")
         if self.global_points < 0:
             raise ParameterError(f"global_points must be >= 0, got {self.global_points}")
         if self.seed < 0:
@@ -166,16 +165,6 @@ SWEEP_CHIS = (5e-3, 1e-3, 1e-4)
 SWEEP_YS = (2.0, 1.63)
 
 
-def _grid(cfg: DesignConfig, spec: GcfSpec):
-    """(grid frequencies, band index) of spec on the config's grid.
-
-    main builds it once per run; the command's responses and sizing all use
-    it, and band > 0 selects the in-band points.
-    """
-    freqs = grid_frequencies(folding_bands(spec), cfg.points_per_band, cfg.global_points)
-    return freqs, band_index(spec, freqs)
-
-
 def _check_sizes(cfg: DesignConfig, spec: GcfSpec, command: str) -> None:
     """Reject, from its size alone, an array of the command that exceeds physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -209,13 +198,11 @@ def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
                     fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
 
 
-def cmd_design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
-               band: np.ndarray, sweep_splits: bool = False) -> int:
-    outdir = cfg.output_dir
-    in_band = freqs[band > 0]
-    report = design_wordlengths(spec, tol, cfg.input_width, in_band)
+def cmd_design(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray,
+               sweep_splits: bool = False) -> int:
+    outdir, spec = cfg.output_dir, report.spec
     if sweep_splits:
-        _write_fn_sweep(spec, in_band, outdir)
+        _write_fn_sweep(spec, freqs[band > 0], outdir)
     write_json(os.path.join(outdir, "report.json"), report.as_dict())
     _, r, taps_q, r_q = rounded_multipliers(spec, report.f_n)
     h_p = polyphase_impulse(spec)
@@ -230,11 +217,9 @@ def cmd_design(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.n
     return EXIT_OK
 
 
-def cmd_response(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
-                 band: np.ndarray) -> int:
-    outdir = cfg.output_dir
+def cmd_response(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
+    outdir, spec = cfg.output_dir, report.spec
     mask = band > 0
-    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), freqs, gcf_response(spec, freqs), mask)
     quantized, delta_h = quantization_error_response(spec, report.f_n, freqs)
     grid_to_csv(os.path.join(outdir, "response_quantized.csv"), freqs, quantized, mask)
@@ -245,14 +230,12 @@ def cmd_response(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np
         for i, (lo, hi) in enumerate(zip(*folding_bands(spec)), start=1):
             fh.write(f"{i},{float(lo)!r},{float(hi)!r}\n")
     max_dev = float(np.max(np.abs(delta_h[mask])))
-    print(f"max in-band |d|H|| at F_n={report.f_n}: {max_dev:.3e} (chi = {tol.chi:g})")
+    print(f"max in-band |d|H|| at F_n={report.f_n}: {max_dev:.3e} (chi = {report.tolerance.chi:g})")
     return EXIT_OK
 
 
-def cmd_sensitivity(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
-                    band: np.ndarray) -> int:
-    mask = band > 0
-    report = design_wordlengths(spec, tol, cfg.input_width, freqs[mask])
+def cmd_sensitivity(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
+    spec, mask = report.spec, band > 0
     _, delta_h = quantization_error_response(spec, report.f_n, freqs)
     result = sensitivity(spec, freqs)
     grid_to_csv(
@@ -292,15 +275,17 @@ def _check_sensitivity_fd(spec: GcfSpec, seed: int) -> tuple[bool, str]:
     return worst <= 1e-5, f"sensitivity_fd: max rel err {worst:.3e} (tol 1e-5)"
 
 
-def _check_mc(spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: int) -> tuple[bool, str]:
+def _check_mc(report: WordLengthReport, trials: int, seed: int) -> tuple[bool, str]:
     # Model-validity checks that hold for the uniform multiplier-noise model:
     # sigma_dh is an upper bound on the true per-frequency std (10% slack for
     # sampling noise), and coverage at the design y cannot fall far below the
     # Gaussian prediction.  The Monte Carlo runs on the default grid, not the
     # config's: moving it changes validate.json, which the benchmark checks,
     # so that move waits for the reference re-record of ROADMAP item 1.
+    spec, tol = report.spec, report.tolerance
     freqs = grid_frequencies(folding_bands(spec), DEFAULT_POINTS_PER_BAND, DEFAULT_GLOBAL_POINTS)
-    error_std, sigma_dh, cov = monte_carlo_run(spec, f_n, trials, seed, tol.y, freqs[band_index(spec, freqs) > 0])
+    error_std, sigma_dh, cov = monte_carlo_run(spec, report.f_n, trials, seed, tol.y,
+                                               freqs[band_index(spec, freqs) > 0])
     ok_std = bool(np.all(error_std <= 1.1 * sigma_dh + 1e-18))
     floor = tol.prob - 0.03
     ok_cov = cov >= floor
@@ -309,13 +294,11 @@ def _check_mc(spec: GcfSpec, tol: ToleranceSpec, f_n: int, trials: int, seed: in
     return ok_std and ok_cov, msg
 
 
-def cmd_validate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
-                 band: np.ndarray) -> int:
-    report = design_wordlengths(spec, tol, cfg.input_width, freqs[band > 0])
+def cmd_validate(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
     results = {
-        "split_invariance": _check_split_invariance(spec),
-        "sensitivity_fd": _check_sensitivity_fd(spec, cfg.seed),
-        "mc_model": _check_mc(spec, tol, report.f_n, cfg.trials, cfg.seed),
+        "split_invariance": _check_split_invariance(report.spec),
+        "sensitivity_fd": _check_sensitivity_fd(report.spec, cfg.seed),
+        "mc_model": _check_mc(report, cfg.trials, cfg.seed),
     }
     checks = {name: {"pass": ok, "detail": msg} for name, (ok, msg) in results.items()}
     all_ok = all(c["pass"] for c in checks.values())
@@ -326,9 +309,8 @@ def cmd_validate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
-def cmd_simulate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
-                 band: np.ndarray) -> int:
-    report = design_wordlengths(spec, tol, cfg.input_width, freqs[band > 0])
+def cmd_simulate(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
+    spec = report.spec
     run = run_experiment(spec, report.i_n_k, report.f_n, cfg.amplitude, cfg.n_samples, cfg.seed,
                          segment=cfg.segment, overlap_fraction=cfg.overlap)
     provenance = {
@@ -344,8 +326,8 @@ def cmd_simulate(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np
     return EXIT_OK
 
 
-def cmd_compare(cfg: DesignConfig, spec: GcfSpec, tol: ToleranceSpec, freqs: np.ndarray,
-                band: np.ndarray) -> int:
+def cmd_compare(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
+    spec = report.spec
     gcf_peaks = band_peaks(spec, freqs, band)
     comb_peaks = band_maxima(np.abs(comb_response(spec, freqs)), band, spec.D)
     path = os.path.join(cfg.output_dir, "comparison.csv")
@@ -417,12 +399,15 @@ def main(argv=None) -> int:
         cfg = load_config(path, overrides)
         spec, tol = cfg.spec(), cfg.tolerance()
         _check_sizes(cfg, spec, command)
+        freqs = grid_frequencies(folding_bands(spec), cfg.points_per_band, cfg.global_points)
+        band = band_index(spec, freqs)  # band > 0 selects the in-band points
+        report = design_wordlengths(spec, tol, cfg.input_width, freqs[band > 0])
         try:
             os.makedirs(cfg.output_dir, exist_ok=True)
         except OSError as exc:
             raise ParameterError(f"cannot create output_dir {cfg.output_dir!r}: {exc.strerror}") from exc
         write_json(os.path.join(cfg.output_dir, "resolved_config.json"), cfg.as_dict())
-        return handlers[command](cfg, spec, tol, *_grid(cfg, spec), **switches)
+        return handlers[command](cfg, report, freqs, band, **switches)
     except StageOverflowError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -118,10 +118,10 @@ class SensitivityResult:
 
 @dataclass(frozen=True)
 class WordLengthReport:
-    """Everything cmd-design decides: F_n, per-stage widths, provenance."""
+    """The sizing of one run: F_n and per-stage widths, with the spec and tolerance they size."""
 
-    spec: dict
-    tolerance: dict
+    spec: GcfSpec
+    tolerance: ToleranceSpec
     input_width: int
     f_n: int
     g_k: tuple[float, ...]
@@ -132,8 +132,8 @@ class WordLengthReport:
 
     def as_dict(self) -> dict:
         return {
-            "spec": self.spec,
-            "tolerance": self.tolerance,
+            "spec": self.spec.as_dict(),
+            "tolerance": self.tolerance.as_dict(),
             "input_width": self.input_width,
             "f_n": self.f_n,
             "g_k": list(self.g_k),
@@ -451,8 +451,8 @@ def design_wordlengths(spec: GcfSpec, tol: ToleranceSpec, input_width: int, freq
         )
     g, i_n = integer_bits(spec, input_width)
     return WordLengthReport(
-        spec=spec.as_dict(),
-        tolerance=tol.as_dict(),
+        spec=spec,
+        tolerance=tol,
         input_width=input_width,
         f_n=f_n,
         g_k=g,

@@ -399,6 +399,24 @@ def test_largest_fraction_width_writes_finite_artifacts(tmp_path, command):
         assert np.all(np.loadtxt(out / "sensitivity.csv", delimiter=",", skiprows=1)[:, -1] == 0.0)
 
 
+COMMANDS = ["design", "response", "sensitivity", "validate", "simulate", "compare"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_sizes_once_before_it_writes(tmp_path, monkeypatch, command):
+    calls = []  # per call: whether output_dir existed yet
+
+    def counting(*args, **kwargs):
+        calls.append((tmp_path / "out").exists())
+        return design_wordlengths(*args, **kwargs)
+
+    monkeypatch.setattr("gcfkit.cli.design_wordlengths", counting)
+    cfg = write_config(tmp_path, points_per_band=17, global_points=256, oversampling_ratio=128,
+                       trials=1000, n_samples=2 ** 13, segment=512)
+    assert main([command, "--config", str(cfg)]) == 0
+    assert calls == [False]
+
+
 class TestConfigErrors:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -532,7 +550,7 @@ class TestConfigErrors:
         # F_n = 1, at which every unit-DC polyphase tap rounds to 0
         ["design", "--pp-split", "1", "--chi", "1", "--y", "2"],
         ["response", "--pp-split", "1", "--chi", "1", "--y", "2"],
-        # compare sizes nothing, but resolves the tolerance like every command
+        # compare resolves the tolerance like every command
         ["compare", "--y", "nan", "--chi", "-1"],
         ["compare", "--chi", "-1"],
         # simulate alone uses them, but every command rejects a non-finite float
@@ -545,6 +563,22 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
         assert set(files_in(tmp_path / "out")) <= {"resolved_config.json"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("args,message", [
+        (["--chi", "1e-310"], "chi = 1e-310 needs more than 1023 fraction bits"),
+        # F_n = 1, at which every unit-DC polyphase tap rounds to 0
+        (["--pp-split", "1", "--chi", "1", "--y", "2"], "chi = 1 sizes F_n = 1, at which the polyphase taps round"),
+        (["--input-width", "0"], "input_width must be >= 1, got 0"),
+        (["--points-per-band", "1"], "points_per_band must be >= 2, got 1"),
+    ], ids=["chi-needs-1024-bits", "taps-round-to-zero", "input-width", "points-per-band"])
+    def test_sizing_and_grid_errors_leave_no_output_dir(self, tmp_path, capsys, command, args, message):
+        # main builds the grid and sizes F_n before it makes output_dir
+        cfg = write_config(tmp_path, points_per_band=17, global_points=256)
+        assert main([command, "--config", str(cfg), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err, err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["empty", "regular-file", "below-regular-file"])
     def test_unusable_output_dir_is_config_error(self, tmp_path, capsys, kind):

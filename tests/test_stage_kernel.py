@@ -576,8 +576,9 @@ def old_fn_sweep(cfg, path):
 ])
 def test_fn_sweep_matches_one_design_per_row(tmp_path, D, rho, grid):
     cfg = cli.DesignConfig(decimation_factor=D, oversampling_ratio=rho, **grid)
-    freqs, band = cli._grid(cfg, cfg.spec())
-    cli._write_fn_sweep(cfg.spec(), freqs[band > 0], str(tmp_path))
+    spec = cfg.spec()
+    freqs = grid_frequencies(folding_bands(spec), cfg.points_per_band, cfg.global_points)
+    cli._write_fn_sweep(spec, freqs[band_index(spec, freqs) > 0], str(tmp_path))
     old_fn_sweep(cfg, tmp_path / "old.csv")
     assert (tmp_path / "fn_sweep.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
