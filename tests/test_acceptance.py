@@ -32,10 +32,7 @@ from gcfkit import (
     decimate_fixed_point,
     design_wordlengths,
     expand_full_polynomial,
-    band_index,
-    folding_bands,
     gcf_response,
-    grid_frequencies,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,
@@ -46,22 +43,12 @@ from gcfkit import (
     worst_case_attenuation,
 )
 
+from gcf_helpers import comb_coefficients, in_band
 from test_wordlength import fd_sensitivity_terms
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 64)  # D=16, D1=1, f_c=1/128
 PAPER_TOL = ToleranceSpec(1e-4, 2.0)
 SEED = 20240917
-
-
-def comb_coefficients(D):
-    """Integer taps of the third-order comb of D: (1 + z^-1 + ... + z^-(D-1))^3."""
-    return np.convolve(np.convolve(np.ones(D), np.ones(D)), np.ones(D))
-
-
-def in_band(spec):
-    """The in-band frequencies of spec's default response grid."""
-    freqs = grid_frequencies(folding_bands(spec))
-    return freqs[band_index(spec, freqs) > 0]
 
 
 def report(criterion, ok, detail):
@@ -296,8 +283,7 @@ def test_criterion_7_quantized_fidelity():
 # 8. GCF vs comb rejection
 # --------------------------------------------------------------------------
 def test_criterion_8_gcf_vs_comb():
-    freqs = grid_frequencies(folding_bands(PAPER_SPEC))
-    in_band_freqs = freqs[band_index(PAPER_SPEC, freqs) > 0]
+    in_band_freqs = in_band(PAPER_SPEC)
     att_gcf = worst_case_attenuation(np.abs(gcf_response(PAPER_SPEC, in_band_freqs)))
     att_comb = worst_case_attenuation(np.abs(comb_response(PAPER_SPEC, in_band_freqs)))
     gain = att_gcf - att_comb

@@ -12,18 +12,17 @@ from gcfkit import (
     GcfSpec,
     StageOverflowError,
     ToleranceSpec,
-    band_index,
     decimate_fixed_point,
     design_wordlengths,
     expand_full_polynomial,
-    folding_bands,
-    grid_frequencies,
     normalization_gain,
     rounded_multipliers,
     stage_coefficients,
 )
 from gcfkit.cli import main
 from gcfkit.wordlength import DEFAULT_Y
+
+from gcf_helpers import in_band
 
 
 def write_config(tmp_path, **extra):
@@ -271,8 +270,7 @@ class TestSimulate:
         assert prov["config"] == {"fx_ratio": spec.f_c, "amplitude": 0.5, "n_samples": 2 ** 12,
                                   "seed": 77, "fs": 48000.0}
         assert prov["spec"] == spec.as_dict()
-        freqs = grid_frequencies(folding_bands(spec))
-        report = design_wordlengths(spec, ToleranceSpec(1e-4, 2.0), 1, freqs[band_index(spec, freqs) > 0])
+        report = design_wordlengths(spec, ToleranceSpec(1e-4, 2.0), 1, in_band(spec))
         assert prov["format"] == {"i_n": list(report.i_n_k), "f_n": report.f_n, "sign_bits": 1}
         assert isinstance(prov["overload_count"], int)
 

@@ -15,14 +15,7 @@ from gcfkit import (
 )
 from gcfkit.filters import _xt_sequence, coefficients_to_csv, stage_multiplier
 
-
-def comb_coefficients(D):
-    """Integer taps of the third-order comb of D: (1 + z^-1 + ... + z^-(D-1))^3."""
-    return np.convolve(np.convolve(np.ones(D), np.ones(D)), np.ones(D))
-
-
-def spec_for(D, p_p=-1, q=0.79, rho_factor=4):
-    return GcfSpec.from_oversampling(D, rho_factor * D, p_p=p_p, q=q)
+from gcf_helpers import comb_coefficients, spec_for
 
 
 class TestAlpha:
@@ -180,23 +173,11 @@ def old_expand_full_polynomial(spec):
 
 
 @lru_cache(maxsize=None)
-def mp_stage_product(D):
-    """The p stage polynomials of spec_for(D), at its double alpha, multiplied out in 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
+def exact_stage_product(D):
+    """The p stage polynomials of spec_for(D), with r_k of its double alpha, multiplied out in 40 digits."""
+    import mp_gcf  # skips the calling test without mpmath
     spec = spec_for(D)
-    with mpmath.workdps(40):
-        alpha = mpmath.mpf(spec.alpha)
-        poly = [mpmath.mpf(1)]
-        for k in range(spec.p):
-            d, r_k = 2 ** k, 1 + 2 * mpmath.cos(2 ** k * alpha)
-            out = [mpmath.mpf(0)] * (len(poly) + 3 * d)
-            for i, c in enumerate(poly):
-                out[i] += c
-                out[i + d] += r_k * c
-                out[i + 2 * d] += r_k * c
-                out[i + 3 * d] += c
-            poly = out
-        return np.array([float(c) for c in poly])
+    return mp_gcf.stage_polynomial(mp_gcf.stage_multipliers(spec.alpha, range(spec.p)))
 
 
 SPLIT_POINTS = [(D, pp) for D in (16, 32, 64, 256, 1024) for pp in range(-1, D.bit_length() - 1)]
@@ -257,7 +238,7 @@ class TestExpandedPolynomial:
     def test_both_expansions_are_within_rounding_of_the_exact_product(self, D, p_p):
         # no ordering between the two: each is closer to the 40-digit product at some designs
         s = spec_for(D, p_p=p_p)
-        exact = mp_stage_product(D)
+        exact = exact_stage_product(D)
         tol = 8 * s.p * 2.0 ** -53 * np.max(np.abs(exact))
         assert np.max(np.abs(expand_full_polynomial(s) - exact)) <= tol
         assert np.max(np.abs(old_expand_full_polynomial(s) - exact)) <= tol

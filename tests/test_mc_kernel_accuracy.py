@@ -1,189 +1,135 @@
 """The Monte Carlo d|H| kernel against a 40-digit evaluation of the same trial.
 
-For trials of multiplier errors at 40 random in-band points, the oracle
-evaluates |H_q| - |H| in mpmath from the float64 inputs the kernel sees:
-w = 2 pi f, the cascade multipliers, the drawn errors and the DC divisor.
-H is the filter the errors perturb, taken two ways: the unit-DC float taps
-of rounded_multipliers, or the designed filter, whose bank is the stage
-product of the float r_k of stages 0..p_p, at unit DC gain.
+At 40 random in-band points, tests/mp_gcf.py evaluates |H_q| - |H| from the
+float64 inputs the kernel sees (w = 2 pi f, the multipliers, the draws and the
+DC divisor), about the unit-DC float taps of rounded_multipliers or about the
+designed filter, whose bank is the stage product of stages 0..p_p.
 
 Each kernel must be at least as accurate as the one it replaced, in its
-largest and in its median absolute error: the pair-folded bank as the
-complex tap matrix (``old_mc_delta_h``) against either filter, and the
-multiplied-out stage product as the pair-folded kernel with rounded
-r_k + e_k (``old_pair_folded_mc_delta_h``) against the designed filter.
-For the stage product, the largest error against exact cosines is set by
-the rounding of the argument 3 * 2**(k-1) * w in np.cos, which both kernels
-share (2e-16 at the paper point, against their own 1e-18), so it is
-compared against the designed filter evaluated from the float cosines both
-kernels take; the median is compared against both.  Neither kernel wins at
-every point, so no pointwise claim is made.
+largest and median absolute error, stored as numbers: ``old_mc_delta_h``
+(tests/test_stage_kernel.py), whose complex tap matrix the pair-folded bank
+replaced, and ``old_pair_folded_mc_delta_h``, whose rounded r_k + e_k the
+multiplied-out stage product replaced.  For the stage product, the largest
+error against exact cosines is set by the rounding of 3 * 2**(k-1) * w in
+np.cos, which both kernels share (2e-16 at the paper point, against their own
+1e-18), so it is compared against the designed filter from the float cosines
+both kernels take; the median is compared against both.  Neither kernel wins
+at every point, so no pointwise claim is made.
 """
 
 import numpy as np
 import pytest
 
-mpmath = pytest.importorskip("mpmath")
+import mp_gcf  # skips this module without mpmath
 
+from gcf_helpers import in_band
 from gcfkit import GcfSpec, ToleranceSpec, sensitivity, stage_coefficients
 from gcfkit.filters import stage_dc_gain, stage_multiplier
-from gcfkit.spectral import band_index, folding_bands, grid_frequencies, stage_bracket
-from gcfkit.wordlength import _mc_delta_h, _mc_draws, rounded_multipliers
-from test_stage_kernel import old_mc_delta_h, old_pair_folded_mc_delta_h
+from gcfkit.spectral import stage_bracket
+from gcfkit.wordlength import _mc_delta_h, _mc_draws, mc_draw_width, rounded_multipliers
 
 POINTS = [(64, 1, 256), (256, 3, 512), (1024, 9, 2048)]
 # the float-tap oracle keeps the ids of the points; the designed filter's add a suffix
 CASES = [(*point, oracle) for oracle in ("float-taps", "designed") for point in POINTS]
 IDS = [f"D{D}-pp{pp}" + ("-designed" if oracle == "designed" else "") for D, pp, _, oracle in CASES]
+OLD_PAIR_ERRORS = {  # (largest, median) |old_mc_delta_h - oracle| of one trial (seed 7)
+    (64, "float-taps"): (1.966132877166682e-16, 1.6549961508496752e-21),
+    (256, "float-taps"): (1.991730212832707e-16, 1.4066723304347081e-21),
+    (1024, "float-taps"): (7.012464475200306e-14, 2.273046795274805e-16),
+    (64, "designed"): (1.8924071294376676e-16, 1.6545260149937124e-21),
+    (256, "designed"): (1.9020463643774216e-16, 1.834273008336339e-21),
+    (1024, "designed"): (7.012596612340077e-14, 2.2731738502168933e-16),
+}
 
 
-def oracle_delta_h(spec, f_n, draws, freqs):
-    """|H_q| - |H| of the float taps over the kernel's DC divisor, 40 digits, for one row of draws."""
-    taps, r, _, _ = rounded_multipliers(spec, f_n)
+def design_points(spec):
+    """F_n at chi = 1e-4, y = 2 over the default grid, and 40 of its in-band points, sorted."""
+    freqs = in_band(spec)
+    f_n, _ = sensitivity(spec, freqs).fraction_bits(ToleranceSpec(1e-4, 2.0))
+    return f_n, np.sort(np.random.default_rng(spec.D).choice(freqs, 40, replace=False))
+
+
+def float_taps_filter(spec, w):
+    """The unit-DC float taps as a bank about n = 0, exact cosines, and the kernel's float DC divisor."""
+    taps, r, _, _ = rounded_multipliers(spec, 0)
+    cos_t, sin_t = mp_gcf.tap_phases(w, len(taps), 0)
+    filt = (mp_gcf.tap_dtft(taps, cos_t, sin_t), cos_t, sin_t, *mp_gcf.stage_cosines(w, spec.cascade_stages))
+    return filt, taps.sum() * stage_dc_gain(r)
+
+
+def designed_filter(spec, w):
+    """The amplitude of stages 0..p_p, the tap phases about their centre and the cascade cosines, all exact,
+    and the cascade's float DC gain."""
+    bank_ks, n_taps = range(spec.p_p + 1), mc_draw_width(spec) - len(spec.cascade_stages)
+    bank = mp_gcf.amplitude(*mp_gcf.stage_cosines(w, bank_ks), [stage_multiplier(spec.alpha, k) for k in bank_ks])
+    filt = (bank, *mp_gcf.tap_phases(w, n_taps, (n_taps - 1) / 2), *mp_gcf.stage_cosines(w, spec.cascade_stages))
+    return filt, stage_dc_gain(stage_coefficients(spec))
+
+
+def float_cosine_filter(spec, w):
+    """designed_filter from the float64 values the kernels take: stage_bracket, and np.cos and np.sin of
+    theta = w (n - c) for the pairs n < L / 2, mirrored to every tap, and of the stage arguments."""
     ks = list(spec.cascade_stages)
-    n_taps = len(draws) - len(ks)
-    with mpmath.workdps(40):
-        dc = mpmath.mpf(float(taps.sum() * stage_dc_gain(r)))
-        t = [mpmath.mpf(float(x)) for x in taps]
-        # the unit tap of D1 = 1 is wiring and draws no error
-        tq = [a + mpmath.mpf(float(b)) for a, b in zip(t, draws[:n_taps])] if n_taps else t
-        rv = [mpmath.mpf(float(x)) for x in r]
-        rq = [a + mpmath.mpf(float(b)) for a, b in zip(rv, draws[n_taps:])]
-        out = []
-        for f in freqs:
-            w = mpmath.mpf(float(2.0 * np.pi * f))
-            z, phasor = mpmath.expj(-w), mpmath.mpc(1)
-            bank, bank_q = mpmath.mpc(0), mpmath.mpc(0)
-            for a, b in zip(t, tq):
-                bank += a * phasor
-                bank_q += b * phasor
-                phasor *= z
-            mag, mag_q = abs(bank), abs(bank_q)
-            for k, a, b in zip(ks, rv, rq):
-                half = mpmath.mpf(2) ** (k - 1)
-                cos3, cos1 = mpmath.cos(3 * half * w), mpmath.cos(half * w)
-                mag *= abs(2 * (cos3 + a * cos1))
-                mag_q *= abs(2 * (cos3 + b * cos1))
-            out.append(float((mag_q - mag) / dc))
-    return np.array(out)
-
-
-def float_cosine_oracle_delta_h(spec, draws, freqs):
-    """designed_oracle_delta_h from the float cosines the kernels take, 40 digits, for one row of draws.
-
-    The kernels' float64 A = prod_{k <= p_p} stage_bracket / (2 + 2 r_k), pair
-    cosines and sines of theta = w (n - c), and stage cosines
-    cos(2^{k-1} w) and cos(3 2^{k-1} w) are taken as exact; the rest is
-    evaluated in 40 digits.
-    """
-    ks = list(spec.cascade_stages)
-    r = np.asarray(stage_coefficients(spec))
-    n_taps = len(draws) - len(ks)
-    half = n_taps // 2
-    w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+    n_taps = mc_draw_width(spec) - len(ks)
     amplitude = np.ones(len(w))
     for k in range(spec.p_p + 1):
         r_k = stage_multiplier(spec.alpha, k)
         amplitude *= stage_bracket(w, k, r_k) / (2.0 + 2.0 * r_k)
-    theta = np.outer(np.arange(half) - (n_taps - 1) / 2.0, w)
+    theta = np.outer(np.arange(n_taps // 2) - (n_taps - 1) / 2.0, w)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    cos1 = [np.cos(2.0 ** (k - 1) * w) for k in ks]
-    cos3 = [np.cos(3.0 * 2.0 ** (k - 1) * w) for k in ks]
-    mp = mpmath.mpf
-    with mpmath.workdps(40):
-        dc = mp(float(stage_dc_gain(r)))
-        e = [mp(float(x)) for x in draws]
-        out = []
-        for i in range(len(w)):
-            re, im = mp(float(amplitude[i])), mp(0)
-            for n in range(half):
-                re += (e[n] + e[n_taps - 1 - n]) * mp(float(cos_t[n, i]))
-                im += (e[n] - e[n_taps - 1 - n]) * mp(float(sin_t[n, i]))
-            mag, mag_q = abs(mp(float(amplitude[i]))), mpmath.sqrt(re * re + im * im)
-            for j, r_k in enumerate(r):
-                c1, c3 = mp(float(cos1[j][i])), mp(float(cos3[j][i]))
-                mag *= abs(2 * (c3 + mp(float(r_k)) * c1))
-                mag_q *= abs(2 * (c3 + (mp(float(r_k)) + e[n_taps + j]) * c1))
-            out.append(float((mag_q - mag) / dc))
-    return np.array(out)
+    x = np.outer(2.0 ** (np.array(ks, dtype=float) - 1), w)
+    phases = mp_gcf.exact([np.vstack((cos_t, cos_t[::-1])), np.vstack((sin_t, -sin_t[::-1]))])
+    return (amplitude, *phases, np.cos(3.0 * x), np.cos(x)), stage_dc_gain(stage_coefficients(spec))
 
 
-def designed_oracle_delta_h(spec, f_n, draws, freqs):
-    """|H_q| - |H| of the designed filter over its cascade's DC gain, 40 digits, for one row of draws.
-
-    The bank is prod_{k <= p_p} 2 (cos(3 2^{k-1} w) + r_k cos(2^{k-1} w)) / (2 + 2 r_k)
-    about its centre c = (L - 1) / 2, plus the DTFT of the tap errors about c.
-    """
-    r = np.asarray(stage_coefficients(spec))
-    ks = list(spec.cascade_stages)
-    n_taps = len(draws) - len(ks)
-    with mpmath.workdps(40):
-        dc = mpmath.mpf(float(stage_dc_gain(r)))
-        r_bank = [mpmath.mpf(stage_multiplier(spec.alpha, k)) for k in range(spec.p_p + 1)]
-        errors = [mpmath.mpf(float(b)) for b in draws[:n_taps]]
-        rv = [mpmath.mpf(float(x)) for x in r]
-        rq = [a + mpmath.mpf(float(b)) for a, b in zip(rv, draws[n_taps:])]
-        out = []
-        for f in freqs:
-            w = mpmath.mpf(float(2.0 * np.pi * f))
-            amplitude = mpmath.mpf(1)
-            for k, a in enumerate(r_bank):
-                half = mpmath.mpf(2) ** (k - 1)
-                amplitude *= 2 * (mpmath.cos(3 * half * w) + a * mpmath.cos(half * w)) / (2 + 2 * a)
-            z, phasor = mpmath.expj(-w), mpmath.expj(w * (n_taps - 1) / 2)
-            error_sum = mpmath.mpc(0)
-            for e in errors:
-                error_sum += e * phasor
-                phasor *= z
-            mag, mag_q = abs(amplitude), abs(amplitude + error_sum)
-            for k, a, b in zip(ks, rv, rq):
-                half = mpmath.mpf(2) ** (k - 1)
-                cos3, cos1 = mpmath.cos(3 * half * w), mpmath.cos(half * w)
-                mag *= abs(2 * (cos3 + a * cos1))
-                mag_q *= abs(2 * (cos3 + b * cos1))
-            out.append(float((mag_q - mag) / dc))
-    return np.array(out)
+def oracle_rows(spec, filt, dc, draws):
+    """d|H| of each draw row about filt, over dc, from tests/mp_gcf.py."""
+    return np.concatenate([mp_gcf.draw_delta_h(*filt, stage_coefficients(spec), dc, row) for row in draws])
 
 
 @pytest.mark.parametrize("D,pp,rho,oracle", CASES, ids=IDS)
 def test_pair_folded_kernel_is_at_least_as_accurate(D, pp, rho, oracle):
     spec = GcfSpec.from_oversampling(D, rho, p_p=pp)
-    grid = grid_frequencies(folding_bands(spec), 129, 4096)
-    in_band = grid[band_index(spec, grid) > 0]
-    f_n, _ = sensitivity(spec, in_band).fraction_bits(ToleranceSpec(1e-4, 2.0))
-    freqs = np.sort(np.random.default_rng(D).choice(in_band, 40, replace=False))
+    f_n, freqs = design_points(spec)
     draws = _mc_draws(spec, f_n, 1, 7)
-    exact = {"float-taps": oracle_delta_h, "designed": designed_oracle_delta_h}[oracle](spec, f_n, draws[0], freqs)
+    filt = {"float-taps": float_taps_filter, "designed": designed_filter}[oracle]
+    exact = oracle_rows(spec, *filt(spec, 2.0 * np.pi * freqs), draws)
     new = next(_mc_delta_h(spec, draws, freqs))[0]
-    old = old_mc_delta_h(spec, f_n, 1, 7, freqs)[0]
-    err_new, err_old = np.abs(new - exact), np.abs(old - exact)
-    print(f"D={D} p_p={pp} F_n={f_n} ({oracle}): max {err_old.max():.2g} -> {err_new.max():.2g}, "
-          f"median {np.median(err_old):.2g} -> {np.median(err_new):.2g}, "
-          f"new no worse at {np.mean(err_new <= err_old):.0%} of points")
-    assert err_new.max() <= err_old.max()
-    assert np.median(err_new) <= np.median(err_old)
+    err_new = np.abs(new - exact)
+    old_max, old_median = OLD_PAIR_ERRORS[D, oracle]
+    print(f"D={D} p_p={pp} F_n={f_n} ({oracle}): max {old_max:.2g} -> {err_new.max():.2g}, "
+          f"median {old_median:.2g} -> {np.median(err_new):.2g}")
+    assert err_new.max() <= old_max
+    assert np.median(err_new) <= old_median
 
 
 STAGE_POINTS = [(16, -1, 64), (64, -1, 256), (256, -1, 512), *POINTS]  # D=256, p_p=-1 has two stage groups
+# (largest, median) |old_pair_folded_mc_delta_h - oracle| of two trials (seed 7), exact and float cosines
+OLD_STAGE_ERRORS = {
+    (16, -1): ((2.163057449491466e-16, 8.480917384383682e-20), (2.868053559403061e-18, 6.982727858927638e-20)),
+    (64, -1): ((1.0761426539923798e-16, 4.674087448807452e-21), (2.036267205199338e-18, 1.4233710390506224e-21)),
+    (256, -1): ((4.653618864549827e-19, 1.2221593550470984e-22), (4.612259833922176e-19, 6.484320520591469e-23)),
+    (64, 1): ((5.342406204922323e-17, 1.7023926305966833e-21), (3.1459266882167744e-18, 8.891351479635423e-22)),
+    (256, 3): ((9.043940184423616e-17, 8.85755339679439e-22), (3.024863015305351e-19, 3.2822268212162715e-23)),
+    (1024, 9): ((4.865357249028701e-18, 9.0801931945661e-19), (1.3552527156068805e-19, 1.3552527156068805e-20)),
+}
 
 
 @pytest.mark.parametrize("D,pp,rho", STAGE_POINTS, ids=[f"D{D}-pp{pp}" for D, pp, _ in STAGE_POINTS])
 def test_stage_product_kernel_is_at_least_as_accurate(D, pp, rho):
     spec = GcfSpec.from_oversampling(D, rho, p_p=pp)
-    grid = grid_frequencies(folding_bands(spec), 129, 4096)
-    in_band = grid[band_index(spec, grid) > 0]
-    f_n, _ = sensitivity(spec, in_band).fraction_bits(ToleranceSpec(1e-4, 2.0))
-    freqs = np.sort(np.random.default_rng(D).choice(in_band, 40, replace=False))
+    f_n, freqs = design_points(spec)
+    w = 2.0 * np.pi * freqs
     # two trials, so that every product takes the gemm path of the Monte Carlo's
     # blocks; a one-row product goes through gemv, which no run uses
     draws = _mc_draws(spec, f_n, 2, 7)
     new = next(_mc_delta_h(spec, draws, freqs)).ravel()
-    old = old_pair_folded_mc_delta_h(spec, draws, freqs).ravel()
-    exact = np.concatenate([designed_oracle_delta_h(spec, f_n, row, freqs) for row in draws])
-    from_floats = np.concatenate([float_cosine_oracle_delta_h(spec, row, freqs) for row in draws])
-    for name, oracle in (("exact cosines", exact), ("float cosines", from_floats)):
-        err_new, err_old = np.abs(new - oracle), np.abs(old - oracle)
-        print(f"D={D} p_p={pp} F_n={f_n} ({name}): max {err_old.max():.3g} -> {err_new.max():.3g}, "
-              f"median {np.median(err_old):.2g} -> {np.median(err_new):.2g}")
-        assert np.median(err_new) <= np.median(err_old)
-    assert err_new.max() <= err_old.max()  # against the float cosines
+    exact = oracle_rows(spec, *designed_filter(spec, w), draws)
+    from_floats = oracle_rows(spec, *float_cosine_filter(spec, w), draws)
+    old_errors = OLD_STAGE_ERRORS[D, pp]
+    for name, oracle, (old_max, old_median) in zip(("exact cosines", "float cosines"), (exact, from_floats), old_errors):
+        err_new = np.abs(new - oracle)
+        print(f"D={D} p_p={pp} F_n={f_n} ({name}): max {old_max:.3g} -> {err_new.max():.3g}, "
+              f"median {old_median:.2g} -> {np.median(err_new):.2g}")
+        assert np.median(err_new) <= old_median
+    assert err_new.max() <= old_max  # against the float cosines

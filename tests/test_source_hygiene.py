@@ -1,17 +1,22 @@
-"""Static checks on the gcfkit sources, with the stdlib ast.
+"""Static checks on the gcfkit sources and on the test modules, with the stdlib ast.
 
 No module imports a name it does not use, every function, class and
 method defined in the package is referenced somewhere in the package other
 than the re-exports of __init__, and every dataclass field is read there:
-code that only the tests use is deleted, not kept.
+code that only the tests use is deleted, not kept.  No test helper is
+defined in two test modules, and without mpmath only the tests that need it
+skip.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gcfkit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gcfkit"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -84,3 +89,29 @@ def test_every_dataclass_field_is_read_in_the_package():
     unread = [(module, cls, field, line) for module, tree in MODULES.items()
               for cls, field, line in dataclass_fields(tree) if field not in read]
     assert not unread, f"dataclass fields never read in src/gcfkit: {unread}"
+
+
+def test_no_test_helper_is_defined_in_two_modules():
+    # a helper that two test modules need is kept once, in gcf_helpers.py or mp_gcf.py
+    modules = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith(("test_", "Test")):
+                modules.setdefault(node.name, []).append(path.name)
+    twice = {name: found for name, found in modules.items() if len(found) > 1}
+    assert not twice, f"defined in more than one test module: {twice}"
+
+
+def test_without_mpmath_only_the_mpmath_tests_skip():
+    # tests/mp_gcf.py skips whatever imports it: test_filters.py imports it
+    # inside its one 40-digit test, the two accuracy modules at the top
+    code = "import sys; sys.modules['mpmath'] = None; import pytest; sys.exit(pytest.main(sys.argv[1:]))"
+    paths = ["tests/test_filters.py", "tests/test_mc_kernel_accuracy.py", "tests/test_error_bounds.py"]
+    out = subprocess.run([sys.executable, "-c", code, "--collect-only", "-q", "-rs", "-p", "no:cacheprovider", *paths],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300).stdout
+    tree = ast.parse((ROOT / "tests" / "test_filters.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    ids = [line for line in out.splitlines() if "::" in line]
+    assert all(line.startswith("tests/test_filters.py::") for line in ids), out
+    assert {line.split("::")[-1].split("[")[0] for line in ids} == defined, out
+    assert "SKIPPED [2] tests/mp_gcf.py" in out, out

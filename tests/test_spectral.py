@@ -25,25 +25,10 @@ from gcfkit.spectral import (
     grid_size,
     grid_to_csv,
 )
+from gcf_helpers import banded_grid, comb_coefficients, in_band, spec_for
 from test_stage_kernel import OldFoldingBandSet
 
-
-def comb_coefficients(D):
-    """Integer taps of the third-order comb of D: (1 + z^-1 + ... + z^-(D-1))^3."""
-    return np.convolve(np.convolve(np.ones(D), np.ones(D)), np.ones(D))
-
-
-def spec_for(D, p_p=-1, q=0.79):
-    return GcfSpec.from_oversampling(D, 4 * D, p_p=p_p, q=q)
-
-
 PAPER_SPEC = GcfSpec(D=16, f_c=1 / 128)
-
-
-def in_band_magnitude(response, spec, band_spec):
-    """|response(spec, f)| at the in-band points f of band_spec's default grid."""
-    freqs = grid_frequencies(folding_bands(band_spec))
-    return np.abs(response(spec, freqs[band_index(band_spec, freqs) > 0]))
 
 
 class TestFoldingBands:
@@ -200,11 +185,6 @@ class TestPolyphaseReassembly:
         assert np.array_equal(_polyphase_response(self.F, h, 4), _reassembly_loop(self.F, branches, 4))
 
 
-def default_grid(spec):
-    freqs = grid_frequencies(folding_bands(spec))
-    return freqs, band_index(spec, freqs)
-
-
 # Every split but the pure cascade (the same form on both sides) at D = 16,
 # 64 and 256, and the three bank-heaviest splits of D = 1024, at rho = 2D and 8D.
 GAP_POINTS = [(D, pp, m * D) for D in (16, 64, 256) for pp in range(D.bit_length() - 1) for m in (2, 8)]
@@ -216,14 +196,14 @@ class TestBandPeaks:
         # numpy evaluates a product of large temporaries in place, with its
         # operands swapped; the response must not depend on the grid size
         s = GcfSpec.from_oversampling(256, 512, p_p=3)
-        f, _ = default_grid(s)
+        f, _ = banded_grid(s)
         idx = np.sort(np.random.default_rng(3).choice(len(f), 302, replace=False))
         assert np.array_equal(gcf_response(s, f)[idx], gcf_response(s, f[idx]))
 
     @pytest.mark.parametrize("D,pp,rho", GAP_POINTS, ids=[f"D{D}-pp{pp}-rho{rho}" for D, pp, rho in GAP_POINTS])
     def test_cascade_form_is_within_the_gap_bound(self, D, pp, rho):
         s = GcfSpec.from_oversampling(D, rho, p_p=pp)
-        f, band = default_grid(s)
+        f, band = banded_grid(s)
         f = f[band > 0]
         cascade = GcfSpec.from_oversampling(D, rho)
         gap = np.abs(np.abs(gcf_response(s, f)) - np.abs(gcf_response(cascade, f)))
@@ -235,7 +215,7 @@ class TestBandPeaks:
                                           (1024, 8, 8192)])
     def test_equal_to_the_whole_grid_band_maxima(self, D, pp, rho):
         s = GcfSpec.from_oversampling(D, rho, p_p=pp)
-        f, band = default_grid(s)
+        f, band = banded_grid(s)
         mag = np.abs(gcf_response(s, f))
         want = [np.max(mag[m]) for m in OldFoldingBandSet(s).band_masks(f)]
         assert np.array_equal(band_peaks(s, f, band), want)
@@ -288,7 +268,7 @@ class TestResponseGrid:
 class TestWorstCaseAttenuation:
     def test_comb_reference_value(self):
         # independent oracle: |comb| is largest at the innermost band edge
-        mag = in_band_magnitude(comb_response, PAPER_SPEC, PAPER_SPEC)
+        mag = np.abs(comb_response(PAPER_SPEC, in_band(PAPER_SPEC)))
         f_edge = 1 / 16 - 1 / 128
         ratio = math.sin(math.pi * f_edge * 16) / (16 * math.sin(math.pi * f_edge))
         expected = -20 * math.log10(abs(ratio) ** 3)
@@ -297,8 +277,8 @@ class TestWorstCaseAttenuation:
 
     def test_gcf_improvement_about_8db(self):
         s = spec_for(16)  # rho = 64
-        att_gcf = worst_case_attenuation(in_band_magnitude(gcf_response, s, PAPER_SPEC))
-        att_comb = worst_case_attenuation(in_band_magnitude(comb_response, PAPER_SPEC, PAPER_SPEC))
+        att_gcf = worst_case_attenuation(np.abs(gcf_response(s, in_band(PAPER_SPEC))))
+        att_comb = worst_case_attenuation(np.abs(comb_response(PAPER_SPEC, in_band(PAPER_SPEC))))
         assert att_gcf - att_comb == pytest.approx(8.0, abs=2.0)
 
     def test_zero_band_capped(self):

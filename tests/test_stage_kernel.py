@@ -50,6 +50,8 @@ from gcfkit.wordlength import (
     rounded_multipliers,
 )
 
+from gcf_helpers import banded_grid
+
 SPLITS = [(16, -1, 64), (64, -1, 256), (64, 1, 256), (64, 5, 256), (256, 3, 512)]
 IDS = [f"D{D}-pp{pp}" for D, pp, _ in SPLITS]
 
@@ -296,8 +298,8 @@ def test_band_arrays_match_old_loops(D, rho_per_D):
 
 
 def in_band_freqs(spec, points_per_band=17, global_points=512):
-    freqs = grid_frequencies(folding_bands(spec), points_per_band, global_points)
-    return freqs, freqs[band_index(spec, freqs) > 0]
+    freqs, band = banded_grid(spec, points_per_band, global_points)
+    return freqs, freqs[band > 0]
 
 
 @pytest.mark.parametrize("D,pp,rho", SPLITS, ids=IDS)

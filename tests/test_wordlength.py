@@ -14,8 +14,6 @@ from gcfkit import (
     ToleranceSpec,
     band_index,
     design_wordlengths,
-    folding_bands,
-    grid_frequencies,
     integer_bits,
     monte_carlo_run,
     quantization_error_response,
@@ -34,9 +32,7 @@ from gcfkit.wordlength import (
     mc_draw_width,
 )
 
-
-def spec_for(D, p_p=-1, q=0.79, rho_factor=4):
-    return GcfSpec.from_oversampling(D, rho_factor * D, p_p=p_p, q=q)
+from gcf_helpers import banded_grid, in_band, spec_for
 
 
 def fd_sensitivity_terms(spec, freqs, step):
@@ -182,17 +178,6 @@ class TestSensitivity:
 
 
 
-def default_grid(spec):
-    """spec's default response-grid frequencies and their in-band mask."""
-    freqs = grid_frequencies(folding_bands(spec))
-    return freqs, band_index(spec, freqs) > 0
-
-
-def in_band(spec):
-    freqs, mask = default_grid(spec)
-    return freqs[mask]
-
-
 class TestFractionalBits:
     def test_paper_design_point(self):
         f_n, binding_freq = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC)).fraction_bits(PAPER_TOL)
@@ -292,18 +277,18 @@ class TestQuantize:
 class TestQuantizationErrorResponse:
     def test_integer_coefficients_are_exact(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
-        freqs, _ = default_grid(s)
+        freqs, _ = banded_grid(s)
         _, delta_h = quantization_error_response(s, 7, freqs)
         np.testing.assert_array_equal(delta_h, np.zeros(len(freqs)))
 
     def test_fine_quantization_vanishes(self):
-        _, delta_h = quantization_error_response(PAPER_SPEC, 40, default_grid(PAPER_SPEC)[0])
+        _, delta_h = quantization_error_response(PAPER_SPEC, 40, banded_grid(PAPER_SPEC)[0])
         assert np.max(np.abs(delta_h)) <= 1e-10
 
     def test_paper_design_within_tolerance(self):
-        freqs, mask = default_grid(PAPER_SPEC)
+        freqs, band = banded_grid(PAPER_SPEC)
         _, delta_h = quantization_error_response(PAPER_SPEC, 7, freqs)
-        assert np.max(np.abs(delta_h[mask])) <= 1e-4
+        assert np.max(np.abs(delta_h[band > 0])) <= 1e-4
 
     def test_memory_holds_one_block_of_phasors(self):
         # building a block's phasors takes two complex (block x taps) arrays;
@@ -423,8 +408,7 @@ class TestMonteCarlo:
         # 1 MiB allows for one-time allocations, which moved the growth by
         # 0.74 MB between test orders (a per-run coefficient matrix adds 9.2 MB)
         s = GcfSpec.from_oversampling(256, 512, p_p=7)
-        freqs = grid_frequencies(folding_bands(s), 17, 512)
-        freqs = freqs[band_index(s, freqs) > 0][:wordlength._FREQ_BLOCK]
+        freqs = in_band(s, 17, 512)[:wordlength._FREQ_BLOCK]
         peaks = []
         for trials in (1000, 4000):
             tracemalloc.start()
