@@ -37,9 +37,14 @@ def points(D, pp):
     return spec, f_n, np.sort(np.random.default_rng(D + pp).choice(freqs, 16, replace=False))
 
 
+def stage_arguments(w, ks):
+    """|x| = |2^(k-1) w|: one row per stage k."""
+    return np.abs(np.outer(2.0 ** (np.array(ks, dtype=float) - 1), w))
+
+
 def stage_scale(w, ks, r):
     """2 (1 + |3x| + |r_k| (1 + |x|)), x = 2^(k-1) w: one row per stage."""
-    x = np.abs(np.outer(2.0 ** (np.array(ks, dtype=float) - 1), w))
+    x = stage_arguments(w, ks)
     return 2.0 * (1.0 + 3.0 * x + np.abs(np.asarray(r, dtype=float))[:, None] * (1.0 + x))
 
 
@@ -72,8 +77,7 @@ def test_response_is_within_its_roundoff_bound(D, pp):
     b = mp_gcf.stage_factors(*mp_gcf.stage_cosines(w, ks), r)
     scale = h_o * product_scale([np.abs(bank).astype(float), *b], [dtft_scale(taps, w, 0), *stage_scale(w, ks, r)])
     # the phase of each stage is off by the rounding of its argument 3x
-    scale += np.abs(exact) * (3.0 * np.sum(np.abs(np.outer(2.0 ** (np.array(ks, dtype=float) - 1), w)), axis=0)
-                              + spec.p + 4)
+    scale += np.abs(exact) * (3.0 * np.sum(stage_arguments(w, ks), axis=0) + spec.p + 4)
     assert_within(gcf_response(spec, freqs), exact, scale, "H")
 
 
@@ -88,7 +92,7 @@ def test_sensitivity_is_within_its_roundoff_bound(D, pp):
     dc = 2.0 + 2.0 * r[:, None]
     b, sb = mp_gcf.stage_factors(cos3, cos1, r) / dc, stage_scale(w, ks, r) / dc
     # c_u = 2 cos x_u / (2 + 2 r_u), whose argument x_u is exact
-    c, sc = 2.0 * cos1.astype(float) / dc, 2.0 * (1.0 + np.abs(np.outer(2.0 ** (np.arange(spec.p) - 1.0), w))) / dc
+    c, sc = 2.0 * cos1.astype(float) / dc, 2.0 * (1.0 + stage_arguments(w, ks)) / dc
     # each term is a product of squares, a square f**2 of scale 2 |f| s
     cascade = slice(spec.p_p + 1, spec.p)
     scale = n_taps * product_scale(b[cascade] ** 2, 2.0 * np.abs(b[cascade]) * sb[cascade])
