@@ -281,7 +281,7 @@ def _check_mc(report: WordLengthReport, trials: int, seed: int) -> tuple[bool, s
     # sampling noise), and coverage at the design y cannot fall far below the
     # Gaussian prediction.  The Monte Carlo runs on the default grid, not the
     # config's: moving it changes validate.json, which the benchmark checks,
-    # so that move waits for the reference re-record of ROADMAP item 1.
+    # so that move waits for the reference re-record (ROADMAP item 1b, waiting fix 1).
     spec, tol = report.spec, report.tolerance
     freqs = grid_frequencies(folding_bands(spec), DEFAULT_POINTS_PER_BAND, DEFAULT_GLOBAL_POINTS)
     error_std, sigma_dh, cov = monte_carlo_run(spec, report.f_n, trials, seed, tol.y,

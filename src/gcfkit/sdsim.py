@@ -93,21 +93,18 @@ def sd_modulate(x) -> ModulatorResult:
     """
     x = np.asarray(x, dtype=float)
     bits = np.empty(len(x), dtype=np.int8)
-    v1 = 0.0
-    v2 = 0.0
-    y_prev = 0.0
+    v1 = v2 = y_prev = 0.0
     overload = 0
-    limit = OVERLOAD_LIMIT
     for start in range(0, len(x), _SAMPLE_BLOCK):
-        out = []
+        trace = []  # the block's quantizer inputs v2
         for x_n in x[start:start + _SAMPLE_BLOCK].tolist():
             v1 += x_n - y_prev
             v2 += v1 - y_prev
-            if v2 > limit or v2 < -limit:
-                overload += 1
             y_prev = 1.0 if v2 >= 0.0 else -1.0
-            out.append(y_prev)
-        bits[start:start + len(out)] = out
+            trace.append(v2)
+        v2s = np.array(trace)
+        bits[start:start + len(v2s)] = np.where(v2s >= 0.0, 1, -1)
+        overload += int(np.count_nonzero(np.abs(v2s) > OVERLOAD_LIMIT))
     return ModulatorResult(bits=bits, overload_count=overload)
 
 

@@ -2,10 +2,10 @@
 
 No module imports a name it does not use, every function, class and
 method defined in the package is referenced somewhere in the package other
-than the re-exports of __init__, and every dataclass field is read there:
-code that only the tests use is deleted, not kept.  No test helper is
-defined in two test modules, and without mpmath only the tests that need it
-skip.
+than the re-exports of __init__, and every dataclass field and every
+module constant is read there: code that only the tests use is deleted, not
+kept.  No test helper is defined in two test modules, and without mpmath
+only the tests that need it skip.
 """
 
 import ast
@@ -89,6 +89,36 @@ def test_every_dataclass_field_is_read_in_the_package():
     unread = [(module, cls, field, line) for module, tree in MODULES.items()
               for cls, field, line in dataclass_fields(tree) if field not in read]
     assert not unread, f"dataclass fields never read in src/gcfkit: {unread}"
+
+
+def module_constants(tree):
+    """(name, line) of every name that an assignment at the module's top level binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno
+
+
+def loaded_names(tree):
+    """Every name the module loads and every attribute it reads: a store is not a read."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return names | read_attributes(tree)
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a constant whose last reader moved away is left behind; __version__ is
+    # package metadata, read from outside
+    read = set().union(*(loaded_names(tree) for name, tree in MODULES.items() if name != "__init__"))
+    unread = [(module, name, line) for module, tree in MODULES.items()
+              for name, line in module_constants(tree) if name not in read and name != "__version__"]
+    assert not unread, f"module constants never read in src/gcfkit: {unread}"
 
 
 def test_no_test_helper_is_defined_in_two_modules():

@@ -366,11 +366,14 @@ def test_response_from_multipliers_matches_old(D, pp, rho):
 def test_blocked_tap_dtft_matches_old(D, pp, rho, monkeypatch):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
-    for block in (len(freqs) - 1, 7):  # a last block of one frequency, and a ragged one
-        monkeypatch.setattr(wordlength, "_FREQ_BLOCK", block)
-        assert len(freqs) % block != 0
-        taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
-        sets = ((taps, r), (taps_q, r_q))
+    taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
+    sets = ((taps, r), (taps_q, r_q))
+    n_taps = len(taps)
+    # frequencies per block: a last block of one frequency, a ragged last
+    # block, and one frequency per block from a limit below one row of taps
+    for phasors, block in ((len(freqs) * n_taps - 1, len(freqs) - 1), (7 * n_taps, 7), (n_taps - 1, 1)):
+        monkeypatch.setattr(wordlength, "_PHASOR_BLOCK", phasors)
+        assert max(phasors // n_taps, 1) == block < len(freqs)
         for got, (t, rv) in zip(_response_from_multipliers(spec, freqs, *sets), sets, strict=True):
             assert np.array_equal(got, old_response_from_multipliers(spec, freqs, t, rv))
 

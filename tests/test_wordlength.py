@@ -107,6 +107,25 @@ class TestSensitivity:
         assert res.case_tag == "full-polyphase"
         assert np.all(res.s_t == float(3 * D1 - 2))
 
+    @pytest.mark.parametrize("D", [2 ** m for m in range(1, 11)])
+    def test_full_polyphase_makes_no_stage_pass(self, D, monkeypatch):
+        # no cascade term reads the stage products there; one split below,
+        # the pass still takes every stage
+        calls = []
+
+        def counting_bracket(w, k, r_k):
+            calls.append(k)
+            return stage_bracket(w, k, r_k)
+
+        monkeypatch.setattr(wordlength, "stage_bracket", counting_bracket)
+        s = spec_for(D, D.bit_length() - 2)
+        freqs = in_band(s, 17, 512)
+        res = sensitivity(s, freqs)
+        assert calls == []
+        assert np.array_equal(res.s_t, np.full(len(freqs), float(3 * s.D1 - 2)))
+        sensitivity(spec_for(D, D.bit_length() - 3), freqs)
+        assert calls == list(range(s.p))
+
     def test_single_stage_dc_unnormalized(self):
         # one stage, alpha=0: the bare dH/dr = 2 cos(w/2) e^{-j3w/2} -> |dH/dr|**2 = 4 at DC
         s = GcfSpec(D=2, f_c=1 / 16, q=0.0, p_p=-1)
@@ -274,6 +293,20 @@ class TestQuantize:
         assert np.array_equal(q, [2.998496374942524, -2.0, 1.5, -0.1, 0.0, 1e308])
 
 
+# one block of the tap DTFT: at most _PHASOR_BLOCK complex phasors, whatever the tap count
+PHASOR_BLOCK_BYTES = wordlength._PHASOR_BLOCK * 16
+
+
+def dtft_peak_bytes(spec, n_freqs):
+    """tracemalloc's peak over quantization_error_response at n_freqs frequencies."""
+    tracemalloc.start()
+    try:
+        quantization_error_response(spec, 16, np.linspace(0.0, 0.5, n_freqs))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestQuantizationErrorResponse:
     def test_integer_coefficients_are_exact(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
@@ -293,16 +326,12 @@ class TestQuantizationErrorResponse:
     def test_memory_holds_one_block_of_phasors(self):
         # building a block's phasors takes two complex (block x taps) arrays;
         # the previous block's phasors kept alive meanwhile would be a third
-        s = GcfSpec.from_oversampling(256, 512, p_p=7)
-        freqs = np.linspace(0.0, 0.5, 3 * wordlength._FREQ_BLOCK)
-        block_bytes = wordlength._FREQ_BLOCK * (3 * s.D1 - 2) * 16
-        tracemalloc.start()
-        try:
-            quantization_error_response(s, 16, freqs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * block_bytes
+        assert dtft_peak_bytes(GcfSpec.from_oversampling(256, 512, p_p=7), 3072) < 2.5 * PHASOR_BLOCK_BYTES
+
+    @pytest.mark.parametrize("D,p_p,rho", [(1024, 9, 2048), (4096, 11, 8192)])  # 3,070 and 12,286 taps
+    def test_memory_does_not_grow_with_the_tap_count(self, D, p_p, rho):
+        # a block of 1,024 frequencies would hold 48 and 192 MiB of phasors
+        assert dtft_peak_bytes(GcfSpec.from_oversampling(D, rho, p_p=p_p), 1024) < 2.5 * PHASOR_BLOCK_BYTES
 
     def test_sigma_scaling_is_exactly_binary(self):
         sens = sensitivity(PAPER_SPEC, in_band(PAPER_SPEC))
