@@ -7,9 +7,9 @@ command, before it writes anything: the design and the tolerance, the size
 check, the response grid with its band index, and one word-length sizing
 (F_n from S_T) on the in-band points, so a config error in any of them
 leaves no file.  It then writes the resolved config to the output directory
-for provenance, and the command writes its own CSV/JSON artifacts from the
-sizing report and the grid.  Figure data is emitted as CSV only; plotting
-is left to external tools.
+for provenance, and the command builds its own CSV/JSON artifacts from the
+sizing report and the grid; the writers of gcfkit.filters write them.
+Figure data is emitted as CSV only; plotting is left to external tools.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 runtime
 numeric error.
@@ -34,8 +34,8 @@ from .filters import (
     expand_full_polynomial,
     polyphase_impulse,
     stage_coefficients,
+    write_columns,
     write_json,
-    writing_artifact,
 )
 from .spectral import (
     DEFAULT_GLOBAL_POINTS,
@@ -186,16 +186,16 @@ def _write_fn_sweep(base: GcfSpec, in_band: np.ndarray, outdir: str) -> None:
     on the same in-band frequencies; S_T does not depend on chi or y, so
     each split evaluates it once.
     """
-    path = os.path.join(outdir, "fn_sweep.csv")
-    with writing_artifact(path), open(path, "w") as fh:
-        fh.write("D,D1,pp_split,chi,y,f_n\n")
-        for pp in range(-1, base.p):
-            spec = replace(base, p_p=pp)
-            sens = sensitivity(spec, in_band)
-            for chi in SWEEP_CHIS:
-                for y in SWEEP_YS:
-                    f_n, _ = sens.fraction_bits(ToleranceSpec(chi, y))
-                    fh.write(f"{spec.D},{spec.D1},{pp},{chi!r},{y!r},{f_n}\n")
+    rows = []
+    for pp in range(-1, base.p):
+        spec = replace(base, p_p=pp)
+        sens = sensitivity(spec, in_band)
+        for chi in SWEEP_CHIS:
+            for y in SWEEP_YS:
+                f_n, _ = sens.fraction_bits(ToleranceSpec(chi, y))
+                rows.append((spec.D, spec.D1, pp, chi, y, f_n))
+    write_columns(os.path.join(outdir, "fn_sweep.csv"),
+                  dict(zip(("D", "D1", "pp_split", "chi", "y", "f_n"), zip(*rows))))
 
 
 def cmd_design(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray,
@@ -224,11 +224,8 @@ def cmd_response(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray,
     quantized, delta_h = quantization_error_response(spec, report.f_n, freqs)
     grid_to_csv(os.path.join(outdir, "response_quantized.csv"), freqs, quantized, mask)
     grid_to_csv(os.path.join(outdir, "response_comb.csv"), freqs, comb_response(spec, freqs), mask)
-    path = os.path.join(outdir, "bands.csv")
-    with writing_artifact(path), open(path, "w") as fh:
-        fh.write("k,low,high\n")
-        for i, (lo, hi) in enumerate(zip(*folding_bands(spec)), start=1):
-            fh.write(f"{i},{float(lo)!r},{float(hi)!r}\n")
+    lo, hi = folding_bands(spec)
+    write_columns(os.path.join(outdir, "bands.csv"), {"k": np.arange(1, len(lo) + 1), "low": lo, "high": hi})
     max_dev = float(np.max(np.abs(delta_h[mask])))
     print(f"max in-band |d|H|| at F_n={report.f_n}: {max_dev:.3e} (chi = {report.tolerance.chi:g})")
     return EXIT_OK
@@ -330,14 +327,13 @@ def cmd_compare(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, 
     spec = report.spec
     gcf_peaks = band_peaks(spec, freqs, band)
     comb_peaks = band_maxima(np.abs(comb_response(spec, freqs)), band, spec.D)
-    path = os.path.join(cfg.output_dir, "comparison.csv")
-    with writing_artifact(path), open(path, "w") as fh:
-        fh.write("band,low,high,comb_attenuation_dB,gcf_attenuation_dB,improvement_dB\n")
-        for i, (lo, hi, comb, gcf) in enumerate(zip(*folding_bands(spec), comb_peaks, gcf_peaks), start=1):
-            att_g = worst_case_attenuation(gcf)
-            att_c = worst_case_attenuation(comb)
-            row = (i, lo, hi, att_c, att_g, att_g - att_c)
-            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
+    lo, hi = folding_bands(spec)
+    att_c = np.array([worst_case_attenuation(m) for m in comb_peaks])
+    att_g = np.array([worst_case_attenuation(m) for m in gcf_peaks])
+    write_columns(os.path.join(cfg.output_dir, "comparison.csv"), {
+        "band": np.arange(1, len(lo) + 1), "low": lo, "high": hi,
+        "comb_attenuation_dB": att_c, "gcf_attenuation_dB": att_g, "improvement_dB": att_g - att_c,
+    })
     worst_g = worst_case_attenuation(gcf_peaks)
     worst_c = worst_case_attenuation(comb_peaks)
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "

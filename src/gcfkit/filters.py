@@ -189,19 +189,19 @@ def writing_artifact(path):
 def write_columns(path, columns: dict) -> None:
     """CSV with a header of column names and one row per index.
 
-    Each column is formatted once, through .tolist(): floats are written as
-    their repr (full decimal precision), ints as they are.  Lines end in
-    CRLF, as csv.writer ends them.
+    Every CSV artifact is written here.  Each column is formatted once,
+    through .tolist(): floats are written as their repr (full decimal
+    precision), ints as they are.  Lines end in LF on every platform.
     """
     text = [map(repr, np.asarray(col).tolist()) for col in columns.values()]
     with writing_artifact(path), open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
 def write_json(path, value) -> None:
-    """value as JSON, indented by 2, with a final newline."""
-    with writing_artifact(path), open(path, "w") as fh:
+    """value as JSON, indented by 2, with a final newline (LF on every platform)."""
+    with writing_artifact(path), open(path, "w", newline="") as fh:
         json.dump(value, fh, indent=2)
         fh.write("\n")
 

@@ -411,8 +411,18 @@ def test_every_command_sizes_once_before_it_writes(tmp_path, monkeypatch, comman
     monkeypatch.setattr("gcfkit.cli.design_wordlengths", counting)
     cfg = write_config(tmp_path, points_per_band=17, global_points=256, oversampling_ratio=128,
                        trials=1000, n_samples=2 ** 13, segment=512)
-    assert main([command, "--config", str(cfg)]) == 0
+    switches = ["--sweep-splits"] if command == "design" else []
+    assert main([command, "--config", str(cfg), *switches]) == 0
     assert calls == [False]
+    # every CSV it wrote (validate writes none) ends its lines in LF and has a
+    # header's worth of fields in each row
+    tables = sorted((tmp_path / "out").glob("*.csv"))
+    assert bool(tables) == (command != "validate")
+    for path in tables:
+        data = path.read_bytes()
+        assert b"\r" not in data, path.name
+        lines = data.splitlines()
+        assert {len(line.split(b",")) for line in lines} == {len(lines[0].split(b","))}, path.name
 
 
 class TestConfigErrors:

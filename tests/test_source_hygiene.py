@@ -5,7 +5,8 @@ method defined in the package is referenced somewhere in the package other
 than the re-exports of __init__, and every dataclass field and every
 module constant is read there: code that only the tests use is deleted, not
 kept.  No test helper is defined in two test modules, and without mpmath
-only the tests that need it skip.
+only the tests that need it skip.  Only filters.py opens a file for
+writing, and it does so without newline translation.
 """
 
 import ast
@@ -119,6 +120,27 @@ def test_every_module_constant_is_read_in_the_package():
     unread = [(module, name, line) for module, tree in MODULES.items()
               for name, line in module_constants(tree) if name not in read and name != "__version__"]
     assert not unread, f"module constants never read in src/gcfkit: {unread}"
+
+
+def writing_opens(tree):
+    """(line, passes newline="") of every open(...) that writes; a mode that is not a literal counts."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                newline = keywords.get("newline")
+                yield node.lineno, isinstance(newline, ast.Constant) and newline.value == ""
+
+
+def test_only_filters_opens_files_for_writing_and_without_newline_translation():
+    # every artifact goes through the writers of filters.py, whose bytes do not
+    # depend on the platform's newline translation
+    found = {module: list(writing_opens(tree)) for module, tree in MODULES.items()}
+    elsewhere = [(module, line) for module, opens in found.items() if module != "filters" for line, _ in opens]
+    assert not elsewhere, f"open(...) for writing outside filters.py: {elsewhere}"
+    translated = [line for line, plain in found["filters"] if not plain]
+    assert found["filters"] and not translated, f'filters.py opens for writing without newline="": {translated}'
 
 
 def test_no_test_helper_is_defined_in_two_modules():

@@ -617,7 +617,7 @@ def test_sensitivity_csv_matches_separate_evaluation(tmp_path, D, pp, rho):
 def old_write_columns(path, columns):
     values = [np.asarray(col).tolist() for col in columns.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(columns))
         writer.writerows(zip(*values))
 
