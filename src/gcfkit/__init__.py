@@ -14,7 +14,6 @@ from .filters import (
 )
 from .spectral import (
     band_index,
-    band_maxima,
     comb_response,
     folding_bands,
     gcf_response,

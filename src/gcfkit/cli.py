@@ -41,7 +41,6 @@ from .spectral import (
     DEFAULT_GLOBAL_POINTS,
     DEFAULT_POINTS_PER_BAND,
     band_index,
-    band_maxima,
     band_peaks,
     cascade_response,
     comb_response,
@@ -325,8 +324,7 @@ def cmd_simulate(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray,
 
 def cmd_compare(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
     spec = report.spec
-    gcf_peaks = band_peaks(spec, freqs, band)
-    comb_peaks = band_maxima(np.abs(comb_response(spec, freqs)), band, spec.D)
+    gcf_peaks, comb_peaks = band_peaks(spec)
     lo, hi = folding_bands(spec)
     att_c = np.array([worst_case_attenuation(m) for m in comb_peaks])
     att_g = np.array([worst_case_attenuation(m) for m in gcf_peaks])
@@ -334,8 +332,7 @@ def cmd_compare(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, 
         "band": np.arange(1, len(lo) + 1), "low": lo, "high": hi,
         "comb_attenuation_dB": att_c, "gcf_attenuation_dB": att_g, "improvement_dB": att_g - att_c,
     })
-    worst_g = worst_case_attenuation(gcf_peaks)
-    worst_c = worst_case_attenuation(comb_peaks)
+    worst_c, worst_g = att_c.min(), att_g.min()  # the attenuation falls as the peak rises
     print(f"worst-case attenuation: comb {worst_c:.2f} dB, gcf {worst_g:.2f} dB, "
           f"improvement {worst_g - worst_c:.2f} dB")
     return EXIT_OK

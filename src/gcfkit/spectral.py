@@ -8,19 +8,17 @@ every cascade response and sensitivity in the toolkit.  The
 polyphase section is evaluated from its impulse response h_p by reassembling
 the D1 branches h_p(D1*n + k), the architecture the paper evaluates, in
 one loop over the branches; its memory is O(grid size x taps per branch)
-and does not grow with D1.  The per-band peaks of compare
-(band_peaks) are found by bracketing each peak with the pure-cascade form,
-which is the same filter, and reassembling only there; the reassembly stays
-the only source of the reported values, so they equal the band maxima of
-the whole grid.
+and does not grow with D1.  compare's per-band peaks (band_peaks) come
+from the closed-form zeros k/D and k/D -/+ q f_c of each band, between
+which |H| has one critical point each: bisection on the slope of the
+pure-cascade form (the same filter) finds them, and the response is
+evaluated only there and at the band edges, with no grid.
 
-The folding bands are two arrays (lo, hi); band_index and band_maxima
+The folding bands are two arrays (lo, hi); band_index and band_peaks
 treat every band at once, so nothing loops over the bands.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,6 +31,7 @@ ATTENUATION_CAP_DB = 300.0
 DEFAULT_POINTS_PER_BAND = 129
 DEFAULT_GLOBAL_POINTS = 4096
 EDGE_EPS = 1e-12  # grid points this close outside a folding band count as in it
+PEAK_BISECTIONS = 32  # halving a peak's bracket (<= f_c wide) 32 times leaves |H| within roundoff of the peak
 
 
 def folding_bands(spec: GcfSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -55,13 +54,6 @@ def band_index(spec: GcfSpec, freqs: np.ndarray) -> np.ndarray:
     k = np.rint(f * spec.D)
     inside = (k >= 1) & (f <= 0.5 + EDGE_EPS) & (np.abs(f - k / spec.D) <= spec.f_c + EDGE_EPS)
     return np.where(inside, k, 0).astype(np.int32)  # a D with 2**31 bands could not hold its grid
-
-
-def band_maxima(values: np.ndarray, band: np.ndarray, D: int) -> np.ndarray:
-    """Largest of values over the points of each band k = 1 .. D/2 (their band_index; -inf if none)."""
-    out = np.full(D // 2 + 1, -np.inf)
-    np.maximum.at(out, band, values)
-    return out[1:]
 
 
 def _sinc_ratio(f: np.ndarray, D: int) -> np.ndarray:
@@ -152,37 +144,48 @@ def gcf_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
     return out * normalization_gain(spec)
 
 
-def _form_gap_bound(spec: GcfSpec) -> float:
-    """Bound eps on the gap between |gcf_response| of spec and of its pure-cascade form.
+def _cascade_amplitude(f: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """A = prod_k stage_bracket(w, k, r_k) / (2 + 2 r_k), k < len(r), at f, and A dA/dw (> 0 where |A| rises)."""
+    w = 2.0 * np.pi * f
+    amp, slope = np.ones_like(w), np.zeros_like(w)
+    for k, r_k in enumerate(r):
+        half, gain = 2.0 ** (k - 1), 2.0 + 2.0 * r_k
+        factor = stage_bracket(w, k, r_k) / gain
+        rate = -2.0 * half * (3.0 * np.sin(3.0 * half * w) + r_k * np.sin(half * w)) / gain
+        amp, slope = amp * factor, slope * factor + amp * rate  # the product rule stays finite at the zeros
+    return amp, amp * slope
 
-    eps = ((pi + 1) L + 16 p) 2**-53, L = 3 D1 - 2: the terms bound the
-    phase rounding of fl(w m) over the L taps, the L-term sum and the stage
-    product, relative to the unit DC gain.  They scale with sum|h_p| /
-    |sum h_p|, which is 1: h_p is a product of stages 1, r_k, r_k, 1 with
-    r_k > 1 (2**k alpha < pi/2), so every tap is positive.
+
+def band_peaks(spec: GcfSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(gcf, comb): the largest |gcf_response| and |comb_response| of spec over each folding band.
+
+    In band k the pure-cascade amplitude A of spec has the zeros c - q f_c,
+    c and c + q f_c (c = k/D) and one critical point between adjacent
+    zeros: at each inner lobe's peak, and between an edge and its outer
+    zero where the slope at that edge points into the band.  PEAK_BISECTIONS
+    halvings on the sign of d|A|/df find them, and gcf_response is evaluated
+    at the edges and at the points whose |A| beats both.  The comb, whose
+    three zeros meet at c, is largest at an edge.
     """
-    L = 3 * spec.D1 - 2
-    return ((np.pi + 1.0) * L + 16.0 * spec.p) * 2.0 ** -53
-
-
-def band_peaks(spec: GcfSpec, freqs: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """Largest |gcf_response(spec, freqs)| over the points of each band (band_index(spec, freqs)).
-
-    The values are those of the whole-grid reassembly, but it runs only
-    where a band's peak can lie.  By split invariance the pure-cascade form
-    of the design is the same filter; its |H| is cheap (no reassembly) and
-    within eps = _form_gap_bound(spec) of the reassembled one.  So each
-    band's peak lies among the points whose cascade-form magnitude is within
-    2 eps of the band's cascade-form maximum (a band whose peak is below
-    2 eps keeps all its points), and gcf_response, which gives every point
-    the same value on any subset of the grid, is evaluated there only.
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    slack = 2.0 * _form_gap_bound(spec)
-    cascade = np.abs(gcf_response(replace(spec, p_p=-1), freqs))
-    floor = band_maxima(cascade, band, spec.D) - slack
-    kept = np.flatnonzero((band > 0) & (cascade >= floor[band - 1]))
-    return band_maxima(np.abs(gcf_response(spec, freqs[kept])), band[kept], spec.D)
+    lo, hi = folding_bands(spec)
+    n = len(lo)
+    centers = np.arange(1, n + 1) / spec.D
+    r = stage_coefficients(GcfSpec(spec.D, spec.f_c, q=spec.q))  # the stages k = 0 .. p-1
+    left, right = centers - spec.q * spec.f_c, np.minimum(centers + spec.q * spec.f_c, hi)  # hi = c at 1/2
+    edge_amp, rise = _cascade_amplitude(np.concatenate([lo, hi]), r)
+    a, b = np.concatenate([lo, left, centers, right]), np.concatenate([left, centers, right, hi])
+    inward = np.concatenate([rise[:n] > 0.0, np.ones(2 * n, bool), rise[n:] < 0.0]) & (a < b)
+    band, a, b = np.tile(np.arange(n), 4)[inward], a[inward], b[inward]
+    for _ in range(PEAK_BISECTIONS):
+        mid = 0.5 * (a + b)
+        rising = _cascade_amplitude(mid, r)[1] > 0.0
+        a, b = np.where(rising, mid, a), np.where(rising, b, mid)
+    kept = np.abs(_cascade_amplitude(a, r)[0]) > np.maximum(np.abs(edge_amp[:n]), np.abs(edge_amp[n:]))[band]
+    gcf = np.abs(gcf_response(spec, np.concatenate([lo, hi, a[kept]])))
+    peaks = np.maximum(gcf[:n], gcf[n:2 * n])
+    np.maximum.at(peaks, band[kept], gcf[2 * n:])
+    comb = np.abs(comb_response(spec, np.concatenate([lo, hi])))
+    return peaks, np.maximum(comb[:n], comb[n:])
 
 
 def grid_frequencies(bands: tuple[np.ndarray, np.ndarray], points_per_band: int = DEFAULT_POINTS_PER_BAND,

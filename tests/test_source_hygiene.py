@@ -6,11 +6,13 @@ than the re-exports of __init__, and every dataclass field and every
 module constant is read there: code that only the tests use is deleted, not
 kept.  No test helper is defined in two test modules, and without mpmath
 only the tests that need it skip.  Only filters.py opens a file for
-writing, and it does so without newline translation.
+writing, and it does so without newline translation.  Every function that
+README.md names is defined.
 """
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -167,3 +169,21 @@ def test_without_mpmath_only_the_mpmath_tests_skip():
     assert all(line.startswith("tests/test_filters.py::") for line in ids), out
     assert {line.split("::")[-1].split("[")[0] for line in ids} == defined, out
     assert "SKIPPED [2] tests/mp_gcf.py" in out, out
+
+
+# functions of README's formulas, not of the program
+README_MATH = {"H", "erf", "exp", "prod", "rint"}
+
+
+def test_every_function_that_readme_names_is_defined():
+    # a backticked `name(` in README.md, outside its fenced blocks, is a
+    # function or class of src/gcfkit, tests or bench, so no renamed or
+    # deleted one stays behind in the text
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    calls = (re.match(r"([A-Za-z_]\w*)\(", span) for span in re.findall(r"`([^`]+)`", text))
+    named = {m.group(1) for m in calls if m}
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    defined = {name for path in paths for name, _ in definitions(ast.parse(path.read_text()))}
+    assert README_MATH <= named, f"README no longer uses {sorted(README_MATH - named)}"
+    undefined = named - defined - README_MATH
+    assert not undefined, f"README names undefined functions: {sorted(undefined)}"

@@ -19,6 +19,7 @@ replaced.
 import csv
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from gcfkit.filters import (
 )
 from gcfkit.spectral import (
     band_index,
-    band_maxima,
     cascade_response,
     folding_bands,
     grid_frequencies,
@@ -279,22 +279,16 @@ def test_band_arrays_match_old_loops(D, rho_per_D):
     old = OldFoldingBandSet(spec)
     bands = folding_bands(spec)
     assert np.array_equal(np.column_stack(bands), np.reshape(old.bands, (-1, 2)))
-    rng = np.random.default_rng(D)
     for grid in BAND_GRIDS:
         freqs = grid_frequencies(bands, *grid)
         assert np.array_equal(freqs, old.grid_frequencies(*grid))
-        band = band_index(spec, freqs)
-        values = rng.permutation(len(freqs)).astype(float)
         # band k of every point of old mask k, so want_band > 0 is old.contains
         want_band = np.zeros(len(freqs), dtype=np.intp)
-        want_max = []
         for k, m in enumerate(old.band_masks(freqs), start=1):
             idx = np.flatnonzero(m)
             assert not np.any(want_band[idx])  # no point lies in two bands
             want_band[idx] = k
-            want_max.append(np.max(values[idx]))
-        assert np.array_equal(band, want_band)
-        assert np.array_equal(band_maxima(values, band, D), want_max)
+        assert np.array_equal(band_index(spec, freqs), want_band)
 
 
 def in_band_freqs(spec, points_per_band=17, global_points=512):
@@ -667,17 +661,27 @@ def test_comparison_csv_matches_per_band_magnitudes(tmp_path, D, pp, rho, grid):
     assert (tmp_path / "comparison.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_compare_reassembles_only_near_band_peaks(tmp_path, monkeypatch):
-    rows = []
-    reassemble = spectral._polyphase_response
+def test_compare_evaluates_no_more_than_two_points_per_band(tmp_path, monkeypatch):
+    # the band edges and the few lobe peaks that beat them: no grid reaches a response
+    sizes = []
 
-    def counting(f, h_p, D1):
-        rows.append(len(f))
-        return reassemble(f, h_p, D1)
+    def counting(original, at, *args):
+        sizes.append(np.size(args[at]))
+        return original(*args)
 
-    monkeypatch.setattr(spectral, "_polyphase_response", counting)
+    for name, at in (("gcf_response", 1), ("cascade_response", 0), ("_polyphase_response", 0)):
+        monkeypatch.setattr(spectral, name, partial(counting, getattr(spectral, name), at))
     argv = ["compare", "--decimation-factor", "1024", "--pp-split", "9", "--oversampling-ratio", "2048",
             "--output-dir", str(tmp_path)]
     assert cli.main(argv) == 0
-    spec = GcfSpec.from_oversampling(1024, 2048, p_p=9)
-    assert sum(rows) <= 0.02 * len(grid_frequencies(folding_bands(spec)))
+    assert sizes and max(sizes) <= 2 * 1024
+
+
+def test_comparison_csv_does_not_depend_on_the_grid(tmp_path):
+    # at q = 0.9 the inner lobes beat the band edges, where a grid's maxima fall short
+    argv = ["compare", "--decimation-factor", "64", "--pp-split", "1", "--oversampling-ratio", "256", "--q", "0.9"]
+    assert cli.main(argv + ["--output-dir", str(tmp_path / "default")]) == 0
+    assert cli.main(argv + ["--points-per-band", "17", "--global-points", "512",
+                            "--output-dir", str(tmp_path / "coarse")]) == 0
+    default, coarse = (tmp_path / grid / "comparison.csv" for grid in ("default", "coarse"))
+    assert default.read_bytes() == coarse.read_bytes()
