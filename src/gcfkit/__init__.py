@@ -29,7 +29,6 @@ from .wordlength import (
     monte_carlo_run,
     quantization_error_response,
     quantize_coefficients,
-    rounded_multipliers,
     sensitivity,
 )
 from .sdsim import (

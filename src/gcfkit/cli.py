@@ -32,7 +32,6 @@ from .filters import (
     GcfSpec,
     coefficients_to_csv,
     expand_full_polynomial,
-    polyphase_impulse,
     stage_coefficients,
     write_columns,
     write_json,
@@ -61,7 +60,6 @@ from .wordlength import (
     mc_draw_width,
     monte_carlo_run,
     quantization_error_response,
-    rounded_multipliers,
     sensitivity,
 )
 from .sdsim import run_experiment, export_run
@@ -203,14 +201,12 @@ def cmd_design(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, b
     if sweep_splits:
         _write_fn_sweep(spec, freqs[band > 0], outdir)
     write_json(os.path.join(outdir, "report.json"), report.as_dict())
-    _, r, taps_q, r_q = rounded_multipliers(spec, report.f_n)
-    h_p = polyphase_impulse(spec)
-    for name, values in (("cascade_exact", r), ("cascade_quantized", r_q),
-                         ("bank_exact", h_p), ("bank_quantized", taps_q)):
+    for name, values in (("cascade_exact", report.r), ("cascade_quantized", report.r_q),
+                         ("bank_exact", report.h_p), ("bank_quantized", report.taps_q)):
         coefficients_to_csv(os.path.join(outdir, name + ".csv"), values)
     write_json(os.path.join(outdir, "coefficients.json"), {
-        "spec": spec.as_dict(), "cascade": r.tolist(), "cascade_quantized": r_q.tolist(),
-        "bank": h_p.tolist(), "expanded": expand_full_polynomial(spec).tolist(),
+        "spec": spec.as_dict(), "cascade": report.r.tolist(), "cascade_quantized": report.r_q.tolist(),
+        "bank": report.h_p.tolist(), "expanded": expand_full_polynomial(spec).tolist(),
     })
     print(report.table())
     return EXIT_OK
@@ -220,7 +216,7 @@ def cmd_response(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray,
     outdir, spec = cfg.output_dir, report.spec
     mask = band > 0
     grid_to_csv(os.path.join(outdir, "response_exact.csv"), freqs, gcf_response(spec, freqs), mask)
-    quantized, delta_h = quantization_error_response(spec, report.f_n, freqs)
+    quantized, delta_h = quantization_error_response(report, freqs)
     grid_to_csv(os.path.join(outdir, "response_quantized.csv"), freqs, quantized, mask)
     grid_to_csv(os.path.join(outdir, "response_comb.csv"), freqs, comb_response(spec, freqs), mask)
     lo, hi = folding_bands(spec)
@@ -232,7 +228,7 @@ def cmd_response(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray,
 
 def cmd_sensitivity(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
     spec, mask = report.spec, band > 0
-    _, delta_h = quantization_error_response(spec, report.f_n, freqs)
+    _, delta_h = quantization_error_response(report, freqs)
     result = sensitivity(spec, freqs)
     grid_to_csv(
         os.path.join(cfg.output_dir, "sensitivity.csv"), freqs, gcf_response(spec, freqs), mask,
@@ -307,7 +303,7 @@ def cmd_validate(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray,
 
 def cmd_simulate(cfg: DesignConfig, report: WordLengthReport, freqs: np.ndarray, band: np.ndarray) -> int:
     spec = report.spec
-    run = run_experiment(spec, report.i_n_k, report.f_n, cfg.amplitude, cfg.n_samples, cfg.seed,
+    run = run_experiment(report, cfg.amplitude, cfg.n_samples, cfg.seed,
                          segment=cfg.segment, overlap_fraction=cfg.overlap)
     provenance = {
         "config": {"fx_ratio": spec.f_c, "amplitude": cfg.amplitude, "n_samples": cfg.n_samples,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StageOverflowError
-from .filters import GcfSpec, normalization_gain, write_columns, write_json, writing_artifact
-from .wordlength import rounded_multipliers
+from .filters import normalization_gain, write_columns, write_json, writing_artifact
+from .wordlength import WordLengthReport
 
 # 2-level quantizer with +/-1 output: inputs beyond +/-2 exceed the
 # no-overload range (quantization error magnitude > 1).
@@ -108,35 +108,37 @@ def sd_modulate(x) -> ModulatorResult:
     return ModulatorResult(bits=bits, overload_count=overload)
 
 
-def _check_decimator_args(spec: GcfSpec, i_n: tuple[int, ...], f_n: int) -> None:
-    """Reject a split or register sizing that the fixed-point decimator cannot run."""
+def _check_decimator_args(report: WordLengthReport) -> None:
+    """Reject a split or register sizing of the report that the fixed-point decimator cannot run."""
+    spec, i_n = report.spec, report.i_n_k
     if spec.p_p != -1:
         raise ParameterError("fixed-point decimation expects the cascaded form (p_p = -1)")
     if len(i_n) != spec.p:
         raise ParameterError(f"i_n must size all {spec.p} stages, got {len(i_n)}")
-    if f_n < 0 or any(b < 0 for b in i_n):
+    if any(b < 0 for b in i_n):
         raise ParameterError("bit counts must be non-negative")
     # int64 headroom: worst register needs i_n[-1] + p*f_n bits
-    if i_n[-1] + spec.p * f_n > 62:
+    if i_n[-1] + spec.p * report.f_n > 62:
         raise ParameterError("register widths exceed 64-bit integer arithmetic")
 
 
-def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: int) -> np.ndarray:
-    """Decimate through the p-stage fixed-point cascade (each stage by 2).
+def decimate_fixed_point(bitstream, report: WordLengthReport) -> np.ndarray:
+    """Decimate through the report's p-stage fixed-point cascade (each stage by 2).
 
     Every stage applies 1 + r_k (z^-1 + z^-2) + z^-3 at its own rate with
-    r_k rounded to f_n fraction bits (the r_q of rounded_multipliers, which
-    design exports as cascade_quantized.csv), accumulates exactly in integers
-    (fraction bits grow by f_n per stage, no truncation), checks the result
-    against its sized integer width i_n[k], and keeps the even samples.  The
-    final output is scaled by h_o in floating point.  The input runs through in
-    blocks, each stage carrying its last 3 inputs across them; an overflow
-    names the lowest stage that overflows anywhere in the signal, with that
-    stage's peak over the whole signal.  An input sample with
-    |x| >= 2**i_n[0] does not fit stage 0's register and raises
+    r_k the report's r_q, rounded to f_n fraction bits (design exports it as
+    cascade_quantized.csv), accumulates exactly in integers (fraction bits
+    grow by f_n per stage, no truncation), checks the result against its
+    sized integer width i_n[k] (the report's i_n_k), and keeps the even
+    samples.  The final output is scaled by h_o in floating point.  The
+    input runs through in blocks, each stage carrying its last 3 inputs
+    across them; an overflow names the lowest stage that overflows anywhere
+    in the signal, with that stage's peak over the whole signal.  An input
+    sample with |x| >= 2**i_n[0] does not fit stage 0's register and raises
     StageOverflowError for stage 0.
     """
-    _check_decimator_args(spec, i_n, f_n)
+    _check_decimator_args(report)
+    spec, i_n, f_n = report.spec, report.i_n_k, report.f_n
     x = np.asarray(bitstream)
     if not np.issubdtype(x.dtype, np.integer):
         raise ParameterError("bitstream must be integer-valued")
@@ -145,8 +147,7 @@ def decimate_fixed_point(bitstream, spec: GcfSpec, i_n: tuple[int, ...], f_n: in
     peak_in = max(int(x.max()), -int(x.min())) if n_in else 0
     if peak_in >= 1 << i_n[0]:
         raise StageOverflowError(0, float(peak_in), float(1 << i_n[0]))
-    r_q = rounded_multipliers(spec, f_n)[3]
-    r_int = np.rint(r_q * 2.0 ** f_n).astype(np.int64)
+    r_int = np.rint(report.r_q * 2.0 ** f_n).astype(np.int64)
     limits = [1 << (i_n[k] + (k + 1) * f_n) for k in range(spec.p)]
     peaks = [0] * spec.p
     history = [np.zeros(3, np.int64)] * spec.p  # each stage's last 3 inputs
@@ -215,27 +216,20 @@ def welch_psd(x, segment: int = 4096, overlap_fraction: float = 0.5):
     return np.fft.rfftfreq(segment), total / len(segs)
 
 
-def run_experiment(
-    spec: GcfSpec,
-    i_n: tuple[int, ...],
-    f_n: int,
-    amplitude: float,
-    n_samples: int,
-    seed: int,
-    segment: int = 4096,
-    overlap_fraction: float = 0.5,
-) -> SimulationRun:
-    """Generate a test signal band-limited to spec.f_c, modulate, decimate and measure both spectra.
+def run_experiment(report: WordLengthReport, amplitude: float, n_samples: int, seed: int,
+                   segment: int = 4096, overlap_fraction: float = 0.5) -> SimulationRun:
+    """Generate a test signal band-limited to the report's f_c, modulate, decimate and measure both spectra.
 
     The output count, the Welch arguments and the decimator's split and
     register sizes are checked before any work.
     """
+    spec = report.spec
     if n_samples // spec.D < 2:
         raise ParameterError(f"n_samples {n_samples} gives fewer than 2 output samples at D={spec.D}")
     _check_welch_args(segment, n_samples, overlap_fraction)
-    _check_decimator_args(spec, i_n, f_n)
+    _check_decimator_args(report)
     mod = sd_modulate(generate_bandlimited_signal(spec.f_c, amplitude, n_samples, seed))  # frees the signal
-    decimated = decimate_fixed_point(mod.bits, spec, i_n, f_n)
+    decimated = decimate_fixed_point(mod.bits, report)
     psd_in = welch_psd(mod.bits, segment, overlap_fraction)
     psd_out = welch_psd(decimated, min(segment, len(decimated)), overlap_fraction)
     return SimulationRun(

@@ -37,7 +37,7 @@ g_k = log2(2 + 2 r_k) <= 3 bits, accumulated through the cascade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,7 +118,16 @@ class SensitivityResult:
 
 @dataclass(frozen=True)
 class WordLengthReport:
-    """The sizing of one run: F_n and per-stage widths, with the spec and tolerance they size."""
+    """The sizing of one run, F_n and per-stage widths, and the rounded filter it sizes.
+
+    The filter is built from (spec, f_n) at construction, so a report made
+    by dataclasses.replace stays consistent: h_p, the bank taps scaled to
+    unit DC gain (taps), the raw cascade r_k (r), and their f_n-bit
+    roundings taps_q and r_q by quantize_coefficients.  design exports
+    them, the quantized responses evaluate them and the fixed-point
+    decimator runs r_q; as_dict leaves them out.  The Monte Carlo perturbs
+    the designed filter itself and does not read them (see _mc_delta_h).
+    """
 
     spec: GcfSpec
     tolerance: ToleranceSpec
@@ -129,6 +138,19 @@ class WordLengthReport:
     binding_freq: float
     case_tag: str
     n_multipliers: int
+    h_p: np.ndarray = field(init=False, repr=False, compare=False)
+    taps: np.ndarray = field(init=False, repr=False, compare=False)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    taps_q: np.ndarray = field(init=False, repr=False, compare=False)
+    r_q: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h_p = polyphase_impulse(self.spec)
+        taps, r = h_p / h_p.sum(), np.asarray(stage_coefficients(self.spec))
+        for name, value in (("h_p", h_p), ("taps", taps), ("r", r),
+                            ("taps_q", quantize_coefficients(taps, self.f_n)),
+                            ("r_q", quantize_coefficients(r, self.f_n))):
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
         return {
@@ -220,22 +242,6 @@ def quantize_coefficients(values, f_n: int) -> np.ndarray:
     return np.where(np.isfinite(scaled), np.copysign(np.floor(scaled + 0.5), v) / scale, v)
 
 
-def rounded_multipliers(spec: GcfSpec, f_n: int):
-    """(taps, r, taps_q, r_q): the exact multipliers and their f_n-bit roundings.
-
-    The one source of the rounded design: the coefficients that design
-    exports, the quantized responses and the fixed-point decimator all take
-    them from here.  The bank taps are h_p scaled to unit DC gain, the
-    cascade r_k keep their raw values, and rounding is
-    quantize_coefficients'.  The Monte Carlo perturbs the designed filter
-    itself and does not call it (see _mc_delta_h).
-    """
-    h_p = polyphase_impulse(spec)
-    taps = h_p / h_p.sum()
-    r = np.asarray(stage_coefficients(spec))
-    return taps, r, quantize_coefficients(taps, f_n), quantize_coefficients(r, f_n)
-
-
 # Complex phasors per block of the tap DTFT (1 MB), whatever the grid size
 # and tap count; a block holds at least one frequency.  Each DTFT sum is
 # formed on its own, so its result is the same for any block size.
@@ -266,15 +272,16 @@ def _response_from_multipliers(spec: GcfSpec, freqs: np.ndarray, *multipliers) -
             for bank, (_, r) in zip(banks, multipliers)]
 
 
-def quantization_error_response(spec: GcfSpec, f_n: int, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(quantized, delta_h) at freqs for rounded multipliers: H_q and d|H| = |H_q| - |H|.
+def quantization_error_response(report: WordLengthReport, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(quantized, delta_h) at freqs of the report's rounded filter: H_q and d|H| = |H_q| - |H|.
 
-    Exact and quantized responses are each self-normalized to unit DC gain
-    (H_q is returned so) before the magnitudes are compared.  The model std
-    d|H| is set against is SensitivityResult.sigma_dh.
+    H is the filter of the report's taps and r, H_q that of its taps_q and
+    r_q.  Each is self-normalized to unit DC gain (H_q is returned so)
+    before the magnitudes are compared.  The model std d|H| is set against
+    is SensitivityResult.sigma_dh.
     """
-    taps, r, taps_q, r_q = rounded_multipliers(spec, f_n)
-    exact, quant = _response_from_multipliers(spec, freqs, (taps, r), (taps_q, r_q))
+    taps, r, taps_q, r_q = report.taps, report.r, report.taps_q, report.r_q
+    exact, quant = _response_from_multipliers(report.spec, freqs, (taps, r), (taps_q, r_q))
     dc_exact = taps.sum() * stage_dc_gain(r)
     dc_quant = taps_q.sum() * stage_dc_gain(r_q)
     delta = np.abs(quant) / dc_quant - np.abs(exact) / dc_exact
@@ -450,23 +457,15 @@ def design_wordlengths(spec: GcfSpec, tol: ToleranceSpec, input_width: int, freq
     """
     sens = sensitivity(spec, freqs)
     f_n, binding_freq = sens.fraction_bits(tol)
-    _, _, taps_q, _ = rounded_multipliers(spec, f_n)
-    if taps_q.sum() == 0.0:
+    g, i_n = integer_bits(spec, input_width)
+    report = WordLengthReport(spec=spec, tolerance=tol, input_width=input_width, f_n=f_n, g_k=g, i_n_k=i_n,
+                              binding_freq=binding_freq, case_tag=sens.case_tag,
+                              n_multipliers=sens.n_multipliers)
+    if report.taps_q.sum() == 0.0:
         raise ParameterError(
             f"chi = {tol.chi:g} sizes F_n = {f_n}, at which the polyphase taps round to a "
             "zero DC gain; give a smaller chi"
         )
-    g, i_n = integer_bits(spec, input_width)
-    return WordLengthReport(
-        spec=spec,
-        tolerance=tol,
-        input_width=input_width,
-        f_n=f_n,
-        g_k=g,
-        i_n_k=i_n,
-        binding_freq=binding_freq,
-        case_tag=sens.case_tag,
-        n_multipliers=sens.n_multipliers,
-    )
+    return report
 
 

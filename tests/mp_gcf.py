@@ -132,3 +132,48 @@ def sensitivity(w, r, first_cascade, n_taps):
     for u in range(first_cascade, len(r)):
         out = out + (2 * cos1[u] / (2 + 2 * r[u])) ** 2 * np.prod(b[:u] + b[u + 1:] or [1], axis=0) ** 2
     return np.broadcast_to(out, len(w)).astype(float)
+
+
+def cascade_magnitude(w, r):
+    """|prod_k b_k / (2 + 2 r_k)| at the angle w, k < len(r): the |H| at unit DC gain of the stages of r.
+
+    With c = cos x, x = 2^(k-1) w, b_k = 2 (4 c^3 - 3 c + r_k c) = 2 c (4 c^2 + r_k - 3), and the next
+    stage's c is the double angle 2 c^2 - 1, so one cosine serves every stage.  r holds exact values.
+    """
+    c, out = mpmath.cos(w / 2), mpmath.mpf(1)
+    for r_k in r:
+        out *= 2 * c * (4 * c * c + r_k - 3) / (2 + 2 * r_k)
+        c = 2 * c * c - 1
+    return abs(out)
+
+
+def band_maxima(w_lo, w_hi, D, alpha, r, steps=60):
+    """(peak, w_peak): the largest cascade_magnitude(w, r) over each band [w_lo, w_hi] and where it lies, as float64.
+
+    Band k = 1, 2, ... holds the closed-form zeros 2 pi k / D and 2 pi k / D -/+ alpha of H, and |H| has
+    one critical point between adjacent zeros, so it is unimodal on each piece of the band between its
+    edges and the zeros inside.  A golden-section search of `steps` steps finds each piece's largest
+    |H|; the edges are evaluated as they are.  The float64 w_lo, w_hi, alpha and r are exact.
+    """
+    r, alpha, shrink = exact(r), mpmath.mpf(alpha), (mpmath.sqrt(5) - 1) / 2
+    peaks, where = [], []
+    for k, (lo, hi) in enumerate(zip(exact(w_lo), exact(w_hi)), start=1):
+        centre = 2 * mpmath.pi * k / D
+        cuts = [lo, *(z for z in (centre - alpha, centre, centre + alpha) if lo < z < hi), hi]
+        best = max((cascade_magnitude(w, r), w) for w in (lo, hi))
+        for a, b in zip(cuts, cuts[1:]):
+            x1, x2 = b - shrink * (b - a), a + shrink * (b - a)
+            f1, f2 = cascade_magnitude(x1, r), cascade_magnitude(x2, r)
+            for _ in range(steps):
+                if f1 < f2:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + shrink * (b - a)
+                    f2 = cascade_magnitude(x2, r)
+                else:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - shrink * (b - a)
+                    f1 = cascade_magnitude(x1, r)
+            best = max(best, (f1, x1), (f2, x2))
+        peaks.append(best[0])
+        where.append(best[1])
+    return np.array(peaks, dtype=float), np.array(where, dtype=float)

@@ -43,7 +43,7 @@ from gcfkit import (
     worst_case_attenuation,
 )
 
-from gcf_helpers import comb_coefficients, in_band
+from gcf_helpers import comb_coefficients, in_band, rounded_report
 from test_wordlength import fd_sensitivity_terms
 
 PAPER_SPEC = GcfSpec.from_oversampling(16, 64)  # D=16, D1=1, f_c=1/128
@@ -269,7 +269,7 @@ def test_criterion_6_known_red_measures_are_pinned():
 def test_criterion_7_quantized_fidelity():
     freqs = in_band(PAPER_SPEC)
     rep = design_wordlengths(PAPER_SPEC, PAPER_TOL, 1, freqs)
-    in_band_dh = np.abs(quantization_error_response(PAPER_SPEC, rep.f_n, freqs)[1])
+    in_band_dh = np.abs(quantization_error_response(rep, freqs)[1])
     worst = float(np.max(in_band_dh))
     exceed_frac = float(np.mean(in_band_dh > PAPER_TOL.chi))
     ok = worst <= PAPER_TOL.chi or exceed_frac < 0.05
@@ -310,7 +310,7 @@ def test_criterion_9_dynamic_range():
     rng = np.random.default_rng(SEED)
     for D in (2, 4, 8):
         spec = GcfSpec.from_oversampling(D, 4 * D)
-        i_n = integer_bits(spec, 1)[1]
+        rounded = rounded_report(spec, 7)  # the widths of a 1-bit input
         h = expand_full_polynomial(spec)
         n = 512
         sign_matched = np.sign(h[::-1]).astype(np.int64)
@@ -323,7 +323,7 @@ def test_criterion_9_dynamic_range():
         ]
         for x in patterns:
             try:
-                decimate_fixed_point(x, spec, i_n, 7)
+                decimate_fixed_point(x, rounded)
             except StageOverflowError as exc:
                 overflow_ok = False
                 print(f"  overflow at D={D}: {exc}")
@@ -354,8 +354,8 @@ def test_criterion_10_sigma_delta_experiment():
 
     # (b) paper experiment: band edge and in-band vs out-of-band power
     spec = GcfSpec.from_oversampling(16, 128)  # f_c = 1/256
-    i_n = integer_bits(spec, 1)[1]
-    run = run_experiment(spec, i_n, 7, 0.5, n, SEED)
+    rounded = rounded_report(spec, 7)  # the widths of a 1-bit input
+    run = run_experiment(rounded, 0.5, n, SEED)
     edge = spec.f_c * spec.D
     edge_ok = abs(edge - 0.063) <= 1e-3
     fo, po = run.psd_out
@@ -370,7 +370,7 @@ def test_criterion_10_sigma_delta_experiment():
     rng = np.random.default_rng(SEED)
     pedestal = 0.5 + 1e-5 * rng.standard_normal(n)
     bits_dc = sd_modulate(pedestal).bits
-    dec_dc = decimate_fixed_point(bits_dc.astype(np.int64), spec, i_n, 7)
+    dec_dc = decimate_fixed_point(bits_dc.astype(np.int64), rounded)
     fb, pb = welch_psd(bits_dc.astype(float), segment=4096)
     fd, pd = welch_psd(dec_dc, segment=1024)
     floor_bits = float(np.median(pb[(fb >= 0.1) & (fb <= 0.4)]))

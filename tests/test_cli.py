@@ -16,13 +16,12 @@ from gcfkit import (
     design_wordlengths,
     expand_full_polynomial,
     normalization_gain,
-    rounded_multipliers,
     stage_coefficients,
 )
 from gcfkit.cli import main
 from gcfkit.wordlength import DEFAULT_Y
 
-from gcf_helpers import in_band
+from gcf_helpers import in_band, rounded_report
 
 
 def write_config(tmp_path, **extra):
@@ -111,7 +110,7 @@ class TestDesign:
         spec = GcfSpec.from_oversampling(16, 64, q=0.79)
         x = np.zeros(256, np.int64)
         x[0] = 1
-        got = decimate_fixed_point(x, spec, tuple(report["i_n_k"]), f_n)
+        got = decimate_fixed_point(x, rounded_report(spec, f_n, report["i_n_k"]))
         expected = poly[::16] * 2.0 ** -(spec.p * f_n) * normalization_gain(spec)
         assert np.array_equal(got[:len(expected)], expected)
         assert not np.any(got[len(expected):])
@@ -120,9 +119,9 @@ class TestDesign:
         assert main(["design", "--config", str(write_config(tmp_path, pp_split=1))]) == 0
         out = tmp_path / "out"
         f_n = json.loads((out / "report.json").read_text())["f_n"]
-        _, _, taps_q, r_q = rounded_multipliers(GcfSpec.from_oversampling(16, 64, 1), f_n)
-        assert np.array_equal(read_coefficients(out / "bank_quantized.csv"), taps_q)
-        assert np.array_equal(read_coefficients(out / "cascade_quantized.csv"), r_q)
+        rounded = rounded_report(GcfSpec.from_oversampling(16, 64, 1), f_n)
+        assert np.array_equal(read_coefficients(out / "bank_quantized.csv"), rounded.taps_q)
+        assert np.array_equal(read_coefficients(out / "cascade_quantized.csv"), rounded.r_q)
 
     def test_split_sweep_table_is_monotone(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -386,11 +385,11 @@ def test_largest_fraction_width_writes_finite_artifacts(tmp_path, command):
         else:
             assert np.all(np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1))), name
     spec = GcfSpec.from_oversampling(16, 64)
-    _, r, _, r_q = rounded_multipliers(spec, 1023)
-    assert np.array_equal(r_q, r)
+    rounded = rounded_report(spec, 1023)
+    assert np.array_equal(rounded.r_q, rounded.r)
     if command == "design":
         assert json.loads((out / "report.json").read_text())["f_n"] == 1023
-        assert np.array_equal(read_coefficients(out / "cascade_quantized.csv"), r)
+        assert np.array_equal(read_coefficients(out / "cascade_quantized.csv"), rounded.r)
     elif command == "response":
         assert (out / "response_quantized.csv").read_bytes() == (out / "response_exact.csv").read_bytes()
     else:
@@ -398,6 +397,9 @@ def test_largest_fraction_width_writes_finite_artifacts(tmp_path, command):
 
 
 COMMANDS = ["design", "response", "sensitivity", "validate", "simulate", "compare"]
+# toy sizes: each command runs in a few hundredths of a second
+TOY_RUN = dict(points_per_band=17, global_points=256, oversampling_ratio=128, trials=1000, n_samples=2 ** 13,
+               segment=512)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -409,8 +411,7 @@ def test_every_command_sizes_once_before_it_writes(tmp_path, monkeypatch, comman
         return design_wordlengths(*args, **kwargs)
 
     monkeypatch.setattr("gcfkit.cli.design_wordlengths", counting)
-    cfg = write_config(tmp_path, points_per_band=17, global_points=256, oversampling_ratio=128,
-                       trials=1000, n_samples=2 ** 13, segment=512)
+    cfg = write_config(tmp_path, **TOY_RUN)
     switches = ["--sweep-splits"] if command == "design" else []
     assert main([command, "--config", str(cfg), *switches]) == 0
     assert calls == [False]
@@ -423,6 +424,24 @@ def test_every_command_sizes_once_before_it_writes(tmp_path, monkeypatch, comman
         assert b"\r" not in data, path.name
         lines = data.splitlines()
         assert {len(line.split(b",")) for line in lines} == {len(lines[0].split(b","))}, path.name
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_rounds_the_filter_once(tmp_path, monkeypatch, command):
+    # the report rounds the taps and r when main builds it, and every command reads them from there
+    rounded = []
+    quantize = gcfkit.wordlength.quantize_coefficients
+
+    def counting(values, f_n):
+        rounded.append(len(values))
+        return quantize(values, f_n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gcfkit" and hasattr(module, "quantize_coefficients"):
+            monkeypatch.setattr(module, "quantize_coefficients", counting)
+    switches = ["--sweep-splits"] if command == "design" else []
+    assert main([command, "--config", str(write_config(tmp_path, **TOY_RUN)), *switches]) == 0
+    assert rounded == [1, 4]  # the unit tap of D1 = 1, then the 4 r_k of D = 16
 
 
 class TestConfigErrors:

@@ -1,4 +1,4 @@
-"""Roundoff bounds of the response, S_T, the quantized d|H| and the Monte Carlo rows, against tests/mp_gcf.py.
+"""Roundoff bounds of the response, the band maxima, S_T, the quantized d|H| and the Monte Carlo rows, against tests/mp_gcf.py.
 
 Each kernel's error at 16 random in-band points must lie within MULTIPLE
 units of 2**-53 times a condition number times its value, both computed here
@@ -9,24 +9,30 @@ of its value, and a tap DTFT about a centre c contributes
 sum_n |t_n| (1 + |w (n - c)|).  A product's scale is
 sum_k scale_k prod_{j != k} |f_j|, so the condition number of b_k is its
 scale over |b_k| and that of a tap DTFT H is sum_n |t_n| (1 + |w (n - c)|) / |H|.
-A few more units per point cover the sums, products and divisions.
+A few more units per point cover the sums, products and divisions.  A band
+maximum is held to the response's bound at the frequency where it lies.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 import mp_gcf  # skips this module without mpmath
 
-from gcf_helpers import in_band
-from gcfkit import GcfSpec, ToleranceSpec, gcf_response, quantization_error_response, sensitivity
+from gcf_helpers import in_band, rounded_report
+from gcfkit import GcfSpec, ToleranceSpec, folding_bands, gcf_response, quantization_error_response, sensitivity
 from gcfkit.filters import normalization_gain, polyphase_impulse, stage_coefficients, stage_multiplier
-from gcfkit.wordlength import _mc_delta_h, _mc_draws, rounded_multipliers
+from gcfkit.spectral import band_peaks
+from gcfkit.wordlength import _mc_delta_h, _mc_draws
 from test_mc_kernel_accuracy import designed_filter
 
 EPS = 2.0 ** -53
 MULTIPLE = 8
 SPLITS = [(D, pp) for D in (16, 64, 256, 1024) for pp in range(-1, D.bit_length() - 1)]
 MC_SPLITS = [(16, -1), (64, 1), (256, -1), (256, 3), (256, 7), (1024, 5), (1024, 9)]
+# at q = 0.79 every band's maximum lies at an edge, at q = 0.9 on an inner lobe
+BAND_CASES = [(D, q, pp) for D in (16, 64) for q in (0.79, 0.9) for pp in (-1, D.bit_length() - 2)]
 
 
 def points(D, pp):
@@ -65,10 +71,11 @@ def assert_within(got, exact, scale, what):
     assert np.max(ratio) <= MULTIPLE
 
 
-@pytest.mark.parametrize("D,pp", SPLITS, ids=[f"D{D}-pp{pp}" for D, pp in SPLITS])
-def test_response_is_within_its_roundoff_bound(D, pp):
-    # the stage product at D1 = 1; at a bank split, the branch reassembly of h_p times the cascade
-    spec, _, freqs = points(D, pp)
+def response_bound(spec, freqs):
+    """(exact, scale): gcf_response's exact value at freqs and the scale of its roundoff bound.
+
+    The stage product at D1 = 1; at a bank split, the branch reassembly of h_p times the cascade.
+    """
     w, ks, r = 2.0 * np.pi * freqs, spec.cascade_stages, stage_coefficients(spec)
     taps = polyphase_impulse(spec)
     h_o = normalization_gain(spec)
@@ -77,8 +84,34 @@ def test_response_is_within_its_roundoff_bound(D, pp):
     b = mp_gcf.stage_factors(*mp_gcf.stage_cosines(w, ks), r)
     scale = h_o * product_scale([np.abs(bank).astype(float), *b], [dtft_scale(taps, w, 0), *stage_scale(w, ks, r)])
     # the phase of each stage is off by the rounding of its argument 3x
-    scale += np.abs(exact) * (3.0 * np.sum(stage_arguments(w, ks), axis=0) + spec.p + 4)
-    assert_within(gcf_response(spec, freqs), exact, scale, "H")
+    return exact, scale + np.abs(exact) * (3.0 * np.sum(stage_arguments(w, ks), axis=0) + spec.p + 4)
+
+
+@pytest.mark.parametrize("D,pp", SPLITS, ids=[f"D{D}-pp{pp}" for D, pp in SPLITS])
+def test_response_is_within_its_roundoff_bound(D, pp):
+    spec, _, freqs = points(D, pp)
+    assert_within(gcf_response(spec, freqs), *response_bound(spec, freqs), "H")
+
+
+@functools.cache
+def exact_band_maxima(D, q):
+    """(peak, w_peak) of each folding band of the D, q design at rho = 2D, from mp_gcf's search between the zeros.
+
+    The filter is the stage product of the float64 r_k, the same at every split.
+    """
+    spec = GcfSpec.from_oversampling(D, 2 * D, q=q)
+    lo, hi = folding_bands(spec)
+    return mp_gcf.band_maxima(2.0 * np.pi * lo, 2.0 * np.pi * hi, D, spec.alpha, stage_coefficients(spec))
+
+
+@pytest.mark.parametrize("D,q,pp", BAND_CASES, ids=[f"D{D}-q{q}-pp{pp}" for D, q, pp in BAND_CASES])
+def test_band_peaks_are_within_their_roundoff_bound(D, q, pp):
+    # bands below 1e-9 of the DC gain are roundoff on both sides; none is at these designs
+    spec = GcfSpec.from_oversampling(D, 2 * D, p_p=pp, q=q)
+    peak, w_peak = exact_band_maxima(D, q)
+    _, scale = response_bound(spec, w_peak / (2.0 * np.pi))
+    kept = peak > 1e-9
+    assert_within(band_peaks(spec)[0][kept], peak[kept], scale[kept], "band maxima")
 
 
 @pytest.mark.parametrize("D,pp", SPLITS, ids=[f"D{D}-pp{pp}" for D, pp in SPLITS])
@@ -108,7 +141,8 @@ def test_sensitivity_is_within_its_roundoff_bound(D, pp):
 def test_quantized_delta_h_is_within_its_roundoff_bound(D, pp):
     spec, f_n, freqs = points(D, pp)
     w, ks = 2.0 * np.pi * freqs, spec.cascade_stages
-    taps, r, taps_q, r_q = rounded_multipliers(spec, f_n)
+    rounded = rounded_report(spec, f_n)
+    taps, r, taps_q, r_q = rounded.taps, rounded.r, rounded.taps_q, rounded.r_q
     cos3, cos1 = mp_gcf.stage_cosines(w, ks)
     cos_t, sin_t = mp_gcf.tap_phases(w, len(taps), 0)
     mags, scale = [], 0.0
@@ -120,7 +154,7 @@ def test_quantized_delta_h_is_within_its_roundoff_bound(D, pp):
         scale = scale + product_scale(factors, [dtft_scale(t, w, 0), *stage_scale(w, ks, rv)]) / dc
         scale = scale + mags[-1].astype(float) * (len(t) + 2 * len(rv) + 4)  # the DC sums, products and division
     exact = (mags[1] - mags[0]).astype(float)
-    assert_within(quantization_error_response(spec, f_n, freqs)[1], exact, scale, "d|H|")
+    assert_within(quantization_error_response(rounded, freqs)[1], exact, scale, "d|H|")
 
 
 @pytest.mark.parametrize("D,pp", MC_SPLITS, ids=[f"D{D}-pp{pp}" for D, pp in MC_SPLITS])

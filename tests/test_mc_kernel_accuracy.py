@@ -2,7 +2,7 @@
 
 At 40 random in-band points, tests/mp_gcf.py evaluates |H_q| - |H| from the
 float64 inputs the kernel sees (w = 2 pi f, the multipliers, the draws and the
-DC divisor), about the unit-DC float taps of rounded_multipliers or about the
+DC divisor), about the unit-DC float taps of WordLengthReport or about the
 designed filter, whose bank is the stage product of stages 0..p_p.
 
 Each kernel must be at least as accurate as the one it replaced, in its
@@ -22,11 +22,11 @@ import pytest
 
 import mp_gcf  # skips this module without mpmath
 
-from gcf_helpers import in_band
+from gcf_helpers import in_band, rounded_report
 from gcfkit import GcfSpec, ToleranceSpec, sensitivity, stage_coefficients
 from gcfkit.filters import stage_dc_gain, stage_multiplier
 from gcfkit.spectral import stage_bracket
-from gcfkit.wordlength import _mc_delta_h, _mc_draws, mc_draw_width, rounded_multipliers
+from gcfkit.wordlength import _mc_delta_h, _mc_draws, mc_draw_width
 
 POINTS = [(64, 1, 256), (256, 3, 512), (1024, 9, 2048)]
 # the float-tap oracle keeps the ids of the points; the designed filter's add a suffix
@@ -51,7 +51,8 @@ def design_points(spec):
 
 def float_taps_filter(spec, w):
     """The unit-DC float taps as a bank about n = 0, exact cosines, and the kernel's float DC divisor."""
-    taps, r, _, _ = rounded_multipliers(spec, 0)
+    exact = rounded_report(spec, 0)
+    taps, r = exact.taps, exact.r
     cos_t, sin_t = mp_gcf.tap_phases(w, len(taps), 0)
     filt = (mp_gcf.tap_dtft(taps, cos_t, sin_t), cos_t, sin_t, *mp_gcf.stage_cosines(w, spec.cascade_stages))
     return filt, taps.sum() * stage_dc_gain(r)

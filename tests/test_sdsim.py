@@ -22,8 +22,11 @@ from gcfkit import (
 )
 from gcfkit import sdsim
 
+from gcf_helpers import rounded_report
+
 PAPER_SPEC = GcfSpec.from_oversampling(16, 128)  # simulation setup: f_c = 1/256
 PAPER_I_N = integer_bits(PAPER_SPEC, 1)[1]
+PAPER_REPORT = rounded_report(PAPER_SPEC, 7)  # the widths PAPER_I_N
 
 
 class TestGenerator:
@@ -110,7 +113,7 @@ class TestModulator:
 
 class TestFixedPointDecimator:
     def test_dc_gain(self):
-        out = decimate_fixed_point(np.ones(2048, dtype=np.int64), PAPER_SPEC, PAPER_I_N, 7)
+        out = decimate_fixed_point(np.ones(2048, dtype=np.int64), PAPER_REPORT)
         steady = out[len(out) // 2:]
         np.testing.assert_allclose(steady, 1.0, atol=2.0 ** -7)
 
@@ -118,36 +121,37 @@ class TestFixedPointDecimator:
         s = GcfSpec(D=16, f_c=1 / 256, q=0.0)
         x = np.zeros(256, dtype=np.int64)
         x[0] = 1
-        out = decimate_fixed_point(x, s, PAPER_I_N, 7)
+        out = decimate_fixed_point(x, rounded_report(s, 7, PAPER_I_N))
         h = expand_full_polynomial(s)
         expected = h[::16] / h.sum()
         np.testing.assert_allclose(out[: len(expected)], expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [64, 100, 163])
     def test_output_length(self, n):
-        out = decimate_fixed_point(np.ones(n, dtype=np.int64), PAPER_SPEC, PAPER_I_N, 7)
+        out = decimate_fixed_point(np.ones(n, dtype=np.int64), PAPER_REPORT)
         assert len(out) == n // 16
 
     def test_requires_cascade_form(self):
         s = GcfSpec(D=16, f_c=1 / 256, p_p=1)
         with pytest.raises(ParameterError):
-            decimate_fixed_point(np.ones(64, dtype=np.int64), s, PAPER_I_N, 7)
+            decimate_fixed_point(np.ones(64, dtype=np.int64), rounded_report(s, 7, PAPER_I_N))
 
     def test_rejects_float_input(self):
         with pytest.raises(ParameterError):
-            decimate_fixed_point(np.ones(64), PAPER_SPEC, PAPER_I_N, 7)
+            decimate_fixed_point(np.ones(64), PAPER_REPORT)
 
     @pytest.mark.parametrize("i_n,f_n,message", [
-        ((4, 7, 10), 7, "all 4 stages"), ((4, 7, 10, 13), -1, "non-negative"),
+        ((4, 7, 10), 7, "all 4 stages"), ((4, 7, 10, 13), -1, "f_n must be >= 0"),
         ((4, -1, 10, 13), 7, "non-negative"),
     ])
     def test_rejects_bad_bit_counts(self, i_n, f_n, message):
+        # a negative f_n is rejected where the report rounds its filter
         with pytest.raises(ParameterError, match=message):
-            decimate_fixed_point(np.ones(64, dtype=np.int64), PAPER_SPEC, i_n, f_n)
+            decimate_fixed_point(np.ones(64, dtype=np.int64), rounded_report(PAPER_SPEC, f_n, i_n))
 
     def test_overflow_names_stage(self):
         with pytest.raises(StageOverflowError) as err:
-            decimate_fixed_point(np.ones(512, dtype=np.int64), PAPER_SPEC, (1, 1, 1, 1), 7)
+            decimate_fixed_point(np.ones(512, dtype=np.int64), rounded_report(PAPER_SPEC, 7, (1, 1, 1, 1)))
         assert err.value.stage == 0
         assert "stage 0" in str(err.value)
 
@@ -155,17 +159,17 @@ class TestFixedPointDecimator:
         # +/-2**58 wraps int64 in the stage shifts; it must not come out as zeros
         x = np.where(np.arange(256) % 2 == 0, 2 ** 58, -2 ** 58).astype(np.int64)
         with pytest.raises(StageOverflowError) as err:
-            decimate_fixed_point(x, PAPER_SPEC, PAPER_I_N, 7)
+            decimate_fixed_point(x, PAPER_REPORT)
         assert err.value.stage == 0
         assert err.value.value == 2.0 ** 58
 
     def test_widths_beyond_int64_rejected(self):
         with pytest.raises(ParameterError):
-            decimate_fixed_point(np.ones(64, dtype=np.int64), PAPER_SPEC, PAPER_I_N, 20)
+            decimate_fixed_point(np.ones(64, dtype=np.int64), rounded_report(PAPER_SPEC, 20))
 
     def test_tracks_floating_point_reference(self):
         bits = sd_modulate(generate_bandlimited_signal(1 / 256, 0.5, 2 ** 14, 9)).bits
-        out = decimate_fixed_point(bits.astype(np.int64), PAPER_SPEC, PAPER_I_N, 7)
+        out = decimate_fixed_point(bits.astype(np.int64), PAPER_REPORT)
         r = np.asarray(stage_coefficients(PAPER_SPEC))
         v = bits.astype(float)
         for r_k in r:
@@ -229,7 +233,7 @@ class TestWelch:
 
 class TestExperiment:
     def make_run(self, n=2 ** 14, seed=5, amplitude=0.5):
-        return run_experiment(PAPER_SPEC, PAPER_I_N, 7, amplitude, n, seed, segment=1024)
+        return run_experiment(PAPER_REPORT, amplitude, n, seed, segment=1024)
 
     def test_deterministic(self):
         a = self.make_run()
@@ -245,7 +249,7 @@ class TestExperiment:
 
     def test_too_few_output_samples_rejected(self):
         with pytest.raises(ParameterError, match="fewer than 2 output samples"):
-            run_experiment(PAPER_SPEC, PAPER_I_N, 7, 0.5, 31, 12345, segment=2)
+            run_experiment(PAPER_REPORT, 0.5, 31, 12345, segment=2)
 
     @pytest.mark.parametrize("spec,f_n,message", [
         (GcfSpec.from_oversampling(16, 128, p_p=1), 7, "cascaded form"),
@@ -258,7 +262,7 @@ class TestExperiment:
 
         monkeypatch.setattr(sdsim, "generate_bandlimited_signal", generator_ran)
         with pytest.raises(ParameterError, match=message):
-            run_experiment(spec, PAPER_I_N, f_n, 0.5, 2 ** 14, 5, segment=1024)
+            run_experiment(rounded_report(spec, f_n, PAPER_I_N), 0.5, 2 ** 14, 5, segment=1024)
 
     def test_signal_is_freed_once_modulated(self, monkeypatch):
         # only the int8 bitstream, not the 8 B/sample test signal, lives on
@@ -392,11 +396,11 @@ class TestBlockedMatchesWholeSignal:
         spec = GcfSpec.from_oversampling(D, 2 * D)
         i_n = integer_bits(spec, 1)[1]
         bits = np.where(np.random.default_rng(n + D).random(n) < 0.5, -1, 1).astype(np.int8)
-        assert np.array_equal(decimate_fixed_point(bits, spec, i_n, 7),
+        assert np.array_equal(decimate_fixed_point(bits, rounded_report(spec, 7, i_n)),
                               whole_signal_decimator(bits, spec, i_n, 7))
 
     def test_experiment(self, sample_block):
-        run = run_experiment(PAPER_SPEC, PAPER_I_N, 7, 0.5, 10007, 5, segment=1001, overlap_fraction=0.9)
+        run = run_experiment(PAPER_REPORT, 0.5, 10007, 5, segment=1001, overlap_fraction=0.9)
         x = whole_signal_generator(1 / 256, 0.5, 10007, 5)
         bits, overload = old_sd_modulate(x)
         decimated = whole_signal_decimator(bits, PAPER_SPEC, PAPER_I_N, 7)
@@ -442,7 +446,7 @@ def test_overflow_names_lowest_stage_over_all_blocks(monkeypatch, i_n, burst_sta
     with pytest.raises(StageOverflowError) as want:
         whole_signal_decimator(x, PAPER_SPEC, i_n, 7)
     with pytest.raises(StageOverflowError) as got:
-        decimate_fixed_point(x, PAPER_SPEC, i_n, 7)
+        decimate_fixed_point(x, rounded_report(PAPER_SPEC, 7, i_n))
     assert want.value.stage == lowest
     assert (got.value.stage, got.value.value, got.value.limit) == (
         want.value.stage, want.value.value, want.value.limit)

@@ -7,10 +7,13 @@ module constant is read there: code that only the tests use is deleted, not
 kept.  No test helper is defined in two test modules, and without mpmath
 only the tests that need it skip.  Only filters.py opens a file for
 writing, and it does so without newline translation.  Every function that
-README.md names is defined.
+README.md names is defined, and every gcfkit call it writes out names the
+function's leading parameters (read from the imported package).
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 import re
 import subprocess
@@ -175,15 +178,60 @@ def test_without_mpmath_only_the_mpmath_tests_skip():
 README_MATH = {"H", "erf", "exp", "prod", "rint"}
 
 
+def readme_spans():
+    """Every backticked span of README.md outside its fenced blocks, its whitespace runs made one space."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    return [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", text)]
+
+
 def test_every_function_that_readme_names_is_defined():
     # a backticked `name(` in README.md, outside its fenced blocks, is a
     # function or class of src/gcfkit, tests or bench, so no renamed or
     # deleted one stays behind in the text
-    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
-    calls = (re.match(r"([A-Za-z_]\w*)\(", span) for span in re.findall(r"`([^`]+)`", text))
+    calls = (re.match(r"([A-Za-z_]\w*)\(", span) for span in readme_spans())
     named = {m.group(1) for m in calls if m}
     paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     defined = {name for path in paths for name, _ in definitions(ast.parse(path.read_text()))}
     assert README_MATH <= named, f"README no longer uses {sorted(README_MATH - named)}"
     undefined = named - defined - README_MATH
     assert not undefined, f"README names undefined functions: {sorted(undefined)}"
+
+
+def gcfkit_parameters():
+    """The parameters of every function, class and method that src/gcfkit defines, by name; self left out."""
+    found = {}
+    for stem in sorted(set(MODULES) - {"__init__"}):
+        module = importlib.import_module(f"gcfkit.{stem}")
+        for name, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) or obj.__module__ != module.__name__:
+                continue
+            callables = [(name, obj, 0)]
+            if inspect.isclass(obj):
+                callables += [(attr, fn, 1) for attr, fn in vars(obj).items() if inspect.isfunction(fn)]
+            for attr, fn, skip in callables:
+                try:
+                    params = list(inspect.signature(fn).parameters.values())[skip:]
+                except ValueError:  # a class with no signature of its own, such as an exception
+                    continue
+                found.setdefault(attr, []).append(
+                    [p for p in params if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)])
+    return found
+
+
+def test_readme_calls_name_the_leading_parameters():
+    # a call written out in README.md as `name(a, b)` for a gcfkit function
+    # lists its leading parameters by name and in order, and every parameter
+    # it leaves out has a default, so a changed signature does not leave the
+    # text behind
+    found = gcfkit_parameters()
+    wrong = []
+    for span in readme_spans():
+        call = re.fullmatch(r"([A-Za-z_]\w*)\((.*)\)", span)
+        if not call or call.group(1) not in found:
+            continue
+        args = [arg.strip() for arg in call.group(2).split(",") if arg.strip()]
+        if not any([p.name for p in params[:len(args)]] == args
+                   and all(p.default is not p.empty for p in params[len(args):])
+                   for params in found[call.group(1)]):
+            wrong.append(span)
+    assert not wrong, f"README calls that do not match their gcfkit signatures: {wrong}"

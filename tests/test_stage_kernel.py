@@ -47,10 +47,9 @@ from gcfkit.wordlength import (
     _mc_draws,
     _response_from_multipliers,
     quantization_error_response,
-    rounded_multipliers,
 )
 
-from gcf_helpers import banded_grid
+from gcf_helpers import banded_grid, rounded_report
 
 SPLITS = [(16, -1, 64), (64, -1, 256), (64, 1, 256), (64, 5, 256), (256, 3, 512)]
 IDS = [f"D{D}-pp{pp}" for D, pp, _ in SPLITS]
@@ -96,7 +95,8 @@ def old_fd_resp(freqs, stage_ks, rv):
 def old_mc_delta_h(spec, f_n, trials, seed, freqs):
     freqs = np.asarray(freqs, dtype=float)
     w = 2.0 * np.pi * freqs
-    taps, r, _, _ = rounded_multipliers(spec, f_n)
+    exact = rounded_report(spec, f_n)
+    taps, r = exact.taps, exact.r
     ks = list(spec.cascade_stages)
     half_lsb = 2.0 ** -f_n / 2.0
     n_taps = len(taps) if spec.D1 > 1 else 0
@@ -350,7 +350,8 @@ def test_sensitivity_fd_check_matches_old(D, rho_per_D):
 def test_response_from_multipliers_matches_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
-    taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
+    rounded = rounded_report(spec, 9)
+    taps, r, taps_q, r_q = rounded.taps, rounded.r, rounded.taps_q, rounded.r_q
     sets = ((taps, r), (taps_q, r_q))
     for got, (t, rv) in zip(_response_from_multipliers(spec, freqs, *sets), sets, strict=True):
         assert np.array_equal(got, old_response_from_multipliers(spec, freqs, t, rv))
@@ -360,7 +361,8 @@ def test_response_from_multipliers_matches_old(D, pp, rho):
 def test_blocked_tap_dtft_matches_old(D, pp, rho, monkeypatch):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
-    taps, r, taps_q, r_q = rounded_multipliers(spec, 9)
+    rounded = rounded_report(spec, 9)
+    taps, r, taps_q, r_q = rounded.taps, rounded.r, rounded.taps_q, rounded.r_q
     sets = ((taps, r), (taps_q, r_q))
     n_taps = len(taps)
     # frequencies per block: a last block of one frequency, a ragged last
@@ -377,12 +379,13 @@ def test_quantized_response_and_delta_h_match_old(D, pp, rho):
     spec = spec_of(D, pp, rho)
     freqs, _ = in_band_freqs(spec)
     f_n = 9
-    taps, r, taps_q, r_q = rounded_multipliers(spec, f_n)
+    rounded = rounded_report(spec, f_n)
+    taps, r, taps_q, r_q = rounded.taps, rounded.r, rounded.taps_q, rounded.r_q
     exact = old_response_from_multipliers(spec, freqs, taps, r)
     quant = old_response_from_multipliers(spec, freqs, taps_q, r_q)
     dc_exact = taps.sum() * np.prod(2.0 + 2.0 * r)
     dc_quant = taps_q.sum() * np.prod(2.0 + 2.0 * r_q)
-    quantized, delta_h = quantization_error_response(spec, f_n, freqs=freqs)
+    quantized, delta_h = quantization_error_response(rounded, freqs=freqs)
     assert np.array_equal(quantized, quant / dc_quant)
     assert np.array_equal(delta_h, np.abs(quant) / dc_quant - np.abs(exact) / dc_exact)
 
@@ -590,10 +593,10 @@ def old_cmd_sensitivity_csv(cfg, path):
     mask = bands.contains(freqs)
     result = sensitivity(spec, freqs)
     sigma_dh = sensitivity(spec, freqs).sigma_dh
-    f_n = wordlength.design_wordlengths(spec, cfg.tolerance(), cfg.input_width, freqs[mask]).f_n
-    _, delta_h = quantization_error_response(spec, f_n, freqs)
+    rep = wordlength.design_wordlengths(spec, cfg.tolerance(), cfg.input_width, freqs[mask])
+    _, delta_h = quantization_error_response(rep, freqs)
     spectral.grid_to_csv(path, freqs, gcf_response(spec, freqs), mask,
-                         extra={"s_t": result.s_t, "sigma_dh": sigma_dh(f_n), "delta_h": delta_h})
+                         extra={"s_t": result.s_t, "sigma_dh": sigma_dh(rep.f_n), "delta_h": delta_h})
 
 
 @pytest.mark.parametrize("D,pp,rho", [(16, -1, 64), (64, 1, 256)], ids=["D16-pp-1", "D64-pp1"])

@@ -2,6 +2,7 @@ import json
 import math
 import statistics
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from gcfkit import (
     design_wordlengths,
     integer_bits,
     monte_carlo_run,
+    polyphase_impulse,
     quantization_error_response,
     quantize_coefficients,
-    rounded_multipliers,
     sensitivity,
     stage_coefficients,
 )
@@ -32,7 +33,7 @@ from gcfkit.wordlength import (
     mc_draw_width,
 )
 
-from gcf_helpers import banded_grid, in_band, spec_for
+from gcf_helpers import banded_grid, in_band, rounded_report, spec_for
 
 
 def fd_sensitivity_terms(spec, freqs, step):
@@ -44,7 +45,8 @@ def fd_sensitivity_terms(spec, freqs, step):
     S_T is their sum.  H is affine in every multiplier, so the differences
     have no truncation error at any step.
     """
-    taps, r, _, _ = rounded_multipliers(spec, 0)
+    exact = rounded_report(spec, 0)
+    taps, r = exact.taps, exact.r
     ks, dc = spec.cascade_stages, stage_dc_gain(r)
     bank, rows = None, []
     if spec.D1 > 1:
@@ -174,7 +176,8 @@ class TestSensitivity:
         # independent oracle over every stored multiplier, normalizer held fixed
         s = spec_for(16, p_p=p_p)
         freqs = np.array([0.0371, 0.0625, 0.1843, 0.3211, 0.4999])
-        taps, r, _, _ = rounded_multipliers(s, 8)
+        rounded = rounded_report(s, 8)
+        taps, r = rounded.taps, rounded.r
         dc = taps.sum() * np.prod(2.0 + 2.0 * r)
         step = 1e-7
         total = np.zeros(len(freqs))
@@ -299,9 +302,10 @@ PHASOR_BLOCK_BYTES = wordlength._PHASOR_BLOCK * 16
 
 def dtft_peak_bytes(spec, n_freqs):
     """tracemalloc's peak over quantization_error_response at n_freqs frequencies."""
+    report = rounded_report(spec, 16)
     tracemalloc.start()
     try:
-        quantization_error_response(spec, 16, np.linspace(0.0, 0.5, n_freqs))
+        quantization_error_response(report, np.linspace(0.0, 0.5, n_freqs))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,16 +315,16 @@ class TestQuantizationErrorResponse:
     def test_integer_coefficients_are_exact(self):
         s = GcfSpec(D=16, f_c=1 / 128, q=0.0)
         freqs, _ = banded_grid(s)
-        _, delta_h = quantization_error_response(s, 7, freqs)
+        _, delta_h = quantization_error_response(rounded_report(s, 7), freqs)
         np.testing.assert_array_equal(delta_h, np.zeros(len(freqs)))
 
     def test_fine_quantization_vanishes(self):
-        _, delta_h = quantization_error_response(PAPER_SPEC, 40, banded_grid(PAPER_SPEC)[0])
+        _, delta_h = quantization_error_response(rounded_report(PAPER_SPEC, 40), banded_grid(PAPER_SPEC)[0])
         assert np.max(np.abs(delta_h)) <= 1e-10
 
     def test_paper_design_within_tolerance(self):
         freqs, band = banded_grid(PAPER_SPEC)
-        _, delta_h = quantization_error_response(PAPER_SPEC, 7, freqs)
+        _, delta_h = quantization_error_response(rounded_report(PAPER_SPEC, 7), freqs)
         assert np.max(np.abs(delta_h[band > 0])) <= 1e-4
 
     def test_memory_holds_one_block_of_phasors(self):
@@ -467,11 +471,11 @@ class TestMonteCarlo:
     def test_bank_split_builds_no_tap_vector(self, monkeypatch):
         # the draws perturb the designed filter, whose bank is the stage product
         def forbidden(*args):
-            raise AssertionError("the Monte Carlo built the taps")
+            raise AssertionError("the Monte Carlo built or rounded the taps")
 
         s = GcfSpec.from_oversampling(64, 256, p_p=1)
         monkeypatch.setattr(wordlength, "polyphase_impulse", forbidden)
-        monkeypatch.setattr(wordlength, "rounded_multipliers", forbidden)
+        monkeypatch.setattr(wordlength, "quantize_coefficients", forbidden)
         error_std, _, _ = monte_carlo_run(s, 15, 1000, 3, y=2.0, freqs=in_band(s))
         assert np.all(np.isfinite(error_std))
 
@@ -491,3 +495,18 @@ class TestReport:
         assert data["coefficient_width"] == 1 + 13 + 7
         table = rep.table()
         assert "F_n" in table and " 7" in table
+
+    def test_report_carries_the_rounded_filter_of_its_spec_and_f_n(self):
+        # a replaced f_n or spec rebuilds the filter; report.json holds none of it
+        s = spec_for(64, p_p=1)
+        rep = design_wordlengths(s, PAPER_TOL, 1, in_band(s))
+        for report in (rep, replace(rep, f_n=rep.f_n + 3), replace(rep, spec=replace(s, p_p=-1))):
+            h_p = polyphase_impulse(report.spec)
+            assert np.array_equal(report.h_p, h_p)
+            assert np.array_equal(report.taps, h_p / h_p.sum())
+            assert np.array_equal(report.r, stage_coefficients(report.spec))
+            assert np.array_equal(report.taps_q, quantize_coefficients(report.taps, report.f_n))
+            assert np.array_equal(report.r_q, quantize_coefficients(report.r, report.f_n))
+        assert not {"h_p", "taps", "r", "taps_q", "r_q"} & set(rep.as_dict())
+        with pytest.raises(ParameterError, match="f_n must be >= 0"):
+            replace(rep, f_n=-1)
