@@ -48,6 +48,7 @@ class GcfSpec:
     D1: int = field(init=False)
     D2: int = field(init=False)
     alpha: float = field(init=False)
+    multipliers: tuple[float, ...] = field(init=False)  # r_k of the stages k = 0 .. p-1, at every split
 
     def __post_init__(self):
         if self.D < 2 or (self.D & (self.D - 1)) != 0:
@@ -66,6 +67,7 @@ class GcfSpec:
         object.__setattr__(self, "D1", 2 ** (self.p_p + 1))
         object.__setattr__(self, "D2", 2 ** (p - self.p_p - 1))
         object.__setattr__(self, "alpha", self.q * 2.0 * math.pi * self.f_c)
+        object.__setattr__(self, "multipliers", tuple(stage_multiplier(self.alpha, k) for k in range(p)))
 
     @classmethod
     def from_oversampling(cls, D: int, rho: float, p_p: int = -1, q: float = DEFAULT_Q) -> "GcfSpec":
@@ -97,13 +99,13 @@ def stage_dc_gain(r) -> float:
 
 
 def stage_coefficients(spec: GcfSpec) -> tuple[float, ...]:
-    """Cascade multipliers r_k = 1 + 2 cos(2**k alpha) for k = p_p+1 .. p-1.
+    """Cascade multipliers r_k = 1 + 2 cos(2**k alpha), k = p_p+1 .. p-1: the tail of spec.multipliers.
 
     Ascending k: after commutation every stage runs at its own input rate
     with unit delays, and stage k's full-rate delay unit is 2**k.  p_p = p-1
     yields a valid empty cascade (pure polyphase realization).
     """
-    return tuple(stage_multiplier(spec.alpha, k) for k in spec.cascade_stages)
+    return spec.multipliers[spec.p_p + 1:]
 
 
 def _xt_sequence(D1: int, alpha: float, length: int) -> np.ndarray:
@@ -153,7 +155,7 @@ def expand_full_polynomial(spec: GcfSpec) -> np.ndarray:
     """
     poly = polyphase_impulse(spec)
     for k in spec.cascade_stages:
-        d, r_k = 2 ** k, stage_multiplier(spec.alpha, k)
+        d, r_k = 2 ** k, spec.multipliers[k]
         out = np.zeros(len(poly) + 3 * d)
         for shift, c in ((3 * d, 1.0), (2 * d, r_k), (d, r_k), (0, 1.0)):
             out[shift:shift + len(poly)] += c * poly
@@ -167,7 +169,7 @@ def normalization_gain(spec: GcfSpec) -> float:
     By split invariance H is the product of the stages k = 0..p-1 at every
     split, so its DC gain is prod(2 + 2 r_k) over all p stages.
     """
-    total = float(stage_dc_gain([stage_multiplier(spec.alpha, k) for k in range(spec.p)]))
+    total = float(stage_dc_gain(spec.multipliers))
     if total <= 0.0:
         # cannot occur for alpha < pi/D
         raise InternalError(f"non-positive DC gain {total:g}")

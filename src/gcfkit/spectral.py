@@ -3,15 +3,15 @@
 Frequencies are cycles/sample in [0, 1/2] externally; omega = 2*pi*f
 internally.  Responses of the linear-phase cascade are evaluated in product
 form, stage by stage, which stays finite at the in-band zeros; by split
-invariance that one stage kernel (stage_bracket, cascade_response) gives
-every cascade response and sensitivity in the toolkit.  The
+invariance that one stage kernel (stage_bracket, cascade_response and the
+real stage_amplitude) gives every cascade response and sensitivity.  The
 polyphase section is evaluated from its impulse response h_p by reassembling
 the D1 branches h_p(D1*n + k), the architecture the paper evaluates, in
 one loop over the branches; its memory is O(grid size x taps per branch)
 and does not grow with D1.  compare's per-band peaks (band_peaks) come
 from the closed-form zeros k/D and k/D -/+ q f_c of each band, between
-which |H| has one critical point each: bisection on the slope of the
-pure-cascade form (the same filter) finds them, and the response is
+which |H| has one critical point each: bisection on the slope of
+stage_amplitude over spec.multipliers finds them, and the response is
 evaluated only there and at the band edges, with no grid.
 
 The folding bands are two arrays (lo, hi); band_index and band_peaks
@@ -144,8 +144,11 @@ def gcf_response(spec: GcfSpec, f: np.ndarray) -> np.ndarray:
     return out * normalization_gain(spec)
 
 
-def _cascade_amplitude(f: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
-    """A = prod_k stage_bracket(w, k, r_k) / (2 + 2 r_k), k < len(r), at f, and A dA/dw (> 0 where |A| rises)."""
+def stage_amplitude(f: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """A = prod_k stage_bracket(w, k, r_k) / (2 + 2 r_k), k < len(r), at f, and A dA/dw (> 0 where |A| rises).
+
+    Over spec.multipliers A is the filter's real amplitude, over their first p_p + 1 the bank's about its centre.
+    """
     w = 2.0 * np.pi * f
     amp, slope = np.ones_like(w), np.zeros_like(w)
     for k, r_k in enumerate(r):
@@ -170,17 +173,17 @@ def band_peaks(spec: GcfSpec) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = folding_bands(spec)
     n = len(lo)
     centers = np.arange(1, n + 1) / spec.D
-    r = stage_coefficients(GcfSpec(spec.D, spec.f_c, q=spec.q))  # the stages k = 0 .. p-1
+    r = spec.multipliers
     left, right = centers - spec.q * spec.f_c, np.minimum(centers + spec.q * spec.f_c, hi)  # hi = c at 1/2
-    edge_amp, rise = _cascade_amplitude(np.concatenate([lo, hi]), r)
+    edge_amp, rise = stage_amplitude(np.concatenate([lo, hi]), r)
     a, b = np.concatenate([lo, left, centers, right]), np.concatenate([left, centers, right, hi])
     inward = np.concatenate([rise[:n] > 0.0, np.ones(2 * n, bool), rise[n:] < 0.0]) & (a < b)
     band, a, b = np.tile(np.arange(n), 4)[inward], a[inward], b[inward]
     for _ in range(PEAK_BISECTIONS):
         mid = 0.5 * (a + b)
-        rising = _cascade_amplitude(mid, r)[1] > 0.0
+        rising = stage_amplitude(mid, r)[1] > 0.0
         a, b = np.where(rising, mid, a), np.where(rising, b, mid)
-    kept = np.abs(_cascade_amplitude(a, r)[0]) > np.maximum(np.abs(edge_amp[:n]), np.abs(edge_amp[n:]))[band]
+    kept = np.abs(stage_amplitude(a, r)[0]) > np.maximum(np.abs(edge_amp[:n]), np.abs(edge_amp[n:]))[band]
     gcf = np.abs(gcf_response(spec, np.concatenate([lo, hi, a[kept]])))
     peaks = np.maximum(gcf[:n], gcf[n:2 * n])
     np.maximum.at(peaks, band[kept], gcf[2 * n:])
@@ -194,20 +197,21 @@ def grid_frequencies(bands: tuple[np.ndarray, np.ndarray], points_per_band: int 
 
     The grid is global_points uniform samples augmented so every folding
     band carries at least points_per_band samples including both edges and
-    the center.
+    the center.  Sorted, it keeps the first of equal points (np.unique's result, without its numpy.ma import).
     """
     if points_per_band < 2:
         raise ParameterError(f"points_per_band must be >= 2, got {points_per_band}")
     lo, hi = bands
-    return np.unique(np.concatenate([
+    grid = np.sort(np.concatenate([
         np.linspace(0.0, 0.5, global_points),
         np.linspace(lo, hi, points_per_band, axis=1).ravel(),
         (lo + hi) / 2.0,
     ]))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def grid_size(spec: GcfSpec, points_per_band: int, global_points: int) -> int:
-    """Points grid_frequencies(folding_bands(spec), ...) concatenates, before np.unique merges repeats."""
+    """Points grid_frequencies(folding_bands(spec), ...) concatenates, before it drops repeats."""
     return global_points + spec.D // 2 * (points_per_band + 1)
 
 

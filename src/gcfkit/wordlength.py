@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalError, ParameterError
-from .filters import GcfSpec, polyphase_impulse, stage_coefficients, stage_dc_gain, stage_multiplier
-from .spectral import cascade_response, stage_bracket, stage_derivative
+from .filters import GcfSpec, polyphase_impulse, stage_coefficients, stage_dc_gain
+from .spectral import cascade_response, stage_amplitude, stage_bracket, stage_derivative
 
 
 # y of the default coverage 0.95: erf(DEFAULT_Y / sqrt(2)) is 0.95 exactly.
@@ -193,8 +193,7 @@ def sensitivity(spec: GcfSpec, freqs) -> SensitivityResult:
     prefix = np.ones(len(w))  # prod_{j<k} b_j**2
     hn2 = np.ones(len(w))
     cascade_sum = np.zeros(len(w))
-    for k in range(spec.p if spec.cascade_stages else 0):
-        r_k = stage_multiplier(spec.alpha, k)
+    for k, r_k in enumerate(spec.multipliers if spec.cascade_stages else ()):
         scale = 2.0 + 2.0 * r_k
         b2 = (stage_bracket(w, k, r_k) / scale) ** 2
         if k > spec.p_p:
@@ -322,8 +321,8 @@ def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
     """Yield d|H| of the draws about the designed filter at freqs, in row blocks (block, nf).
 
     By split invariance the designed bank is the product of stages 0..p_p;
-    about its centre c = (L - 1) / 2 it is the real amplitude
-    A = prod_k stage_bracket(w, k, r_k) / (2 + 2 r_k), of unit DC gain.
+    about its centre c = (L - 1) / 2 it is the real amplitude A of unit DC
+    gain that stage_amplitude gives over spec.multipliers[:p_p + 1].
     L = 3 D1 - 2 is even when D1 > 1, and theta_n = w (n - c) is exactly
     -theta_{L-1-n}, so the tap errors e_n fold into pairs, n < L/2:
 
@@ -337,7 +336,7 @@ def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
     one product of depth 2**|G| against rows built once for the given freqs,
     so the drawn e_k enter as they are, not through fl(r_k + e_k).  The
     first group's rows carry 1 / dc, and the largest term of each product,
-    A or prod b_k, comes last.
+    A or prod b_k, comes last.  At D1 = 1, |H_P| is the unit tap's exact 1.
 
     The products are rounded by the BLAS kernel picked for their shape.  A
     one-row product goes through gemv, which rounds otherwise, so a trailing
@@ -349,17 +348,15 @@ def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
     block is a view that the next block overwrites.
     """
     nf = len(freqs)
-    w = np.zeros(-(-nf // 16) * 16)
-    w[:nf] = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+    f = np.zeros(-(-nf // 16) * 16)
+    f[:nf] = freqs
+    w = 2.0 * np.pi * f
     ks = list(spec.cascade_stages)
     r = stage_coefficients(spec)
     n_taps = draws.shape[1] - len(ks)  # 0 for the unit tap of D1 = 1
     half = n_taps // 2
     cos_basis = np.empty((half + 1, len(w)))  # the pair cosines, then A
-    cos_basis[half] = 1.0
-    for k in range(spec.p_p + 1):
-        r_k = stage_multiplier(spec.alpha, k)
-        cos_basis[half] *= stage_bracket(w, k, r_k) / (2.0 + 2.0 * r_k)
+    cos_basis[half] = stage_amplitude(f, spec.multipliers[:spec.p_p + 1])[0]
     theta = np.outer(np.arange(half) - (n_taps - 1) / 2.0, w)
     np.cos(theta, out=cos_basis[:half])
     sin_basis = np.sin(theta, out=theta)
@@ -377,9 +374,6 @@ def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
     def magnitude(block, mag):
         """|H| / dc of the designed filter plus each row of block, written to mag."""
         work = work_rows[:len(block)]
-        # at D1 = 1 the unit tap makes no bank product and the first group writes mag; sent through
-        # the products it gives the same rows, but validate at the paper point took 0.197 -> 0.219 s
-        # (whole-process medians of 12 alternating pairs on a 2-CPU VM)
         if n_taps:
             errors = block[:, :n_taps]
             head, tail = errors[:, :half], errors[:, ::-1][:, :half]
@@ -391,14 +385,13 @@ def _mc_delta_h(spec: GcfSpec, draws: np.ndarray, freqs: np.ndarray):
             work *= work
             mag += work
             np.sqrt(mag, out=mag)
+        else:
+            mag.fill(1.0)
         for lo, basis in groups.items():
             terms = np.ones((len(block), 1))  # prod_{k in S} e_k, in the order of the rows of basis
             for e_k in block[:, n_taps + lo:][:, :_MC_STAGE_GROUP].T:
                 terms = np.hstack((terms * e_k[:, None], terms))
-            if n_taps or lo:
-                mag *= np.matmul(terms, basis, out=work)
-            else:
-                np.matmul(terms, basis, out=mag)
+            mag *= np.matmul(terms, basis, out=work)
         np.abs(mag, out=mag)
         return mag
 

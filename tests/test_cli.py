@@ -732,3 +732,36 @@ def test_import_loads_only_numpy_outside_the_stdlib():
         return set(out.stdout.split())
 
     assert top_level(", gcfkit.cli") - top_level("") == {"gcfkit", "numpy"}
+
+
+# The numpy subpackages a command may import after gcfkit.cli, by prefix: each
+# first import costs milliseconds in a fresh process (numpy.ma, which the
+# first np.unique call pulls in, took 8-16 ms).
+COMMAND_NUMPY_IMPORTS = {
+    "validate": ("numpy.random",),
+    "simulate": ("numpy.random", "numpy.fft", "numpy.lib.stride_tricks", "numpy.lib._stride_tricks_impl"),
+}
+TOY_SIZES = {"validate": ["--trials", "1000"], "simulate": ["--n-samples", "65536"]}
+# Runs gcfkit with argv[1:] and prints its exit code and the numpy modules it imported.
+COLD_IMPORT_PROBE = """
+import sys
+import gcfkit.cli
+before = set(sys.modules)
+code = gcfkit.cli.main(sys.argv[1:])
+print(code, *sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_each_command_imports_only_the_numpy_subpackages_it_uses(command, tmp_path):
+    args = [command, "--decimation-factor", "16", "--oversampling-ratio", "64", "--chi", "1e-4", "--y", "2",
+            "--input-width", "1", "--points-per-band", "17", "--global-points", "512",
+            "--output-dir", str(tmp_path / "out"), *TOY_SIZES.get(command, [])]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gcfkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", COLD_IMPORT_PROBE, *args], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    code, *imported = out.stdout.splitlines()[-1].split()
+    assert code == "0", out.stdout
+    allowed = COMMAND_NUMPY_IMPORTS.get(command, ())
+    unexpected = [m for m in imported if not any(m == a or m.startswith(a + ".") for a in allowed)]
+    assert not unexpected, f"{command} imports {unexpected}"

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from functools import lru_cache
@@ -13,7 +14,7 @@ from gcfkit import (
     polyphase_impulse,
     stage_coefficients,
 )
-from gcfkit.filters import _xt_sequence, coefficients_to_csv, stage_multiplier
+from gcfkit.filters import _xt_sequence, coefficients_to_csv, stage_multiplier, write_json
 
 from gcf_helpers import comb_coefficients, spec_for
 
@@ -276,3 +277,13 @@ class TestExports:
         assert lines[0] == "index,value"
         parsed = [float(line.split(",")[1]) for line in lines[1:]]
         assert parsed == pytest.approx(list(values), abs=0)
+
+    def test_json_is_what_json_dump_writes_plus_a_newline(self, tmp_path):
+        value = {"spec": {"D": 16, "rho": None, "alpha": 0.0387787, "normalized": True},
+                 "checks": [{"pass": False, "name": "split_invariance"}, 1e-300, -0.0, 2**70],
+                 "expanded": [0.1 * k for k in range(100)], "empty": [], "unicode": "\u03c7 = 1e-4"}
+        with open(tmp_path / "want.json", "w", newline="") as fh:
+            json.dump(value, fh, indent=2)
+            fh.write("\n")
+        write_json(tmp_path / "got.json", value)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()

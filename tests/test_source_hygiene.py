@@ -6,7 +6,9 @@ than the re-exports of __init__, and every dataclass field and every
 module constant is read there: code that only the tests use is deleted, not
 kept.  No test helper is defined in two test modules, and without mpmath
 only the tests that need it skip.  Only filters.py opens a file for
-writing, and it does so without newline translation.  Every function that
+writing, and it does so without newline translation.  Only filters.py
+computes a stage multiplier, and spectral.py builds no GcfSpec of its own.
+Every function that
 README.md names is defined, and every gcfkit call it writes out names the
 function's leading parameters (read from the imported package).
 """
@@ -146,6 +148,27 @@ def test_only_filters_opens_files_for_writing_and_without_newline_translation():
     assert not elsewhere, f"open(...) for writing outside filters.py: {elsewhere}"
     translated = [line for line, plain in found["filters"] if not plain]
     assert found["filters"] and not translated, f'filters.py opens for writing without newline="": {translated}'
+
+
+def called_names(tree):
+    """(name, line) of every call, by the last name of what it calls: f(...) and x.f(...) are both f."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield ast.unparse(node.func).split(".")[-1], node.lineno
+
+
+def test_only_filters_computes_the_stage_multipliers():
+    # GcfSpec.multipliers is the one source of r_0 .. r_{p-1}; every other module reads it
+    elsewhere = [(module, line) for module, tree in MODULES.items() if module != "filters"
+                 for name, line in called_names(tree) if name == "stage_multiplier"]
+    assert not elsewhere, f"stage_multiplier called outside filters.py: {elsewhere}"
+
+
+def test_spectral_builds_no_spec_of_its_own():
+    # every spectral function evaluates the spec it is given, at its own split
+    built = [(name, line) for name, line in called_names(MODULES["spectral"])
+             if name in ("GcfSpec", "from_oversampling", "replace")]
+    assert not built, f"spectral.py builds a GcfSpec: {built}"
 
 
 def test_no_test_helper_is_defined_in_two_modules():

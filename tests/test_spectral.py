@@ -260,14 +260,19 @@ class TestResponseGrid:
             assert freqs[idx] == pytest.approx(k / 16, abs=1e-12)
             assert magnitude[idx] <= 1e-13
 
-    @pytest.mark.parametrize("D,points_per_band,global_points", [(2, 2, 0), (16, 65, 4096), (256, 129, 7)])
-    def test_grid_size_counts_the_concatenated_points(self, monkeypatch, D, points_per_band, global_points):
-        # grid_size is the length of the grid before np.unique merges its repeats
+    @pytest.mark.parametrize("D,points_per_band,global_points", [(2, 2, 0), (16, 65, 4096), (16, 129, 8193),
+                                                                 (256, 129, 7), (1024, 17, 512)])
+    def test_grid_is_the_distinct_points_that_grid_size_counts(self, D, points_per_band, global_points):
+        # grid_size counts the uniform points, every band's points and the band centres, and the
+        # grid is np.unique of them, bit for bit; all but D=2 repeat points (a band's middle point
+        # is its centre, and at 8193 uniform points every band point of D=16 is a uniform one)
         s = spec_for(D)
-        n = grid_size(s, points_per_band, global_points)
-        assert len(grid_frequencies(folding_bands(s), points_per_band, global_points)) <= n
-        monkeypatch.setattr(np, "unique", lambda a: a)
-        assert len(grid_frequencies(folding_bands(s), points_per_band, global_points)) == n
+        lo, hi = folding_bands(s)
+        points = np.concatenate([np.linspace(0.0, 0.5, global_points),
+                                 np.linspace(lo, hi, points_per_band, axis=1).ravel(), (lo + hi) / 2])
+        assert grid_size(s, points_per_band, global_points) == len(points)
+        grid = grid_frequencies((lo, hi), points_per_band, global_points)
+        assert grid.tobytes() == np.unique(points).tobytes()
 
     def test_rejects_sparse_bands(self):
         s = spec_for(16)
